@@ -1,0 +1,523 @@
+"""Command-line surface and stable record serialization.
+
+Every command can write a single self-describing RunRecord as one JSON line
+(`--out`): schema version, command, full parameter/configuration echo, and
+the result payload.  Identical command plus configuration reproduces the
+payload byte for byte (wall-time fields excepted).
+
+Exit codes: 0 success, 1 usage error, 2 precondition violation,
+3 inconclusive (time budget expired before the search space was covered).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+from dataclasses import dataclass
+
+from . import __version__
+from .cyclotomic import CycElem, ring_new
+from .errors import PreconditionError
+from .minors import IndexSet, MinorRecord, minor_record
+from .search import (Permutation, SearchConfig, SearchOutcome, find_good_permutation)
+from .theorems import (ScanConfig, ScanReport, Theorem1Report, WitnessPlan,
+                       build_witness, is_square_free, scan_all, verify_theorem1,
+                       witness_sweep)
+
+SCHEMA_VERSION = 1
+
+
+@dataclass(frozen=True)
+class RunRecord:
+    """One reproducible run: command, parameter echo, result payload."""
+
+    command: str
+    version: str
+    params: dict
+    config: dict
+    payload: dict
+    exact_mode: bool
+    wall_time: float
+
+    def __post_init__(self) -> None:
+        expected = _PAYLOAD_KINDS.get(self.command)
+        if expected is not None and self.payload.get("kind") != expected:
+            raise ValueError(
+                f"payload kind {self.payload.get('kind')!r} does not match "
+                f"command {self.command!r}"
+            )
+
+    def to_json_line(self) -> str:
+        doc = {
+            "record": "run",
+            "schema": SCHEMA_VERSION,
+            "command": self.command,
+            "version": self.version,
+            "params": self.params,
+            "config": self.config,
+            "payload": self.payload,
+            "exact_mode": self.exact_mode,
+            "wall_time": self.wall_time,
+        }
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+_PAYLOAD_KINDS = {
+    "det": "minor_record",
+    "scan": "scan_report",
+    "witness": "witness_plans",
+    "theorem1": "theorem1_report",
+    "perm-search": "search_outcome",
+}
+
+
+def parse_run_record(line: str) -> RunRecord:
+    doc = json.loads(line)
+    if doc.get("record") != "run" or doc.get("schema") != SCHEMA_VERSION:
+        raise ValueError("not a schema-1 run record")
+    return RunRecord(
+        command=doc["command"],
+        version=doc["version"],
+        params=doc["params"],
+        config=doc["config"],
+        payload=doc["payload"],
+        exact_mode=doc["exact_mode"],
+        wall_time=doc["wall_time"],
+    )
+
+
+# ---------------------------------------------------------------------------
+# Payload builders and parsers (payloads are plain JSON-able dicts)
+
+
+def element_payload(e: CycElem) -> dict:
+    return {
+        "modulus": e.ring.modulus,
+        "totient": e.ring.totient,
+        "coeffs": list(e.coeffs),
+    }
+
+
+def parse_element(doc: dict) -> CycElem:
+    ring = ring_new(doc["modulus"])
+    return ring.element(doc["coeffs"])
+
+
+def minor_record_payload(rec: MinorRecord) -> dict:
+    return {
+        "kind": "minor_record",
+        "modulus": rec.index_set.modulus,
+        "set": list(rec.index_set.members),
+        "size": rec.size,
+        "singular": rec.singular,
+        "determinant": element_payload(rec.determinant) if rec.determinant else None,
+    }
+
+
+def parse_minor_record(doc: dict) -> MinorRecord:
+    det = parse_element(doc["determinant"]) if doc["determinant"] else None
+    return MinorRecord(
+        index_set=IndexSet.of(doc["modulus"], doc["set"]),
+        size=doc["size"],
+        singular=doc["singular"],
+        determinant=det,
+    )
+
+
+def scan_report_payload(rep: ScanReport) -> dict:
+    return {
+        "kind": "scan_report",
+        "modulus": rep.modulus,
+        "exact_mode": rep.exact_mode,
+        "use_complement": rep.use_complement,
+        "use_shift_classes": rep.use_shift_classes,
+        "counts": {str(r): c for r, c in sorted(rep.counts.items())},
+        "exemplars": {
+            str(r): [list(s) for s in sets] for r, sets in sorted(rep.exemplars.items())
+        },
+        "exemplar_cap": rep.exemplar_cap,
+        "classes_tested": rep.classes_tested,
+        "prefilter_hits": rep.prefilter_hits,
+        "wall_time": rep.wall_time,
+    }
+
+
+def parse_scan_report(doc: dict) -> ScanReport:
+    return ScanReport(
+        modulus=doc["modulus"],
+        exact_mode=doc["exact_mode"],
+        use_complement=doc["use_complement"],
+        use_shift_classes=doc["use_shift_classes"],
+        counts={int(r): c for r, c in doc["counts"].items()},
+        exemplars={
+            int(r): [tuple(s) for s in sets] for r, sets in doc["exemplars"].items()
+        },
+        exemplar_cap=doc["exemplar_cap"],
+        classes_tested=doc["classes_tested"],
+        prefilter_hits=doc["prefilter_hits"],
+        wall_time=doc["wall_time"],
+    )
+
+
+def witness_plans_payload(plans: list[WitnessPlan]) -> dict:
+    return {
+        "kind": "witness_plans",
+        "plans": [
+            {
+                "modulus": p.modulus,
+                "size": p.size,
+                "prime": p.prime,
+                "cofactor": p.cofactor,
+                "case": p.case,
+                "s": p.s,
+                "t": p.t,
+                "set": list(p.index_set.members),
+                "certificate": p.certificate,
+                "directly_verified": p.directly_verified,
+            }
+            for p in plans
+        ],
+    }
+
+
+def parse_witness_plans(doc: dict) -> list[WitnessPlan]:
+    return [
+        WitnessPlan(
+            modulus=p["modulus"],
+            size=p["size"],
+            prime=p["prime"],
+            cofactor=p["cofactor"],
+            case=p["case"],
+            s=p["s"],
+            t=p["t"],
+            index_set=IndexSet.of(p["modulus"], p["set"]),
+            certificate=p["certificate"],
+            directly_verified=p["directly_verified"],
+        )
+        for p in doc["plans"]
+    ]
+
+
+def theorem1_payload(reports: list[Theorem1Report], skipped: list[int]) -> dict:
+    return {
+        "kind": "theorem1_report",
+        "reports": [
+            {
+                "modulus": r.modulus,
+                "sizes": list(r.sizes),
+                "passed": r.passed,
+                "counterexample": list(r.counterexample) if r.counterexample else None,
+                "pairs_checked": r.pairs_checked,
+                "certified_sizes": list(r.certified_sizes),
+                "note": r.note,
+                "wall_time": r.wall_time,
+            }
+            for r in reports
+        ],
+        "skipped_not_square_free": skipped,
+    }
+
+
+def parse_theorem1(doc: dict) -> list[Theorem1Report]:
+    return [
+        Theorem1Report(
+            modulus=r["modulus"],
+            sizes=tuple(r["sizes"]),
+            passed=r["passed"],
+            counterexample=tuple(r["counterexample"]) if r["counterexample"] else None,
+            pairs_checked=r["pairs_checked"],
+            certified_sizes=tuple(r["certified_sizes"]),
+            note=r["note"],
+            wall_time=r["wall_time"],
+        )
+        for r in doc["reports"]
+    ]
+
+
+def search_outcome_payload(out: SearchOutcome) -> dict:
+    return {
+        "kind": "search_outcome",
+        "modulus": out.modulus,
+        "found": list(out.found.image) if out.found else None,
+        "exhausted": out.exhausted,
+        "nodes_expanded": out.nodes_expanded,
+        "prune_counts": {str(k): v for k, v in sorted(out.prune_counts.items())},
+        "wall_time": out.wall_time,
+    }
+
+
+def parse_search_outcome(doc: dict) -> SearchOutcome:
+    found = Permutation(doc["modulus"], tuple(doc["found"])) if doc["found"] else None
+    return SearchOutcome(
+        modulus=doc["modulus"],
+        found=found,
+        exhausted=doc["exhausted"],
+        nodes_expanded=doc["nodes_expanded"],
+        prune_counts={int(k): v for k, v in doc["prune_counts"].items()},
+        wall_time=doc["wall_time"],
+    )
+
+
+# ---------------------------------------------------------------------------
+# Commands
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # exit 1 on usage errors, not argparse's 2
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _write_record(path: str | None, record: RunRecord) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(record.to_json_line() + "\n")
+
+
+def _parse_index_list(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError as exc:
+        raise ValueError(f"bad index list {text!r}") from exc
+
+
+def cmd_det(args) -> int:
+    start = time.perf_counter()
+    try:
+        indices = _parse_index_list(args.set)
+        k = IndexSet.of(args.n, indices)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if len(k) == 0:
+        print("error: empty index set", file=sys.stderr)
+        return 1
+    ring = ring_new(args.n)
+    rec = minor_record(ring, k)
+    verdict = "singular" if rec.singular else "nonsingular"
+    print(f"F_{args.n}[{list(k.members)}] is {verdict}")
+    print(f"modulus={args.n} totient={ring.totient}")
+    print(f"determinant coefficients (basis 1, w, ..., w^{ring.totient - 1}):")
+    print(f"  {list(rec.determinant.coeffs)}")
+    record = RunRecord(
+        command="det", version=__version__,
+        params={"n": args.n, "set": list(k.members)},
+        config={}, payload=minor_record_payload(rec),
+        exact_mode=True, wall_time=time.perf_counter() - start,
+    )
+    _write_record(args.out, record)
+    return 0
+
+
+def cmd_scan(args) -> int:
+    start = time.perf_counter()
+    config = ScanConfig(
+        exact=not args.prefilter,
+        use_complement=not args.no_complement,
+        use_shift_classes=not args.no_shift_classes,
+        override=args.override,
+        exemplar_cap=args.cap,
+        jobs=args.jobs,
+    )
+    report = scan_all(args.n, config)
+    total = sum(report.counts.values())
+    mode = "exact" if report.exact_mode else "prefilter-assisted (zeros confirmed exactly)"
+    print(f"scan N={args.n} [{mode}]: {total} singular principal index sets")
+    for r in sorted(report.counts):
+        if report.counts[r]:
+            shown = ", ".join(str(list(s)) for s in report.exemplars[r][:4])
+            more = "" if report.counts[r] <= 4 else ", ..."
+            print(f"  size {r}: {report.counts[r]}  e.g. {shown}{more}")
+    if total == 0:
+        print("  no vanishing principal minors")
+    print(f"classes tested: {report.classes_tested}, prefilter hits: "
+          f"{report.prefilter_hits}, {report.wall_time:.2f}s")
+    record = RunRecord(
+        command="scan", version=__version__,
+        params={"n": args.n},
+        config={
+            "exact": config.exact, "use_complement": config.use_complement,
+            "use_shift_classes": config.use_shift_classes, "override": config.override,
+            "exemplar_cap": config.exemplar_cap, "jobs": config.jobs,
+            "ceiling": config.ceiling,
+        },
+        payload=scan_report_payload(report),
+        exact_mode=config.exact, wall_time=time.perf_counter() - start,
+    )
+    _write_record(args.out, record)
+    return 0
+
+
+def cmd_witness(args) -> int:
+    start = time.perf_counter()
+    if args.all:
+        plans = witness_sweep(args.n)
+    elif args.r is not None:
+        plans = [build_witness(args.n, args.r)]
+    else:
+        print("error: pass --r SIZE or --all", file=sys.stderr)
+        return 1
+    for p in plans:
+        tag = "verified" if p.directly_verified else "verified via complement base"
+        print(f"N={p.modulus} r={p.size} [{p.case}] {list(p.index_set.members)} ({tag})")
+        print(f"  {p.certificate}")
+    record = RunRecord(
+        command="witness", version=__version__,
+        params={"n": args.n, "r": args.r, "all": args.all},
+        config={}, payload=witness_plans_payload(plans),
+        exact_mode=True, wall_time=time.perf_counter() - start,
+    )
+    _write_record(args.out, record)
+    return 0
+
+
+def cmd_theorem1(args) -> int:
+    start = time.perf_counter()
+    if args.range:
+        try:
+            lo, hi = args.range.split("..")
+            lo, hi = int(lo), int(hi)
+        except ValueError:
+            print(f"error: bad range {args.range!r}, expected A..B", file=sys.stderr)
+            return 1
+        moduli = list(range(max(4, lo), hi + 1))
+    elif args.n is not None:
+        moduli = [args.n]
+    else:
+        print("error: pass --n N or --range A..B", file=sys.stderr)
+        return 1
+    reports = []
+    skipped = []
+    for n in moduli:
+        if args.range and not is_square_free(n):
+            skipped.append(n)
+            print(f"N={n}: skipped (not square-free)")
+            continue
+        rep = verify_theorem1(n)
+        reports.append(rep)
+        status = "pass" if rep.passed else f"FAIL at {rep.counterexample}"
+        print(f"N={n}: {status} ({rep.pairs_checked} translated sets checked; "
+              f"certifies sizes {list(rep.certified_sizes)})")
+    record = RunRecord(
+        command="theorem1", version=__version__,
+        params={"n": args.n, "range": args.range},
+        config={}, payload=theorem1_payload(reports, skipped),
+        exact_mode=True, wall_time=time.perf_counter() - start,
+    )
+    _write_record(args.out, record)
+    # a counterexample would falsify the arithmetic, not the usage; keep it
+    # distinct from the reserved codes 1..3
+    return 0 if all(r.passed for r in reports) else 4
+
+
+def cmd_perm_search(args) -> int:
+    start = time.perf_counter()
+    config = SearchConfig(
+        modulus=args.n,
+        order=args.order,
+        max_incremental_size=args.max_incremental_size,
+        symmetry=args.symmetry,
+        time_budget=args.budget,
+        jobs=args.jobs,
+        checkpoint_path=args.resume,
+    )
+    outcome = find_good_permutation(config)
+    if outcome.found:
+        print(f"N={args.n}: good permutation {list(outcome.found.image)} "
+              f"(re-verified exactly)")
+    elif outcome.exhausted:
+        print(f"N={args.n}: search space exhausted, no good permutation exists")
+    else:
+        print(f"N={args.n}: INCONCLUSIVE (budget expired before exhaustion)")
+    print(f"nodes={outcome.nodes_expanded} prunes={dict(sorted(outcome.prune_counts.items()))} "
+          f"{outcome.wall_time:.2f}s")
+    record = RunRecord(
+        command="perm-search", version=__version__,
+        params={"n": args.n},
+        config={
+            "order": config.order, "symmetry": config.symmetry,
+            "max_incremental_size": config.max_incremental_size,
+            "time_budget": config.time_budget, "jobs": config.jobs,
+            "checkpoint_path": config.checkpoint_path,
+        },
+        payload=search_outcome_payload(outcome),
+        exact_mode=True, wall_time=time.perf_counter() - start,
+    )
+    _write_record(args.out, record)
+    if outcome.found is None and not outcome.exhausted:
+        return 3
+    return 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="fourier-minors",
+                     description="Exact principal minors of Fourier matrices")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+
+    p = sub.add_parser("det", help="decide one principal minor")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--set", type=str, required=True, help="comma-separated indices")
+    p.add_argument("--out", type=str, default=None)
+    p.set_defaults(func=cmd_det)
+
+    p = sub.add_parser("scan", help="decide every principal minor of F_N")
+    p.add_argument("--n", type=int, required=True)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--exact", action="store_true", help="exact mode (default)")
+    mode.add_argument("--prefilter", action="store_true",
+                      help="certified float prefilter; zeros confirmed exactly")
+    p.add_argument("--no-complement", action="store_true")
+    p.add_argument("--no-shift-classes", action="store_true")
+    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--override", action="store_true", help="ignore the scan ceiling")
+    p.add_argument("--cap", type=int, default=16, help="exemplars kept per size")
+    p.add_argument("--out", type=str, default=None)
+    p.set_defaults(func=cmd_scan)
+
+    p = sub.add_parser("witness", help="construct singular principal index sets")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--r", type=int, default=None)
+    p.add_argument("--all", action="store_true", help="every size 2..N-2")
+    p.add_argument("--out", type=str, default=None)
+    p.set_defaults(func=cmd_witness)
+
+    p = sub.add_parser("theorem1", help="2x2/3x3 nonvanishing sweep (square-free N)")
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--range", type=str, default=None, help="A..B inclusive")
+    p.add_argument("--out", type=str, default=None)
+    p.set_defaults(func=cmd_theorem1)
+
+    p = sub.add_parser("perm-search", help="search for a good column permutation")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--budget", type=float, default=None, help="time budget in seconds")
+    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--resume", type=str, default=None,
+                   help="checkpoint file; created if missing, resumed if present")
+    p.add_argument("--order", choices=["ascending", "most-constrained"],
+                   default="ascending")
+    p.add_argument("--symmetry", action="store_true",
+                   help="fix the first assigned value to 0 (validated reduction)")
+    p.add_argument("--max-incremental-size", type=int, default=None)
+    p.add_argument("--out", type=str, default=None)
+    p.set_defaults(func=cmd_perm_search)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        return args.func(args)
+    except PreconditionError as exc:
+        print(f"precondition violated: {exc}", file=sys.stderr)
+        return 2
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,0 +1,334 @@
+"""Exact arithmetic in Z[w], w = exp(2*pi*i/N).
+
+Elements are integer coefficient vectors over the power basis
+1, w, ..., w^(phi(N)-1), reduced modulo the N-th cyclotomic polynomial.
+Phi_N is the minimal polynomial of w over Q, so the representation is
+canonical: two elements are equal as complex numbers exactly when their
+coefficient vectors are identical, and the zero test is "all coefficients
+zero".  Coefficients are arbitrary-precision Python ints throughout.
+
+Phi_N is computed by exact division of x^N - 1 by Phi_d for every proper
+divisor d of N; no factoring of Phi_N and no floating point enters the
+arithmetic.  The only float surface is `CycElem.approx_complex`, which
+returns an approximation together with a rigorous error bound and is used
+as an optional nonzero-certification prefilter elsewhere.
+"""
+
+from __future__ import annotations
+
+import math
+import threading
+from functools import lru_cache
+
+import mpmath
+import numpy as np
+
+from .errors import PreconditionError
+
+DEFAULT_MAX_MODULUS = 10_000
+
+# |float(w^j) - w^j| bound for CycRing.float_roots (mpmath at 30 digits,
+# rounded once to complex128; true per-root error is below 3e-16).
+ROOT_ERROR = 1e-15
+_EPS = 2.0 ** -52
+
+# Above this magnitude, integer coefficients are not safely convertible to
+# float64 and the prefilter abstains.
+_FLOAT_SAFE = 2 ** 52
+
+# numpy int64 mirrors of the power tables are only built when every entry
+# fits comfortably, leaving headroom for the batched determinant kernel.
+_NP_TABLE_LIMIT = 2 ** 40
+
+
+def divisors(n: int) -> list[int]:
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """Exact division by a monic integer polynomial (ascending coefficients)."""
+    if not den or den[-1] != 1:
+        raise ValueError("divisor must be monic")
+    rem = list(num)
+    dn = len(den) - 1
+    if len(rem) - 1 < dn:
+        return [0], rem
+    quot = [0] * (len(rem) - dn)
+    for k in range(len(rem) - 1, dn - 1, -1):
+        c = rem[k]
+        if c:
+            quot[k - dn] = c
+            for i in range(dn + 1):
+                rem[k - dn + i] -= c * den[i]
+    while len(rem) > 1 and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Coefficients of Phi_n, ascending degree, exact integers, monic."""
+    if n < 1:
+        raise PreconditionError("modulus must be a positive integer")
+    if n == 1:
+        return (-1, 1)
+    quot = [-1] + [0] * (n - 1) + [1]  # x^n - 1
+    for d in divisors(n)[:-1]:
+        quot, rem = poly_divmod_monic(quot, list(cyclotomic_polynomial(d)))
+        if rem != [0]:
+            raise AssertionError(f"inexact cyclotomic division at n={n}, d={d}")
+    return tuple(quot)
+
+
+class CycRing:
+    """Ring context for a fixed modulus N: Phi_N plus reduction tables.
+
+    Immutable after construction (the lazily grown power table is
+    append-only and idempotent), so instances may be shared freely across
+    threads and processes.
+    """
+
+    def __init__(self, modulus: int, *, max_modulus: int = DEFAULT_MAX_MODULUS) -> None:
+        if modulus < 1:
+            raise PreconditionError("modulus must be >= 1")
+        if modulus > max_modulus:
+            raise PreconditionError(
+                f"modulus {modulus} exceeds the precomputation bound {max_modulus}"
+            )
+        self.modulus = modulus
+        self.phi_poly: tuple[int, ...] = cyclotomic_polynomial(modulus)
+        self.totient: int = len(self.phi_poly) - 1
+        # x^totient reduced: the negated tail of the monic Phi_N.
+        self._head: tuple[int, ...] = tuple(-c for c in self.phi_poly[:-1])
+        e0 = [0] * self.totient
+        e0[0] = 1
+        self._pow_rows: list[tuple[int, ...]] = [tuple(e0)]
+        self._grow_lock = threading.Lock()
+        self._np_cache: tuple[np.ndarray, np.ndarray] | None | str = "unset"
+        self._float_roots: np.ndarray | None = None
+
+    def __repr__(self) -> str:
+        return f"CycRing({self.modulus})"
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CycRing) and other.modulus == self.modulus
+
+    def __hash__(self) -> int:
+        return hash(("CycRing", self.modulus))
+
+    def _pow_row(self, j: int) -> tuple[int, ...]:
+        """Canonical coefficients of x^j mod Phi_N, for any j >= 0.
+
+        The memo grows append-only; reads of already-present rows are
+        lock-free, growth is serialized.
+        """
+        rows = self._pow_rows
+        if j < len(rows):
+            return rows[j]
+        phi = self.totient
+        with self._grow_lock:
+            while len(rows) <= j:
+                cur = rows[-1]
+                lead = cur[-1]
+                nxt = [0] + list(cur[:-1])
+                if lead:
+                    head = self._head
+                    for i in range(phi):
+                        nxt[i] += lead * head[i]
+                rows.append(tuple(nxt))
+        return rows[j]
+
+    @property
+    def reduction_table(self) -> tuple[tuple[int, ...], ...]:
+        """x^j mod Phi_N for j = totient .. 2*totient - 2 (product reduction)."""
+        phi = self.totient
+        return tuple(self._pow_row(j) for j in range(phi, 2 * phi - 1))
+
+    @property
+    def power_table(self) -> tuple[tuple[int, ...], ...]:
+        """Canonical coefficients of w^j for j = 0 .. N-1."""
+        return tuple(self._pow_row(j) for j in range(self.modulus))
+
+    def zero(self) -> CycElem:
+        return CycElem(self, (0,) * self.totient)
+
+    def one(self) -> CycElem:
+        return self.from_int(1)
+
+    def from_int(self, value: int) -> CycElem:
+        coeffs = [0] * self.totient
+        coeffs[0] = value
+        return CycElem(self, tuple(coeffs))
+
+    def element(self, coeffs) -> CycElem:
+        """Element from power-basis coefficients (padded, reduced if long)."""
+        coeffs = [int(c) for c in coeffs]
+        phi = self.totient
+        if len(coeffs) <= phi:
+            coeffs += [0] * (phi - len(coeffs))
+            return CycElem(self, tuple(coeffs))
+        out = coeffs[:phi]
+        for j in range(phi, len(coeffs)):
+            c = coeffs[j]
+            if c:
+                row = self._pow_row(j)
+                for i in range(phi):
+                    out[i] += c * row[i]
+        return CycElem(self, tuple(out))
+
+    def root_power(self, exponent: int) -> CycElem:
+        """w^exponent (exponent taken mod N)."""
+        return CycElem(self, self._pow_row(exponent % self.modulus))
+
+    @property
+    def float_roots(self) -> np.ndarray:
+        """complex128 values of w^j, j = 0 .. N-1, each within ROOT_ERROR."""
+        if self._float_roots is None:
+            n = self.modulus
+            with mpmath.workdps(30):
+                vals = [complex(mpmath.expjpi(mpmath.mpf(2 * j) / n)) for j in range(n)]
+            self._float_roots = np.array(vals, dtype=np.complex128)
+        return self._float_roots
+
+    def np_tables(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """int64 mirrors: (power table (N, phi), high-power reduction (N-phi, phi)).
+
+        Returns None when some table entry is too large for safe int64 use;
+        callers must then stay on the arbitrary-precision path.
+        """
+        if isinstance(self._np_cache, str):
+            n, phi = self.modulus, self.totient
+            rows = [self._pow_row(j) for j in range(n)]
+            if max((max(map(abs, r)) for r in rows), default=0) > _NP_TABLE_LIMIT:
+                self._np_cache = None
+            else:
+                full = np.array(rows, dtype=np.int64)
+                self._np_cache = (full, full[phi:].copy())
+        return self._np_cache
+
+
+@lru_cache(maxsize=None)
+def ring_new(modulus: int) -> CycRing:
+    """Shared, cached ring context for the given modulus."""
+    return CycRing(modulus)
+
+
+class CycElem:
+    """An element of Z[w] in canonical form; immutable."""
+
+    __slots__ = ("ring", "coeffs")
+
+    def __init__(self, ring: CycRing, coeffs: tuple[int, ...]) -> None:
+        self.ring = ring
+        self.coeffs = coeffs
+
+    def __repr__(self) -> str:
+        return f"CycElem(N={self.ring.modulus}, {list(self.coeffs)})"
+
+    def _check(self, other: CycElem) -> None:
+        if self.ring.modulus != other.ring.modulus:
+            raise ValueError(
+                f"ring mismatch: N={self.ring.modulus} vs N={other.ring.modulus}"
+            )
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, int):
+            return self == self.ring.from_int(other)
+        if isinstance(other, CycElem):
+            return self.ring.modulus == other.ring.modulus and self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ring.modulus, self.coeffs))
+
+    def __add__(self, other: CycElem | int) -> CycElem:
+        if isinstance(other, int):
+            other = self.ring.from_int(other)
+        self._check(other)
+        return CycElem(self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> CycElem:
+        return CycElem(self.ring, tuple(-a for a in self.coeffs))
+
+    def __sub__(self, other: CycElem | int) -> CycElem:
+        if isinstance(other, int):
+            other = self.ring.from_int(other)
+        self._check(other)
+        return CycElem(self.ring, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __rsub__(self, other: int) -> CycElem:
+        return (-self) + other
+
+    def __mul__(self, other: CycElem | int) -> CycElem:
+        if isinstance(other, int):
+            return CycElem(self.ring, tuple(other * a for a in self.coeffs))
+        self._check(other)
+        phi = self.ring.totient
+        a, b = self.coeffs, other.coeffs
+        conv = [0] * (2 * phi - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    conv[i + j] += ai * bj
+        out = conv[:phi]
+        for j in range(phi, 2 * phi - 1):
+            c = conv[j]
+            if c:
+                row = self.ring._pow_row(j)
+                for i in range(phi):
+                    out[i] += c * row[i]
+        return CycElem(self.ring, tuple(out))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> CycElem:
+        if n < 0:
+            raise ValueError("negative powers are not defined in Z[w]")
+        out = self.ring.one()
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def approx_complex(self) -> tuple[complex, float]:
+        """(value, bound): the exact element lies within `bound` of `value`.
+
+        Sound for nonzero certification only: |value| > bound proves the
+        element is nonzero.  Abstains with bound = inf when coefficients are
+        too large for safe float conversion.
+        """
+        if any(abs(c) > _FLOAT_SAFE for c in self.coeffs):
+            return 0j, math.inf
+        roots = self.ring.float_roots
+        value = 0j
+        err = 0.0
+        for i, c in enumerate(self.coeffs):
+            if c:
+                value += c * roots[i]
+                err += abs(c) * ROOT_ERROR + 4.0 * _EPS * abs(value)
+        return complex(value), err

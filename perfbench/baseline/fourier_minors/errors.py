@@ -1,0 +1,5 @@
+class PreconditionError(ValueError):
+    """An operation was called outside its stated domain.
+
+    Distinct from plain usage errors so the CLI can map it to exit code 2.
+    """
