@@ -6,7 +6,9 @@ the result payload.  Identical command plus configuration reproduces the
 payload byte for byte (wall-time fields excepted).
 
 Exit codes: 0 success, 1 usage error, 2 precondition violation,
-3 inconclusive (time budget expired before the search space was covered).
+3 inconclusive (time budget expired before the search space was covered),
+4 a theorem1 counterexample (a vanishing 2x2 or 3x3 minor for a square-free
+modulus).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import __version__
 from .cyclotomic import CycElem, ring_new
@@ -323,7 +326,7 @@ def cmd_scan(args) -> int:
     )
     report = scan_all(args.n, config)
     total = sum(report.counts.values())
-    mode = "exact" if report.exact_mode else "prefilter-assisted (zeros confirmed exactly)"
+    mode = "exact" if report.exact_mode else "exact, counting one-prime screen hits"
     print(f"scan N={args.n} [{mode}]: {total} singular principal index sets")
     for r in sorted(report.counts):
         if report.counts[r]:
@@ -468,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", help="exact mode (default)")
     mode.add_argument("--prefilter", action="store_true",
-                      help="certified float prefilter; zeros confirmed exactly")
+                      help="same exact engine; report how many classes its "
+                           "one-prime screen certified nonzero")
     p.add_argument("--no-complement", action="store_true")
     p.add_argument("--no-shift-classes", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
@@ -506,10 +510,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

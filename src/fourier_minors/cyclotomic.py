@@ -9,9 +9,9 @@ zero".  Coefficients are arbitrary-precision Python ints throughout.
 
 Phi_N is computed by exact division of x^N - 1 by Phi_d for every proper
 divisor d of N; no factoring of Phi_N and no floating point enters the
-arithmetic.  The only float surface is `CycElem.approx_complex`, which
-returns an approximation together with a rigorous error bound and is used
-as an optional nonzero-certification prefilter elsewhere.
+arithmetic.  The only float surfaces are `CycElem.approx_complex` and
+`CycRing.float_roots`, which return approximations together with rigorous
+error bounds; no verdict of the package uses them.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 import threading
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from .errors import PreconditionError
@@ -33,7 +32,7 @@ ROOT_ERROR = 1e-15
 _EPS = 2.0 ** -52
 
 # Above this magnitude, integer coefficients are not safely convertible to
-# float64 and the prefilter abstains.
+# float64 and `approx_complex` abstains.
 _FLOAT_SAFE = 2 ** 52
 
 # numpy int64 mirrors of the power tables are only built when every entry
@@ -201,6 +200,8 @@ class CycRing:
     def float_roots(self) -> np.ndarray:
         """complex128 values of w^j, j = 0 .. N-1, each within ROOT_ERROR."""
         if self._float_roots is None:
+            import mpmath
+
             n = self.modulus
             with mpmath.workdps(30):
                 vals = [complex(mpmath.expjpi(mpmath.mpf(2 * j) / n)) for j in range(n)]
@@ -211,16 +212,29 @@ class CycRing:
         """int64 mirrors: (power table (N, phi), high-power reduction (N-phi, phi)).
 
         Returns None when some table entry is too large for safe int64 use;
-        callers must then stay on the arbitrary-precision path.
+        callers must then stay on the arbitrary-precision path.  Built by the
+        recurrence x^(j+1) = x * x^j: shift up one degree and fold the
+        leading coefficient back through x^phi = head.  An entry grows by at
+        most |lead| * max|head| per step, so while every lead stays within
+        the limit no entry can overflow before the final check.
         """
         if isinstance(self._np_cache, str):
+            self._np_cache = None  # unless the build below succeeds
             n, phi = self.modulus, self.totient
-            rows = [self._pow_row(j) for j in range(n)]
-            if max((max(map(abs, r)) for r in rows), default=0) > _NP_TABLE_LIMIT:
-                self._np_cache = None
-            else:
-                full = np.array(rows, dtype=np.int64)
-                self._np_cache = (full, full[phi:].copy())
+            head = np.array(self._head, dtype=np.int64)
+            if n * int(np.abs(head).max()) * _NP_TABLE_LIMIT >= 2 ** 62:
+                return None
+            full = np.zeros((n, phi), dtype=np.int64)
+            full[0, 0] = 1
+            for j in range(n - 1):
+                lead = int(full[j, -1])
+                full[j + 1, 1:] = full[j, :-1]
+                if lead:
+                    if abs(lead) > _NP_TABLE_LIMIT:
+                        return None
+                    full[j + 1] += lead * head
+            if max(int(full.max()), -int(full.min())) <= _NP_TABLE_LIMIT:
+                self._np_cache = (full, full[phi:])
         return self._np_cache
 
 

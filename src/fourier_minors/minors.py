@@ -2,9 +2,9 @@
 two singularity-preserving reductions (translation and complementation).
 
 `det_exact` works over arbitrary ring elements (memoized Laplace expansion,
-no division).  Singularity tests on w-power submatrices take the fast
-int64 kernel when it applies and fall back to `det_exact` otherwise; both
-paths are exact.
+no division); it is kept as an independent oracle.  Singularity tests and
+minor records on w-power submatrices use the exact multimodular engine of
+`powerdet`.
 """
 
 from __future__ import annotations
@@ -140,32 +140,11 @@ def det_exact(matrix: list[list[CycElem]]) -> CycElem:
     return prev[tuple(range(r))]
 
 
-def _det_fast(ring: CycRing, rows: IndexSet, cols: IndexSet) -> CycElem:
-    try:
-        return powerdet.det_power_single(ring, exponent_matrix(rows, cols))
-    except powerdet.EngineUnavailable:
-        return det_exact(submatrix(ring, rows, cols))
-
-
-def is_singular(ring: CycRing, k: IndexSet, *, prefilter: bool = False) -> bool:
-    """Exact singularity of the principal submatrix for index set k.
-
-    With prefilter=True a certified float bound may skip the exact
-    determinant for clearly nonsingular minors; every "singular" verdict is
-    still confirmed exactly.
-    """
+def is_singular(ring: CycRing, k: IndexSet) -> bool:
+    """Exact singularity of the principal submatrix for index set k."""
     if len(k) == 0:
         raise PreconditionError("singularity of the empty set is not defined")
-    if prefilter:
-        try:
-            vals, errs = powerdet.approx_det_batch(
-                ring, exponent_matrix(k, k)[None, :, :]
-            )
-            if abs(vals[0]) > errs[0]:
-                return False
-        except powerdet.EngineUnavailable:
-            pass
-    return _det_fast(ring, k, k).is_zero()
+    return bool(powerdet.zero_flags(ring, exponent_matrix(k, k)[None, :, :])[0][0])
 
 
 def det_2x2_formula(ring: CycRing, a: int) -> CycElem:
@@ -217,5 +196,5 @@ def shift_identity_check(ring: CycRing, k: IndexSet) -> bool:
 
 
 def minor_record(ring: CycRing, k: IndexSet) -> MinorRecord:
-    det = _det_fast(ring, k, k)
+    det = powerdet.det_power_single(ring, exponent_matrix(k, k))
     return MinorRecord(index_set=k, size=len(k), singular=det.is_zero(), determinant=det)

@@ -1,20 +1,40 @@
-"""Fast exact determinants for matrices whose entries are powers of w.
+"""Exact determinants of matrices whose entries are powers of w, by
+reduction modulo primes.
 
-Intermediate values are kept modulo x^N - 1 as length-N integer vectors, so
-multiplying by an entry w^e is a cyclic index shift instead of a polynomial
-product; a single linear reduction modulo Phi_N at the end brings results to
-canonical form.  The expansion is the subset dynamic program over column
-sets (memoized Laplace expansion, no division, valid over any commutative
-ring): O(r * 2^r) shift-adds per matrix, vectorized across a batch of
-matrices with numpy int64.
+Lemma (reduction).  Let p be a prime with p = 1 (mod N), and zeta in F_p an
+element of order exactly N (F_p^* is cyclic of order p - 1, so one exists).
 
-Every coefficient that appears is a signed count of Leibniz terms, bounded
-by r!, so int64 arithmetic is exact within the enforced limits.  Callers
-outside the limits fall back to the general CycElem determinant.
+- For every k, x -> zeta^k is a ring homomorphism Z[x]/(x^N - 1) -> F_p,
+  and w -> zeta is a ring homomorphism Z[w] = Z[x]/(Phi_N) -> F_p, since
+  Phi_N(zeta) = 0.  Homomorphisms commute with determinants, so
+  det(w^(e_ij)) maps to det(zeta^(e_ij)) mod p.
+- p does not divide N, so x^N - 1 = prod_k (x - zeta^k) has N distinct
+  roots in F_p, and Phi_N = prod_u (x - zeta^u) over the phi(N) units u
+  splits into distinct linear factors.  The values at all zeta^k therefore
+  determine a vector of Z[x]/(x^N - 1) mod p, by the inverse DFT.
+- Leibniz writes det(w^(e_ij)) as r! signed powers of w, so its raw vector
+  in Z[x]/(x^N - 1) has absolute entry sum at most r!.
 
-A structurally identical complex128 twin (`approx_det_batch`) computes the
-determinant value in floats while propagating a rigorous error bound; it
-certifies determinants as nonzero but never as zero.
+Hence the two uses of the evaluation primitive `_evaluate`:
+
+- screen: a determinant nonzero at the first prime with w -> zeta is
+  nonzero in Z[w] (`nonzero_screen`);
+- coefficients: the values at all N roots, inverse-transformed mod p and
+  combined by CRT over primes whose product exceeds 2 * r!, give the raw
+  vector exactly, and reduction mod Phi_N makes it canonical
+  (`det_power_batch`).  A determinant is zero iff every canonical
+  coefficient is 0 (`zero_flags` asks only for the screen's survivors).
+
+Determinants mod p come from batched, division-free Gaussian elimination
+in numpy int64, the batch on the last axis: with p < 2^31 every product of
+two residues stays below 2^62.  References: Chebotarev's theorem by
+reduction mod p (Tao, "An uncertainty principle for cyclic groups of prime
+order", 2005) and multimodular determinants (Abbott-Bronstein-Mulders,
+ISSAC 1999).
+
+A complex128 twin of the subset expansion (`approx_det_batch`) computes the
+determinant value in floats with a rigorous error bound; no command uses
+it.
 """
 
 from __future__ import annotations
@@ -25,16 +45,253 @@ from math import factorial
 
 import numpy as np
 
-from .cyclotomic import CycElem, CycRing, ROOT_ERROR, _EPS
+from .cyclotomic import CycElem, CycRing, ROOT_ERROR, _EPS, divisors
 
-ENGINE_MAX_R = 16
-ENGINE_MAX_N = 64
-_INT64_BUDGET = 2 ** 62
-_LEVEL_BYTES_BUDGET = 256 * 2 ** 20
+PRIME_LIMIT = 2 ** 31
+# Working-set cap of one batched elimination; larger batches are chunked.
+_BATCH_BYTES = 16 * 2 ** 20
+# Canonical coefficients are computed in int64 while r! * max|coeff(w^j)|
+# stays below this.
+_INT64_SAFE = 2 ** 62
+# The float twin's subset expansion holds C(r, r/2) states per matrix.
+_APPROX_MAX_R = 16
 
 
-class EngineUnavailable(Exception):
-    """The batched kernel cannot guarantee exactness for these parameters."""
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; bases 2, 3, 5, 7 suffice below 3.2e9."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def field(n: int, index: int = 0) -> tuple[int, int]:
+    """(p, zeta): the index-th largest prime p < 2^31 with p = 1 (mod n),
+    and an element zeta of order exactly n modulo p."""
+    top = PRIME_LIMIT - 1 if index == 0 else field(n, index - 1)[0] - 1
+    p = top - (top - 1) % n
+    while not _is_prime(p):
+        p -= n
+        if p <= n:
+            raise ValueError(f"no prime p = 1 (mod {n}) left below 2^31")
+    proper = divisors(n)[:-1]
+    for g in range(2, p):
+        zeta = pow(g, (p - 1) // n, p)
+        if all(pow(zeta, d, p) != 1 for d in proper):
+            return p, zeta
+    raise AssertionError("F_p^* is cyclic; an element of order n exists")
+
+
+@lru_cache(maxsize=None)
+def _root_powers(n: int, index: int) -> np.ndarray:
+    """zeta^j mod p for j = 0 .. n-1, for field(n, index)."""
+    p, zeta = field(n, index)
+    out = np.ones(n, dtype=np.int64)
+    for j in range(1, n):
+        out[j] = out[j - 1] * zeta % p
+    out.flags.writeable = False  # shared by every caller through the cache
+    return out
+
+
+def _primes_for(n: int, r: int) -> int:
+    """How many of field(n, 0), field(n, 1), ... multiply past 2 * r!."""
+    count, prod = 0, 1
+    while prod <= 2 * factorial(r):
+        prod *= field(n, count)[0]
+        count += 1
+    return count
+
+
+def _inverse(x: np.ndarray, p: int) -> np.ndarray:
+    """x^(p-2) mod p elementwise: the inverse of x, and 0 for 0."""
+    out = np.ones_like(x)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
+
+
+def _eliminate(a: np.ndarray, p: int, values: bool) -> np.ndarray:
+    """Determinants mod p (values) or zero flags of the batch `a` of shape
+    (r, r, M), entries in [0, p); `a` is overwritten.
+
+    Division-free elimination: step k swaps a row with a nonzero entry into
+    the pivot position, then replaces each row i below it by
+    pivot * row_i - a_ik * row_k, which multiplies the determinant by
+    pivot^(r-1-k).  The pivots end on the diagonal, so a determinant is
+    zero exactly when a pivot is; its value is a[r-1, r-1] / den with
+    den = (-1)^swaps * prod_k pivot_k^(r-2-k), the product over steps
+    0 .. r-3 of the running pivot products `run` (for r <= 2 the sign
+    alone, its own inverse).
+    """
+    r, _, m = a.shape
+    run = np.ones(m, dtype=np.int64)
+    den = np.ones(m, dtype=np.int64)
+    for k in range(r - 1):
+        pivot = a[k, k]
+        if not pivot.all():
+            shift = np.argmax(a[k:, k] != 0, axis=0)
+            i = np.nonzero(shift)[0]
+            if len(i):
+                j = k + shift[i]
+                row = a[k, :, i].copy()
+                a[k, :, i] = a[j, :, i]
+                a[j, :, i] = row
+                den[i] = p - den[i]
+        tail = a[k + 1:, k + 1:]
+        tail *= pivot
+        tail -= a[k + 1:, k, None] * a[k, None, k + 1:]
+        np.remainder(tail, p, out=tail)
+        if values and k < r - 2:
+            run = run * pivot % p
+            den = den * run % p
+    if not values:
+        return (np.diagonal(a) == 0).any(axis=1)
+    if r <= 2:
+        return a[r - 1, r - 1] * den % p
+    return a[r - 1, r - 1] * _inverse(den, p) % p
+
+
+def _evaluate(exps: np.ndarray, n: int, index: int, values: bool) -> np.ndarray:
+    """With `values`, the (B, N) determinants mod the index-th prime of the
+    w-power matrices `exps` at w -> zeta^k, k = 0 .. N-1; otherwise their
+    (B,) zero flags at w -> zeta.  Runs in byte-capped chunks; exps must be
+    reduced mod n."""
+    pw = _root_powers(n, index)
+    p = field(n, index)[0]
+    nbatch, r, _ = exps.shape
+    count = n if values else 1
+    chunk = max(1, _BATCH_BYTES // (8 * r * r * count))
+    parts = []
+    for s in range(0, max(nbatch, 1), chunk):  # an empty batch is one chunk
+        e = exps[s:s + chunk].transpose(1, 2, 0)
+        if values:
+            a = pw[(e[..., None] * np.arange(n)) % n].reshape(r, r, -1)
+        else:
+            a = pw[e]
+        parts.append(_eliminate(a, p, values).reshape(-1, count))
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return out if values else out[:, 0]
+
+
+def _interpolate(vals: np.ndarray, n: int, index: int) -> np.ndarray:
+    """Inverse DFT mod p: raw[b, j] = n^-1 * sum_k vals[b, k] * zeta^(-jk),
+    by Horner's rule in y_j = zeta^(-j) for all j at once."""
+    p = field(n, index)[0]
+    y = _root_powers(n, index)[-np.arange(n) % n]
+    acc = np.repeat(vals[:, -1:], n, axis=1)
+    for k in range(n - 2, -1, -1):
+        acc *= y
+        acc += vals[:, k, None]
+        acc %= p
+    return acc * pow(n, -1, p) % p
+
+
+def _crt_symmetric(residues: list[np.ndarray], primes: list[int]) -> np.ndarray:
+    """The integers of absolute value below prod(primes) / 2 with the given
+    residues (Garner's mixed-radix CRT; Python ints past one prime)."""
+    x, m = residues[0], primes[0]
+    if len(primes) > 1:
+        x = x.astype(object)
+        for res, p in zip(residues[1:], primes[1:]):
+            x = x + m * ((res.astype(object) - x) * pow(m, -1, p) % p)
+            m *= p
+    return np.where(x > m // 2, x - m, x)
+
+
+@lru_cache(maxsize=None)
+def _max_power_coeff(ring: CycRing) -> int | None:
+    """max_j max|coeff(w^j)|, or None without int64 tables."""
+    tables = ring.np_tables()
+    return None if tables is None else max(int(tables[0].max()), -int(tables[0].min()))
+
+
+def reduce_raw(ring: CycRing, raw: np.ndarray) -> np.ndarray:
+    """Canonical (B, phi) coefficients from raw (B, N) vectors mod x^N - 1."""
+    phi = ring.totient
+    tables = ring.np_tables()
+    if tables is None:
+        raise ValueError("reduction table entries too large for int64")
+    red = tables[1]
+    out = raw[:, :phi].astype(np.int64, copy=True)
+    if raw.shape[1] > phi:
+        out += raw[:, phi:] @ red
+    return out
+
+
+def _as_batch(ring: CycRing, exps) -> np.ndarray:
+    exps = np.asarray(exps, dtype=np.int64)
+    if exps.ndim != 3 or exps.shape[1] != exps.shape[2]:
+        raise ValueError("expected exponent matrices of shape (B, r, r)")
+    if exps.shape[1] < 1:
+        raise ValueError("matrix dimension must be >= 1")
+    return exps % ring.modulus
+
+
+def nonzero_screen(ring: CycRing, exps) -> np.ndarray:
+    """True where the determinant is nonzero at the first prime with
+    w -> zeta.  Every True is an exact certificate; a False is undecided."""
+    exps = _as_batch(ring, exps)
+    return ~_evaluate(exps, ring.modulus, 0, False)
+
+
+def det_power_batch(ring: CycRing, exps) -> np.ndarray:
+    """Exact determinants of a batch of w-power matrices.
+
+    exps: (B, r, r) integer exponents (any residues; reduced mod N here).
+    Returns canonical coefficient vectors, shape (B, phi): int64 while
+    r! * max|coeff(w^j)| stays below 2^62, Python ints (dtype object) past it.
+    """
+    exps = _as_batch(ring, exps)
+    nbatch, r, _ = exps.shape
+    n = ring.modulus
+    primes, residues = [], []
+    for index in range(_primes_for(n, r)):
+        primes.append(field(n, index)[0])
+        residues.append(_interpolate(_evaluate(exps, n, index, True), n, index))
+    raw = _crt_symmetric(residues, primes)
+    bound = _max_power_coeff(ring)
+    if bound is not None and factorial(r) * bound < _INT64_SAFE:
+        return reduce_raw(ring, raw.astype(np.int64))
+    return np.array([ring.element(row).coeffs for row in raw.tolist()],
+                    dtype=object).reshape(nbatch, ring.totient)
+
+
+def zero_flags(ring: CycRing, exps) -> tuple[np.ndarray, int]:
+    """(flags, screened): exact vanishing flags of a batch of w-power
+    determinants, and how many the one-prime screen certified nonzero.
+    The screen's survivors are decided by their canonical coefficients."""
+    exps = _as_batch(ring, exps)
+    flags = ~nonzero_screen(ring, exps)
+    idx = np.nonzero(flags)[0]
+    if len(idx):
+        flags[idx] = ~(det_power_batch(ring, exps[idx]) != 0).any(axis=1)
+    return flags, len(flags) - len(idx)
+
+
+def det_power_single(ring: CycRing, exps) -> CycElem:
+    """Exact determinant of one w-power matrix, as a ring element."""
+    canon = det_power_batch(ring, np.asarray(exps, dtype=np.int64)[None, :, :])[0]
+    return CycElem(ring, tuple(int(c) for c in canon))
 
 
 @lru_cache(maxsize=None)
@@ -62,99 +319,18 @@ def _transitions(r: int):
     return tuple(levels)
 
 
-def _check_engine(ring: CycRing, r: int) -> tuple[np.ndarray, np.ndarray]:
-    if r < 1:
-        raise ValueError("matrix dimension must be >= 1")
-    if r > ENGINE_MAX_R or ring.modulus > ENGINE_MAX_N:
-        raise EngineUnavailable(f"r={r}, N={ring.modulus} outside kernel limits")
-    tables = ring.np_tables()
-    if tables is None:
-        raise EngineUnavailable("reduction table entries too large for int64")
-    power, red = tables
-    red_norm = int(np.abs(red).sum(axis=0).max()) if red.size else 0
-    if factorial(r) * (1 + red_norm) > _INT64_BUDGET:
-        raise EngineUnavailable("coefficient bound exceeds int64 budget")
-    return power, red
-
-
-def reduce_raw(ring: CycRing, raw: np.ndarray) -> np.ndarray:
-    """Canonical (B, phi) coefficients from raw (B, N) vectors mod x^N - 1."""
-    phi = ring.totient
-    tables = ring.np_tables()
-    if tables is None:
-        raise EngineUnavailable("reduction table entries too large for int64")
-    red = tables[1]
-    out = raw[:, :phi].astype(np.int64, copy=True)
-    if raw.shape[1] > phi:
-        out += raw[:, phi:] @ red
-    return out
-
-
-def det_power_batch(ring: CycRing, exps: np.ndarray) -> np.ndarray:
-    """Exact determinants of a batch of w-power matrices.
-
-    exps: (B, r, r) integer exponents (any residues; reduced mod N here).
-    Returns canonical coefficient vectors, shape (B, phi), int64.
-    """
-    exps = np.asarray(exps, dtype=np.int64)
-    if exps.ndim != 3 or exps.shape[1] != exps.shape[2]:
-        raise ValueError("expected exponent matrices of shape (B, r, r)")
-    nbatch, r, _ = exps.shape
-    _check_engine(ring, r)
-    n = ring.modulus
-    exps = exps % n
-    if nbatch == 0:
-        return np.zeros((0, ring.totient), dtype=np.int64)
-
-    per_class = max(len(level) for level in _transitions(r)) * n * 8 * 2
-    chunk = max(1, _LEVEL_BYTES_BUDGET // per_class)
-    if nbatch <= chunk:
-        return _det_chunk(ring, exps)
-    parts = [_det_chunk(ring, exps[i:i + chunk]) for i in range(0, nbatch, chunk)]
-    return np.concatenate(parts, axis=0)
-
-
-def _det_chunk(ring: CycRing, exps: np.ndarray) -> np.ndarray:
-    n = ring.modulus
-    nbatch, r, _ = exps.shape
-    ar = np.arange(n, dtype=np.int64)[None, :]
-    prev = np.zeros((nbatch, 1, n), dtype=np.int64)
-    prev[:, 0, 0] = 1
-    for k, level in enumerate(_transitions(r), start=1):
-        cur = np.zeros((nbatch, len(level), n), dtype=np.int64)
-        row = k - 1
-        for t_idx, contribs in enumerate(level):
-            acc = cur[:, t_idx]
-            for prev_idx, col, sign in contribs:
-                e = exps[:, row, col]
-                idx = (ar - e[:, None]) % n
-                shifted = np.take_along_axis(prev[:, prev_idx], idx, axis=1)
-                if sign > 0:
-                    acc += shifted
-                else:
-                    acc -= shifted
-        prev = cur
-    return reduce_raw(ring, prev[:, 0])
-
-
-def det_power_single(ring: CycRing, exps) -> CycElem:
-    """Exact determinant of one w-power matrix, as a ring element."""
-    canon = det_power_batch(ring, np.asarray(exps, dtype=np.int64)[None, :, :])[0]
-    return CycElem(ring, tuple(int(c) for c in canon))
-
-
 def approx_det_batch(ring: CycRing, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values, bounds): |values[b] - exact det| <= bounds[b], rigorously.
 
-    The same subset expansion as the exact kernel, run in complex128 with
-    per-state error propagation.  Entry values come from the ring's float
+    The subset expansion (memoized Laplace along rows) run in complex128
+    with per-state error propagation.  Entry values come from the ring's float
     root table (per-root error ROOT_ERROR); each multiply-add contributes
     generous rounding slack.  Useful only to certify determinants nonzero.
     """
     exps = np.asarray(exps, dtype=np.int64)
     nbatch, r, _ = exps.shape
-    if r > ENGINE_MAX_R:
-        raise EngineUnavailable(f"r={r} outside kernel limits")
+    if r > _APPROX_MAX_R:
+        raise ValueError(f"r={r} outside the float twin's limit {_APPROX_MAX_R}")
     n = ring.modulus
     exps = exps % n
     roots = ring.float_roots
@@ -162,7 +338,7 @@ def approx_det_batch(ring: CycRing, exps: np.ndarray) -> tuple[np.ndarray, np.nd
         return np.zeros(0, dtype=np.complex128), np.zeros(0)
 
     per_class = max(len(level) for level in _transitions(r)) * 24 * 2
-    chunk = max(1, _LEVEL_BYTES_BUDGET // per_class)
+    chunk = max(1, _BATCH_BYTES // per_class)
     if nbatch > chunk:
         parts = [approx_det_batch(ring, exps[i:i + chunk]) for i in range(0, nbatch, chunk)]
         return (np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]))

@@ -25,15 +25,13 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
 from .cyclotomic import CycRing, ring_new
 from .errors import PreconditionError
-from .minors import IndexSet, det_exact, submatrix
 from . import powerdet
 
 ORDER_ASCENDING = "ascending"
@@ -102,16 +100,7 @@ def _batch_rows_cols_singular(
 ) -> np.ndarray:
     """Vanishing flags for dets of F[rows[b], cols[b]] batches."""
     exps = (rows[:, :, None] * cols[:, None, :]) % ring.modulus
-    try:
-        canon = powerdet.det_power_batch(ring, exps)
-        return ~canon.any(axis=1)
-    except powerdet.EngineUnavailable:
-        out = np.zeros(len(rows), dtype=bool)
-        for i in range(len(rows)):
-            rset = IndexSet.of(ring.modulus, rows[i])
-            cset = IndexSet.of(ring.modulus, cols[i])
-            out[i] = det_exact(submatrix(ring, rset, cset)).is_zero()
-        return out
+    return powerdet.zero_flags(ring, exps)[0]
 
 
 def is_good_permutation(modulus: int, sigma) -> bool:
@@ -322,6 +311,8 @@ def find_good_permutation(config: SearchConfig, on_test=None) -> SearchOutcome:
 
         if config.jobs > 1 and len(pending) > 1:
             args = [(config, v, config.time_budget) for v in pending]
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=config.jobs) as pool:
                 results = list(pool.map(_branch_worker, args))
             for v, (image, bn, bp, completed) in zip(pending, results):
@@ -400,11 +391,3 @@ def enumerate_good_permutations(
     walk()
     return found
 
-
-def brute_force_good_permutations(modulus: int) -> list[Permutation]:
-    """Reference enumeration: fully verify each of the N! permutations."""
-    out = []
-    for image in permutations(range(modulus)):
-        if is_good_permutation(modulus, image):
-            out.append(Permutation(modulus, image))
-    return out

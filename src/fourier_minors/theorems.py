@@ -13,7 +13,6 @@ full-orbit totals over all subsets.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -63,16 +62,6 @@ class Theorem1Report:
     wall_time: float
 
 
-def _det3_is_zero_slow(ring: CycRing, a: int, b: int) -> bool:
-    n = ring.modulus
-    acc = [0] * ring.totient
-    for coef, e in ((1, a * a + b * b), (2, a * b), (-1, a * a), (-1, b * b), (-1, 2 * a * b)):
-        row = ring._pow_row(e % n)
-        for i in range(ring.totient):
-            acc[i] += coef * row[i]
-    return not any(acc)
-
-
 def verify_theorem1(modulus: int, sizes: tuple[int, ...] = (2, 3)) -> Theorem1Report:
     """Check that no 2x2 / 3x3 principal minor vanishes, via the closed forms.
 
@@ -104,32 +93,24 @@ def verify_theorem1(modulus: int, sizes: tuple[int, ...] = (2, 3)) -> Theorem1Re
 
     if 3 in sizes and counterexample is None:
         tables = ring.np_tables()
-        if tables is not None:
-            power = tables[0]
-            ii, jj = np.triu_indices(modulus - 1, k=1)
-            a = ii.astype(np.int64) + 1
-            b = jj.astype(np.int64) + 1
-            vec = (
-                power[(a * a + b * b) % modulus]
-                + 2 * power[(a * b) % modulus]
-                - power[(a * a) % modulus]
-                - power[(b * b) % modulus]
-                - power[(2 * a * b) % modulus]
-            )
-            zero = np.all(vec == 0, axis=1)
-            pairs += len(a)
-            if zero.any():
-                i = int(np.argmax(zero))
-                counterexample = (int(a[i]), int(b[i]))
-        else:
-            for a_ in range(1, modulus):
-                for b_ in range(a_ + 1, modulus):
-                    pairs += 1
-                    if _det3_is_zero_slow(ring, a_, b_):
-                        counterexample = (a_, b_)
-                        break
-                if counterexample:
-                    break
+        if tables is None:
+            raise PreconditionError(f"power table of N={modulus} exceeds int64")
+        power = tables[0]
+        ii, jj = np.triu_indices(modulus - 1, k=1)
+        a = ii.astype(np.int64) + 1
+        b = jj.astype(np.int64) + 1
+        vec = (
+            power[(a * a + b * b) % modulus]
+            + 2 * power[(a * b) % modulus]
+            - power[(a * a) % modulus]
+            - power[(b * b) % modulus]
+            - power[(2 * a * b) % modulus]
+        )
+        zero = np.all(vec == 0, axis=1)
+        pairs += len(a)
+        if zero.any():
+            i = int(np.argmax(zero))
+            counterexample = (int(a[i]), int(b[i]))
 
     certified = tuple(sorted({*sizes, *(modulus - s for s in sizes)}))
     note = (
@@ -157,12 +138,6 @@ CASE_PGE3_SMALL_R = "PGE3_SMALL_R"
 CASE_PGE3_BLOCKS = "PGE3_BLOCKS"
 CASE_COMPLEMENTED = "COMPLEMENTED"
 
-# Direct exact re-verification is cheap up to this size; complemented
-# witnesses beyond it are certified through their exactly verified base set
-# (complementary sizes are singular together, an identity the test suite
-# validates exhaustively for N <= 14).
-_DIRECT_VERIFY_MAX = 14
-
 
 @dataclass(frozen=True)
 class WitnessPlan:
@@ -182,8 +157,8 @@ def build_witness(modulus: int, size: int) -> WitnessPlan:
     """An index set of the requested size with a vanishing principal minor.
 
     Defined for non-square-free moduli >= 4 and 2 <= size <= N-2.  Sets of
-    size at most N/2 are built directly and verified by exact determinant;
-    larger sizes complement a verified smaller witness.
+    size at most N/2 are built directly, larger sizes complement a smaller
+    witness; every set is verified by exact determinant.
     """
     n, r = modulus, size
     if n < 4:
@@ -198,8 +173,7 @@ def build_witness(modulus: int, size: int) -> WitnessPlan:
     if 2 * r > n:
         base = build_witness(n, n - r)
         members = complement(base.index_set)
-        direct = r <= _DIRECT_VERIFY_MAX
-        if direct and not is_singular(ring, members):
+        if not is_singular(ring, members):
             raise AssertionError(f"witness verification failed: N={n}, set={members.members}")
         return WitnessPlan(
             modulus=n, size=r, prime=p, cofactor=m, case=CASE_COMPLEMENTED,
@@ -209,7 +183,7 @@ def build_witness(modulus: int, size: int) -> WitnessPlan:
                 f"{base.index_set.members} ({base.case}); complementary sizes "
                 f"are singular together"
             ),
-            directly_verified=direct,
+            directly_verified=True,
         )
 
     s_param: int | None = None
@@ -326,14 +300,14 @@ def _shift_class_reps(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
 
     Representatives contain 0 and have the minimal bitmask among the N
     rotations of the set; weight is the orbit length N / |stabilizer|.
+    Bitmasks are uint64, so N is at most 64.
     """
+    if n > 64:
+        raise PreconditionError(f"translation classes need N <= 64, got {n}")
     if r == 1:
         return np.zeros((1, 1), dtype=np.int64), np.array([n], dtype=np.int64)
     tail = np.array(list(combinations(range(1, n), r - 1)), dtype=np.int64).reshape(-1, r - 1)
     members = np.hstack([np.zeros((len(tail), 1), dtype=np.int64), tail])
-    if n > 32:
-        keep, weights = _canonical_filter_python(n, members)
-        return members[keep], weights
     masks = np.bitwise_or.reduce(
         np.left_shift(np.uint64(1), members.astype(np.uint64)), axis=1
     )
@@ -349,52 +323,12 @@ def _shift_class_reps(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     return members[keep], weights
 
 
-def _canonical_filter_python(n: int, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    full = (1 << n) - 1
-    keep = np.zeros(len(members), dtype=bool)
-    weights = []
-    for i, row in enumerate(members):
-        mask = 0
-        for k in row:
-            mask |= 1 << int(k)
-        best = mask
-        stab = 0
-        for c in range(n):
-            rot = ((mask >> c) | (mask << (n - c))) & full
-            best = min(best, rot)
-            stab += rot == mask
-        if best == mask:
-            keep[i] = True
-            weights.append(n // stab)
-    return keep, np.array(weights, dtype=np.int64)
-
-
 def _judge_members(ring: CycRing, members: np.ndarray, exact: bool) -> tuple[np.ndarray, int]:
-    """Singularity flags for principal sets given as (B, r) member arrays."""
-    nbatch = len(members)
-    if nbatch == 0:
-        return np.zeros(0, dtype=bool), 0
+    """Singularity flags for principal sets given as (B, r) member arrays,
+    and in prefilter mode the number the one-prime screen certified."""
     exps = (members[:, :, None] * members[:, None, :]) % ring.modulus
-    hits = 0
-    try:
-        if exact:
-            canon = powerdet.det_power_batch(ring, exps)
-            return ~canon.any(axis=1), 0
-        vals, errs = powerdet.approx_det_batch(ring, exps)
-        certified = np.abs(vals) > errs
-        hits = int(certified.sum())
-        flags = np.zeros(nbatch, dtype=bool)
-        idx = np.nonzero(~certified)[0]
-        if len(idx):
-            canon = powerdet.det_power_batch(ring, exps[idx])
-            flags[idx] = ~canon.any(axis=1)
-        return flags, hits
-    except powerdet.EngineUnavailable:
-        flags = np.array(
-            [is_singular(ring, IndexSet.of(ring.modulus, row)) for row in members],
-            dtype=bool,
-        )
-        return flags, hits
+    flags, screened = powerdet.zero_flags(ring, exps)
+    return flags, 0 if exact else screened
 
 
 def _judge_worker(args: tuple[int, np.ndarray, bool]) -> tuple[np.ndarray, int]:
@@ -402,9 +336,11 @@ def _judge_worker(args: tuple[int, np.ndarray, bool]) -> tuple[np.ndarray, int]:
     return _judge_members(ring_new(modulus), members, exact)
 
 
-def _orbit_sets(n: int, row: np.ndarray) -> list[tuple[int, ...]]:
-    seen = {tuple(sorted((int(x) + c) % n for x in row)) for c in range(n)}
-    return sorted(seen)
+def _orbit_sets(n: int, rows: np.ndarray, cap: int) -> list[tuple[int, ...]]:
+    """The first `cap` distinct translates of the (F, r) sets `rows`, sorted."""
+    shifted = np.sort((rows[:, None, :] + np.arange(n)[:, None]) % n, axis=2)
+    sets = np.unique(shifted.reshape(-1, rows.shape[1]), axis=0)[:cap]
+    return [tuple(s) for s in sets.tolist()]
 
 
 def scan_all(modulus: int, config: ScanConfig | None = None, **kwargs) -> ScanReport:
@@ -443,13 +379,10 @@ def scan_all(modulus: int, config: ScanConfig | None = None, **kwargs) -> ScanRe
         counts[r] = int(weights[flags].sum())
         if flags.any():
             if config.use_shift_classes:
-                sets: list[tuple[int, ...]] = []
-                for row in members[flags]:
-                    sets.extend(_orbit_sets(n, row))
-                sets = sorted(set(sets))
+                exemplars[r] = _orbit_sets(n, members[flags], config.exemplar_cap)
             else:
                 sets = sorted(tuple(int(x) for x in row) for row in members[flags])
-            exemplars[r] = sets[: config.exemplar_cap]
+                exemplars[r] = sets[: config.exemplar_cap]
 
     if config.use_complement:
         # counts[N] mirrors the empty set, whose principal matrix is the
@@ -485,6 +418,8 @@ def _run_judgments(
         return _judge_members(ring, members, config.exact)
     chunks = np.array_split(members, config.jobs * 4)
     args = [(ring.modulus, chunk, config.exact) for chunk in chunks if len(chunk)]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=config.jobs) as pool:
         results = list(pool.map(_judge_worker, args))
     flags = np.concatenate([f for f, _ in results]) if results else np.zeros(0, dtype=bool)

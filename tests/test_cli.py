@@ -65,6 +65,29 @@ def test_unknown_flag_is_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_parser_is_reused_across_calls(capsys):
+    # one parser serves every call of a process; usage errors still exit 1
+    assert run(["scan", "--n", "5", "--bogus"]) == 1
+    assert run(["det", "--n", "4", "--set", "0,2"]) == 0
+    assert run(["det", "--n", "4", "--set", "0,2", "--cap", "3"]) == 1
+    assert run(["det", "--n", "4", "--set", "0,1"]) == 0
+    capsys.readouterr()
+
+
+def test_cli_import_skips_mpmath_and_multiprocessing():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import fourier_minors
+    src = str(Path(fourier_minors.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import fourier_minors.cli; "
+            "print(sorted(m for m in ('mpmath', 'multiprocessing') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_scan_record_round_trip(tmp_path, capsys):
     out = tmp_path / "scan.jsonl"
     assert run(["scan", "--n", "9", "--out", str(out)]) == 0

@@ -67,6 +67,17 @@ def test_reduction_table_matches_direct_remainder():
             assert list(row) == rem
 
 
+def test_np_tables_match_python_power_rows():
+    # the numpy recurrence against the arbitrary-precision power rows
+    from fourier_minors.cyclotomic import CycRing
+    for n in (1, 2, 12, 30, 105, 210, 1155):
+        ring = CycRing(n)
+        power, red = ring.np_tables()
+        rows = [list(ring._pow_row(j)) for j in range(n)]
+        assert power.tolist() == rows
+        assert red.tolist() == rows[ring.totient:]
+
+
 def test_root_power_examples():
     r4 = ring_new(4)
     assert (r4.root_power(2) + r4.root_power(0)).is_zero()  # i^2 = -1

@@ -118,12 +118,22 @@ def test_is_singular_rejects_empty_set():
 
 
 def test_is_singular_prefilter_agrees(rng):
-    for _ in range(100):
+    # the scan's prefilter mode runs the same exact engine: its flags equal
+    # is_singular's, and its hits are the sets the one-prime screen certified
+    import numpy as np
+    from fourier_minors.theorems import _judge_members
+    for _ in range(40):
         n = rng.randrange(2, 20)
         r = rng.randrange(1, min(6, n + 1))
-        k = IndexSet.of(n, rng.sample(range(n), r))
+        members = np.array([sorted(rng.sample(range(n), r)) for _ in range(4)])
         ring = ring_new(n)
-        assert is_singular(ring, k) == is_singular(ring, k, prefilter=True)
+        flags, hits = _judge_members(ring, members, exact=False)
+        expected = [is_singular(ring, IndexSet.of(n, row)) for row in members.tolist()]
+        assert flags.tolist() == expected
+        exps = (members[:, :, None] * members[:, None, :]) % n
+        assert hits == int(powerdet.nonzero_screen(ring, exps).sum())
+        assert hits <= expected.count(False)
+        assert _judge_members(ring, members, exact=True)[1] == 0
 
 
 def test_det_2x2_formula_examples():

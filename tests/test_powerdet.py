@@ -1,10 +1,69 @@
+from math import isqrt
+
 import numpy as np
 import pytest
 
 from fourier_minors import IndexSet, det_exact, ring_new, submatrix
 from fourier_minors.minors import exponent_matrix
-from fourier_minors.powerdet import (EngineUnavailable, approx_det_batch,
-                                     det_power_batch, det_power_single)
+from fourier_minors.powerdet import (PRIME_LIMIT, approx_det_batch, det_power_batch,
+                                     det_power_single, field, nonzero_screen,
+                                     zero_flags)
+
+
+def random_exps(rng, n, r, batch, force_zero=0.4):
+    """Random exponent matrices; some get a repeated row or column."""
+    exps = np.array(
+        [[[rng.randrange(n) for _ in range(r)] for _ in range(r)] for _ in range(batch)],
+        dtype=np.int64,
+    )
+    for b in range(batch):
+        if r > 1 and rng.random() < force_zero:
+            i, j = rng.sample(range(r), 2)
+            if rng.random() < 0.5:
+                exps[b, i] = exps[b, j]
+            else:
+                exps[b, :, i] = exps[b, :, j]
+    return exps
+
+
+def gaussian_det(rows):
+    """Exact determinant over Z[i] of (re, im) integer entries, by Bareiss
+    elimination (exact division holds in any integral domain).  Shares no
+    code with the engine; a reference for w-power matrices with N in {2, 4}."""
+    def mul(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    def div(a, b):
+        norm = b[0] * b[0] + b[1] * b[1]
+        re, im = a[0] * b[0] + a[1] * b[1], a[1] * b[0] - a[0] * b[1]
+        assert re % norm == 0 and im % norm == 0
+        return (re // norm, im // norm)
+
+    m = [list(row) for row in rows]
+    r, sign, prev = len(m), 1, (1, 0)
+    for k in range(r - 1):
+        piv = next((i for i in range(k, r) if m[i][k] != (0, 0)), None)
+        if piv is None:
+            return (0, 0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, r):
+            for j in range(k + 1, r):
+                a, b = mul(m[i][j], m[k][k]), mul(m[i][k], m[k][j])
+                m[i][j] = div((a[0] - b[0], a[1] - b[1]), prev)
+        prev = m[k][k]
+    return (sign * m[r - 1][r - 1][0], sign * m[r - 1][r - 1][1])
+
+
+def assert_matches(ring, exps, reference):
+    """Coefficients and zero flags of the engine equal the reference's."""
+    canon = det_power_batch(ring, exps)
+    flags, _ = zero_flags(ring, exps)
+    for b in range(len(exps)):
+        ref = reference([[ring.root_power(int(e)) for e in row] for row in exps[b]])
+        assert tuple(int(c) for c in canon[b]) == ref.coeffs
+        assert bool(flags[b]) == ref.is_zero()
 
 
 def test_batch_agrees_with_leibniz_small(rng, leibniz):
@@ -16,6 +75,17 @@ def test_batch_agrees_with_leibniz_small(rng, leibniz):
         fast = det_power_single(ring, exps)
         mat = [[ring.root_power(int(e)) for e in row] for row in exps]
         assert fast == leibniz(mat)
+
+
+def test_zero_flags_agree_with_leibniz_on_forced_zeros(rng, leibniz):
+    zeros = 0
+    for _ in range(60):
+        n = rng.randrange(1, 40)
+        r = rng.randrange(1, 7)
+        exps = random_exps(rng, n, r, 4, force_zero=0.5)
+        assert_matches(ring_new(n), exps, leibniz)
+        zeros += int(zero_flags(ring_new(n), exps)[0].sum())
+    assert zeros > 20
 
 
 def test_batch_layout_matches_singles(rng):
@@ -37,25 +107,113 @@ def test_rejects_bad_shapes():
         det_power_single(ring, np.zeros((0, 0), dtype=np.int64))
 
 
+def test_zero_flags_shapes():
+    ring = ring_new(7)
+    with pytest.raises(ValueError):
+        zero_flags(ring, np.zeros((3, 3), dtype=np.int64))
+    assert det_power_batch(ring, np.zeros((0, 3, 3))).shape == (0, 6)
+    flags, screened = zero_flags(ring, np.zeros((0, 3, 3)))
+    assert flags.shape == (0,) and screened == 0
+
+
 def test_engine_limits():
-    ring = ring_new(6)
-    with pytest.raises(EngineUnavailable):
-        det_power_batch(ring, np.zeros((1, 17, 17), dtype=np.int64))
-    big_ring = ring_new(67)
-    with pytest.raises(EngineUnavailable):
-        det_power_batch(big_ring, np.zeros((1, 2, 2), dtype=np.int64))
+    # r = 17 and N = 67 lay beyond the old int64 subset kernel; the engine
+    # has no size or modulus limit.
+    ones = np.zeros((1, 17, 17), dtype=np.int64)
+    assert zero_flags(ring_new(6), ones)[0].tolist() == [True]
+    assert not det_power_batch(ring_new(6), ones).any()
+    big = ring_new(67)
+    exps = np.array([[[0, 0], [0, 0]], [[0, 0], [0, 1]]])
+    assert zero_flags(big, exps)[0].tolist() == [True, False]
+    assert det_power_single(big, exps[1]) == big.root_power(1) - big.one()
 
 
 def test_chunking_is_transparent(rng, monkeypatch):
     import fourier_minors.powerdet as pd
     ring = ring_new(10)
-    exps = np.array(
-        [[[rng.randrange(10) for _ in range(5)] for _ in range(5)] for _ in range(40)]
-    )
+    exps = random_exps(rng, 10, 5, 40)
     whole = det_power_batch(ring, exps)
-    monkeypatch.setattr(pd, "_LEVEL_BYTES_BUDGET", 4096)
-    chunked = det_power_batch(ring, exps)
-    assert np.array_equal(whole, chunked)
+    flags, screened = zero_flags(ring, exps)
+    monkeypatch.setattr(pd, "_BATCH_BYTES", 4096)
+    assert np.array_equal(whole, det_power_batch(ring, exps))
+    assert np.array_equal(flags, zero_flags(ring, exps)[0])
+    assert screened == zero_flags(ring, exps)[1]
+
+
+def test_agrees_with_leibniz_for_moduli_above_64(rng, leibniz):
+    for _ in range(30):
+        n = rng.randrange(65, 97)
+        r = rng.randrange(1, 5)
+        assert_matches(ring_new(n), random_exps(rng, n, r, 3), leibniz)
+
+
+def test_agrees_with_det_exact_at_two_primes(rng):
+    # r = 13 is the first size whose coefficients need two primes
+    ring = ring_new(3)
+    exps = random_exps(rng, 3, 13, 2, force_zero=0.0)
+    exps = np.concatenate([exps, random_exps(rng, 3, 13, 1, force_zero=1.0)])
+    assert_matches(ring, exps, det_exact)
+
+
+def test_agrees_with_gaussian_oracle_beyond_r16(rng):
+    unit = {2: [(1, 0), (-1, 0)], 4: [(1, 0), (0, 1), (-1, 0), (0, -1)]}
+    for n in (2, 4):
+        ring = ring_new(n)
+        # 21! passes 2^62: coefficients come back as Python ints
+        for r in (17, 20, 21):
+            exps = random_exps(rng, n, r, 4)
+            canon = det_power_batch(ring, exps)
+            assert canon.dtype == (object if r == 21 else np.int64)
+            flags, _ = zero_flags(ring, exps)
+            for b in range(4):
+                ref = gaussian_det([[unit[n][e] for e in row] for row in exps[b].tolist()])
+                assert tuple(int(c) for c in canon[b]) == ref[:ring.totient]
+                assert bool(flags[b]) == (ref == (0, 0))
+
+
+@pytest.mark.parametrize("n", [1000, 3000])
+def test_large_modulus_coefficients_match_det_exact(rng, n):
+    ring = ring_new(n)
+    for _ in range(2):
+        k = IndexSet.of(n, rng.sample(range(n), 3))
+        exact = det_exact(submatrix(ring, k, k))
+        assert det_power_single(ring, exponent_matrix(k, k)) == exact
+    # three equal rows give a zero
+    exps = np.array([[[5, 7, 11]] * 3])
+    assert zero_flags(ring, exps)[0].tolist() == [True]
+
+
+def test_field_selection():
+    for n in (1, 2, 3, 16, 22, 64, 96, 97, 210, 2310, 3000):
+        previous = PRIME_LIMIT
+        for index in range(3):
+            p, zeta = field(n, index)
+            assert p < previous and (p - 1) % n == 0
+            assert all(p % d for d in range(2, isqrt(p) + 1))
+            assert pow(zeta, n, p) == 1
+            assert all(pow(zeta, k, p) != 1 for k in range(1, n) if n % k == 0)
+            previous = p
+
+
+def test_screen_never_certifies_a_zero(rng):
+    for _ in range(60):
+        n = rng.randrange(2, 40)
+        r = rng.randrange(2, 7)
+        ring = ring_new(n)
+        exps = random_exps(rng, n, r, 5)
+        zero = ~det_power_batch(ring, exps).any(axis=1)
+        assert not nonzero_screen(ring, exps)[zero].any()
+    # prime N: every principal minor is nonzero (Chebotarev), and the screen
+    # certifies all of them
+    for n in (5, 7, 11, 13):
+        ring = ring_new(n)
+        for r in range(1, n + 1):
+            sets = [sorted(rng.sample(range(n), r)) for _ in range(8)]
+            exps = np.array([exponent_matrix(IndexSet.of(n, k), IndexSet.of(n, k))
+                             for k in sets])
+            assert nonzero_screen(ring, exps).all()
+            flags, screened = zero_flags(ring, exps)
+            assert not flags.any() and screened == len(sets)
 
 
 def test_approx_bound_is_sound(rng):

@@ -143,11 +143,11 @@ def test_witness_sweep_all_exactly_singular():
 
 
 def test_large_complemented_witness_verifies_directly():
-    # beyond the direct-verification ceiling the plan is certified through
-    # its base set; spot-check one big complement by exact determinant
-    plan = build_witness(27, 15)
-    assert plan.case == CASE_COMPLEMENTED and not plan.directly_verified
-    assert is_singular(ring_new(27), plan.index_set)
+    # every plan is verified by exact determinant, large complements too
+    for r in (15, 25):
+        plan = build_witness(27, r)
+        assert plan.case == CASE_COMPLEMENTED and plan.directly_verified
+        assert is_singular(ring_new(27), plan.index_set)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +262,32 @@ def test_shift_class_reps_cover_all_subsets():
             assert int(weights.sum()) == comb(n, r), (n, r)
             for row in members:
                 assert row[0] == 0
+
+
+def test_shift_class_reps_up_to_64_match_python_rotations():
+    # the uint64 rotation filter against plain integer rotations
+    from math import comb
+    for n in (33, 40, 63, 64):
+        members, weights = _shift_class_reps(n, 3)
+        assert int(weights.sum()) == comb(n, 3)
+        full = (1 << n) - 1
+        for row, weight in zip(members.tolist(), weights.tolist()):
+            mask = sum(1 << k for k in row)
+            rots = [((mask >> c) | (mask << (n - c))) & full for c in range(n)]
+            assert min(rots) == mask and weight == n // rots.count(mask)
+    with pytest.raises(PreconditionError):
+        _shift_class_reps(65, 2)
+
+
+def test_orbit_exemplars_match_python_orbits(rng):
+    import numpy as np
+    from fourier_minors.theorems import _orbit_sets
+    for n, r in ((6, 2), (12, 4), (16, 8), (18, 9)):
+        rows = np.array([[0] + sorted(rng.sample(range(1, n), r - 1)) for _ in range(7)])
+        sets = {tuple(sorted((x + c) % n for x in row)) for row in rows.tolist()
+                for c in range(n)}
+        for cap in (1, 16, 10 ** 6):
+            assert _orbit_sets(n, rows, cap) == sorted(sets)[:cap]
 
 
 def test_scan_classes_tested_counts_representatives():
