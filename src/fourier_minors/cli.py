@@ -420,7 +420,6 @@ def cmd_perm_search(args) -> int:
     config = SearchConfig(
         modulus=args.n,
         order=args.order,
-        max_incremental_size=args.max_incremental_size,
         symmetry=args.symmetry,
         time_budget=args.budget,
         jobs=args.jobs,
@@ -441,7 +440,6 @@ def cmd_perm_search(args) -> int:
         params={"n": args.n},
         config={
             "order": config.order, "symmetry": config.symmetry,
-            "max_incremental_size": config.max_incremental_size,
             "time_budget": config.time_budget, "jobs": config.jobs,
             "checkpoint_path": config.checkpoint_path,
         },
@@ -504,7 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="ascending")
     p.add_argument("--symmetry", action="store_true",
                    help="fix the first assigned value to 0 (validated reduction)")
-    p.add_argument("--max-incremental-size", type=int, default=None)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_perm_search)
     return parser

@@ -7,11 +7,12 @@ canonical: two elements are equal as complex numbers exactly when their
 coefficient vectors are identical, and the zero test is "all coefficients
 zero".  Coefficients are arbitrary-precision Python ints throughout.
 
-Phi_N is computed by exact division of x^N - 1 by Phi_d for every proper
-divisor d of N; no factoring of Phi_N and no floating point enters the
-arithmetic.  The only float surfaces are `CycElem.approx_complex` and
-`CycRing.float_roots`, which return approximations together with rigorous
-error bounds; no verdict of the package uses them.
+Phi_N is computed exactly from the binomials x^(N/e) - 1 over the
+square-free divisors e of N (`cyclotomic_polynomial`); no factoring of
+Phi_N and no floating point enters the arithmetic.  The only float
+surfaces are `CycElem.approx_complex` and `CycRing.float_roots`, which
+return approximations together with rigorous error bounds; no verdict of
+the package uses them.
 """
 
 from __future__ import annotations
@@ -83,17 +84,41 @@ def poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[i
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending degree, exact integers, monic."""
+    """Coefficients of Phi_n, ascending degree, exact integers, monic.
+
+    Moebius inversion of x^n - 1 = prod_{d | n} Phi_d gives
+    Phi_n = prod over square-free e | n of (x^(n/e) - 1)^mu(e).  The
+    mu = +1 binomials are multiplied out, then the mu = -1 ones divided
+    exactly: f = g * (x^d - 1) means f_k = g_(k-d) - g_k, so
+    g_k = g_(k-d) - f_k from the lowest degree up.
+    """
     if n < 1:
         raise PreconditionError("modulus must be a positive integer")
-    if n == 1:
-        return (-1, 1)
-    quot = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in divisors(n)[:-1]:
-        quot, rem = poly_divmod_monic(quot, list(cyclotomic_polynomial(d)))
-        if rem != [0]:
-            raise AssertionError(f"inexact cyclotomic division at n={n}, d={d}")
-    return tuple(quot)
+    primes: list[int] = []
+    for d in divisors(n)[1:]:
+        if all(d % p for p in primes):
+            primes.append(d)
+    terms = [(1, 1)]  # (square-free e, mu(e))
+    for p in primes:
+        terms += [(e * p, -mu) for e, mu in terms]
+    poly = [1]
+    for e, mu in terms:
+        if mu == 1:
+            d = n // e
+            prod = [-c for c in poly] + [0] * d
+            for k, c in enumerate(poly):
+                prod[k + d] += c
+            poly = prod
+    for e, mu in terms:
+        if mu == -1:
+            d = n // e
+            quot = [0] * (len(poly) - d)
+            for k in range(len(quot)):
+                quot[k] = (quot[k - d] if k >= d else 0) - poly[k]
+            if poly[len(quot):] != ([0] * d + quot)[len(quot):]:
+                raise AssertionError(f"inexact cyclotomic division at n={n}, e={e}")
+            poly = quot
+    return tuple(poly)
 
 
 class CycRing:
@@ -159,11 +184,6 @@ class CycRing:
         """x^j mod Phi_N for j = totient .. 2*totient - 2 (product reduction)."""
         phi = self.totient
         return tuple(self._pow_row(j) for j in range(phi, 2 * phi - 1))
-
-    @property
-    def power_table(self) -> tuple[tuple[int, ...], ...]:
-        """Canonical coefficients of w^j for j = 0 .. N-1."""
-        return tuple(self._pow_row(j) for j in range(self.modulus))
 
     def zero(self) -> CycElem:
         return CycElem(self, (0,) * self.totient)

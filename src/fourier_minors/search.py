@@ -26,7 +26,8 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from functools import partial
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -61,7 +62,6 @@ class Permutation:
 class SearchConfig:
     modulus: int
     order: str = ORDER_ASCENDING
-    max_incremental_size: int | None = None
     symmetry: bool = False
     time_budget: float | None = None
     jobs: int = 1
@@ -137,10 +137,7 @@ class _SearchState:
     def _passes_incremental(self, pos: int) -> bool:
         """Test every subset of assigned positions containing `pos`."""
         others = self.assigned
-        limit = len(others) + 1
-        if self.config.max_incremental_size is not None:
-            limit = min(limit, self.config.max_incremental_size)
-        for s in range(1, limit + 1):
+        for s in range(1, len(others) + 2):
             combos = list(combinations(others, s - 1))
             rows = np.sort(
                 np.array([c + (pos,) for c in combos], dtype=np.int64).reshape(-1, s),
@@ -180,13 +177,14 @@ class _SearchState:
                     break
         return best_pos, best_vals
 
-    def dfs(self) -> tuple[int, ...] | None:
+    def leaves(self):
+        """Re-verified good images below the current assignment, in DFS order."""
         self._check_budget()
         if len(self.assigned) == self.n:
             image = tuple(int(x) for x in self.img)
             if is_good_permutation(self.n, image):
-                return image
-            return None
+                yield image
+            return
         pos, vals = self._select_position()
         candidates = vals if vals is not None else [
             v for v in range(self.n) if v not in self.used
@@ -195,43 +193,35 @@ class _SearchState:
             self.nodes += 1
             self.img[pos] = v
             self.used.add(v)
-            ok = vals is not None or self._passes_incremental(pos)
-            if ok:
+            if vals is not None or self._passes_incremental(pos):
                 self.assigned.append(pos)
-                result = self.dfs()
-                if result is not None:
-                    return result
+                yield from self.leaves()
                 self.assigned.pop()
             self.img[pos] = -1
             self.used.discard(v)
-        return None
 
 
 def _run_branch(
     config: SearchConfig, first_value: int, deadline: float | None, on_test=None
 ) -> tuple[tuple[int, ...] | None, int, dict[int, int], bool]:
-    """DFS of the subtree with position 0 pinned to first_value.
+    """DFS of the subtree with position 0 pinned to first_value, up to its
+    first leaf.  A branch started after the deadline does no work.
 
     Returns (image or None, nodes, prune counts, completed).
     """
     state = _SearchState(config, on_test=on_test, deadline=deadline)
-    state.nodes += 1
-    state.img[0] = first_value
-    state.used.add(first_value)
+    image = None
     try:
-        if not state._passes_incremental(0):
-            return None, state.nodes, dict(state.prunes), True
-        state.assigned.append(0)
-        image = state.dfs()
+        state._check_budget()
+        state.nodes += 1
+        state.img[0] = first_value
+        state.used.add(first_value)
+        if state._passes_incremental(0):
+            state.assigned.append(0)
+            image = next(state.leaves(), None)
         return image, state.nodes, dict(state.prunes), True
     except _BudgetExpired:
         return None, state.nodes, dict(state.prunes), False
-
-
-def _branch_worker(args) -> tuple[tuple[int, ...] | None, int, dict[int, int], bool]:
-    config, first_value, budget = args
-    deadline = time.monotonic() + budget if budget is not None else None
-    return _run_branch(config, first_value, deadline)
 
 
 def _load_checkpoint(path: str, config: SearchConfig):
@@ -267,24 +257,30 @@ def _load_checkpoint(path: str, config: SearchConfig):
 def find_good_permutation(config: SearchConfig, on_test=None) -> SearchOutcome:
     """Depth-first search over all column permutations of the given modulus.
 
-    Deterministic given the config: branches are explored in ascending
-    first-value order and the first good permutation in that order is
-    returned.  With jobs > 1 all branches are evaluated and the same
-    lexicographically first find is selected.  A budget expiry yields
-    found=None, exhausted=False (inconclusive), distinct from a completed
-    empty search.
+    Branches (first values) are taken in ascending order; each gets its
+    checkpoint line when its result arrives, and the search stops at the
+    first find, so that is the first good permutation in DFS order.
+    jobs > 1 runs branches ahead in worker processes and consumes their
+    results in the same order, so outcome, node and prune counts equal a
+    serial run's.  One budget covers the search: every branch honours one
+    absolute deadline (time.monotonic is system-wide) and a branch started
+    after it does no work.  An expiry yields found=None, exhausted=False
+    (inconclusive), distinct from a completed empty search, unless with
+    jobs > 1 a later branch finished with a find in time.  on_test is
+    honoured by serial runs only.
     """
     start = time.monotonic()
     n = config.modulus
     nodes = 0
     prunes: Counter[int] = Counter()
     done: set[int] = set()
-    prior_found: tuple[int, ...] | None = None
+    found: tuple[int, ...] | None = None
     writer = None
+    pool = None
     if config.checkpoint_path:
-        done, prior_found, nodes, prunes = _load_checkpoint(config.checkpoint_path, config)
+        done, found, nodes, prunes = _load_checkpoint(config.checkpoint_path, config)
         writer = open(config.checkpoint_path, "a", encoding="utf-8")
-        if not done and prior_found is None:
+        if not done and found is None:
             writer.write(json.dumps({
                 "kind": "config", "modulus": n, "order": config.order,
                 "symmetry": config.symmetry,
@@ -297,48 +293,29 @@ def find_good_permutation(config: SearchConfig, on_test=None) -> SearchOutcome:
             writer.flush()
 
     try:
-        if prior_found is not None:
-            if not is_good_permutation(n, prior_found):
-                raise AssertionError("checkpointed permutation failed re-verification")
-            return SearchOutcome(n, Permutation(n, prior_found), False, nodes,
-                                 dict(prunes), time.monotonic() - start)
-
-        branches = [0] if config.symmetry else list(range(n))
+        # a checkpointed find is only re-verified
+        branches = [] if found else range(1 if config.symmetry else n)
         pending = [v for v in branches if v not in done]
         deadline = start + config.time_budget if config.time_budget else None
-        found: tuple[int, ...] | None = None
-        all_completed = True
-
+        branch = partial(_run_branch, config, deadline=deadline)
         if config.jobs > 1 and len(pending) > 1:
-            args = [(config, v, config.time_budget) for v in pending]
-            from concurrent.futures import ProcessPoolExecutor
+            import multiprocessing
 
-            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-                results = list(pool.map(_branch_worker, args))
-            for v, (image, bn, bp, completed) in zip(pending, results):
-                nodes += bn
-                prunes.update(bp)
-                if not completed:
-                    all_completed = False
-                    continue
-                if image is not None and found is None:
-                    found = image
-                    _emit({"kind": "found", "image": list(image)})
-                elif image is None:
-                    _emit({"kind": "prefix_done", "prefix": [v], "nodes": bn,
-                           "prunes": {str(k): c for k, c in bp.items()}})
+            pool = multiprocessing.get_context("spawn").Pool(min(config.jobs, len(pending)))
+            results = pool.imap(branch, pending)
         else:
-            for v in pending:
-                image, bn, bp, completed = _run_branch(config, v, deadline, on_test)
-                nodes += bn
-                prunes.update(bp)
-                if not completed:
-                    all_completed = False
-                    break
-                if image is not None:
-                    found = image
-                    _emit({"kind": "found", "image": list(image)})
-                    break
+            results = map(partial(branch, on_test=on_test), pending)
+        all_completed = True
+        for v, (image, bn, bp, completed) in zip(pending, results):
+            nodes += bn
+            prunes.update(bp)
+            if not completed:
+                all_completed = False
+            elif image is not None:
+                found = image
+                _emit({"kind": "found", "image": list(image)})
+                break
+            else:
                 _emit({"kind": "prefix_done", "prefix": [v], "nodes": bn,
                        "prunes": {str(k): c for k, c in bp.items()}})
 
@@ -350,6 +327,8 @@ def find_good_permutation(config: SearchConfig, on_test=None) -> SearchOutcome:
         return SearchOutcome(n, None, all_completed, nodes, dict(prunes),
                              time.monotonic() - start)
     finally:
+        if pool is not None:
+            pool.terminate()
         if writer is not None:
             writer.close()
 
@@ -362,32 +341,5 @@ def enumerate_good_permutations(
         raise PreconditionError(
             f"modulus {modulus} exceeds the enumeration ceiling {ENUMERATE_MAX_N}"
         )
-    found: list[Permutation] = []
-    state = _SearchState(SearchConfig(modulus))
-
-    def walk() -> bool:
-        if len(state.assigned) == modulus:
-            image = tuple(int(x) for x in state.img)
-            if is_good_permutation(modulus, image):
-                found.append(Permutation(modulus, image))
-                if limit is not None and len(found) >= limit:
-                    return True
-            return False
-        pos = state.assigned[-1] + 1 if state.assigned else 0
-        for v in range(modulus):
-            if v in state.used:
-                continue
-            state.img[pos] = v
-            state.used.add(v)
-            if state._passes_incremental(pos):
-                state.assigned.append(pos)
-                if walk():
-                    return True
-                state.assigned.pop()
-            state.img[pos] = -1
-            state.used.discard(v)
-        return False
-
-    walk()
-    return found
-
+    leaves = _SearchState(SearchConfig(modulus)).leaves()
+    return [Permutation(modulus, image) for image in islice(leaves, limit)]

@@ -63,12 +63,12 @@ class Theorem1Report:
 
 
 def verify_theorem1(modulus: int, sizes: tuple[int, ...] = (2, 3)) -> Theorem1Report:
-    """Check that no 2x2 / 3x3 principal minor vanishes, via the closed forms.
+    """Check that no 2x2 / 3x3 principal minor vanishes, by the exact engine.
 
     Requires a square-free modulus >= 4.  Only the translated sets {0, a}
-    and {0, a, b} need checking; a pass certifies sizes 2, 3, N-3 and N-2
-    outright (translation preserves singularity, and complementary sizes
-    mirror each other).
+    and {0, a, b} need checking, one batch per size; a pass certifies sizes
+    2, 3, N-3 and N-2 outright (translation preserves singularity, and
+    complementary sizes mirror each other).
     """
     start = time.perf_counter()
     if modulus < 4:
@@ -82,35 +82,17 @@ def verify_theorem1(modulus: int, sizes: tuple[int, ...] = (2, 3)) -> Theorem1Re
     ring = ring_new(modulus)
     counterexample: tuple[int, ...] | None = None
     pairs = 0
-
-    if 2 in sizes:
-        one = ring.one()
-        for a in range(1, modulus):
-            pairs += 1
-            if (ring.root_power(a * a) - one).is_zero():
-                counterexample = (a,)
-                break
-
-    if 3 in sizes and counterexample is None:
-        tables = ring.np_tables()
-        if tables is None:
-            raise PreconditionError(f"power table of N={modulus} exceeds int64")
-        power = tables[0]
-        ii, jj = np.triu_indices(modulus - 1, k=1)
-        a = ii.astype(np.int64) + 1
-        b = jj.astype(np.int64) + 1
-        vec = (
-            power[(a * a + b * b) % modulus]
-            + 2 * power[(a * b) % modulus]
-            - power[(a * a) % modulus]
-            - power[(b * b) % modulus]
-            - power[(2 * a * b) % modulus]
-        )
-        zero = np.all(vec == 0, axis=1)
-        pairs += len(a)
-        if zero.any():
-            i = int(np.argmax(zero))
-            counterexample = (int(a[i]), int(b[i]))
+    for size in sizes:
+        if size == 2:
+            tail = np.arange(1, modulus, dtype=np.int64)[:, None]
+        else:
+            tail = np.stack(np.triu_indices(modulus - 1, k=1), axis=1).astype(np.int64) + 1
+        members = np.hstack([np.zeros((len(tail), 1), dtype=np.int64), tail])
+        flags, _ = _judge_members(ring, members, True)
+        pairs += len(members)
+        if flags.any():
+            counterexample = tuple(int(x) for x in tail[np.argmax(flags)])
+            break
 
     certified = tuple(sorted({*sizes, *(modulus - s for s in sizes)}))
     note = (

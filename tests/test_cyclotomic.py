@@ -40,6 +40,19 @@ def test_divisor_product_up_to_200():
         assert prod == [-1] + [0] * (n - 1) + [1], n
 
 
+def test_binomial_products_match_division_construction_to_300():
+    # oracle: Phi_n = (x^n - 1) / prod of Phi_d over proper divisors d,
+    # by exact long division, recursively on its own results
+    oracle = {}
+    for n in range(1, 301):
+        quot = [-1] + [0] * (n - 1) + [1]
+        for d in divisors(n)[:-1]:
+            quot, rem = poly_divmod_monic(quot, oracle[d])
+            assert rem == [0], (n, d)
+        oracle[n] = quot
+        assert list(cyclotomic_polynomial(n)) == quot, n
+
+
 def test_minimal_polynomial_soundness_up_to_64():
     # Evaluate Phi_N at w by Horner, through ring arithmetic only.
     for n in range(1, 65):

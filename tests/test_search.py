@@ -1,4 +1,5 @@
 import json
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -149,18 +150,38 @@ def test_budget_expiry_is_inconclusive():
     assert not outcome.exhausted
 
 
-def test_max_incremental_size_still_verifies_leaves():
-    for n in (4, 8):
-        outcome = find_good_permutation(SearchConfig(n, max_incremental_size=2))
-        assert outcome.found is not None
-        assert is_good_permutation(n, outcome.found)
-
-
 def test_parallel_branches_match_serial():
-    for n in (4, 8):
+    for n in (4, 8, 12):
         serial = find_good_permutation(SearchConfig(n))
         parallel = find_good_permutation(SearchConfig(n, jobs=2))
-        assert serial.found == parallel.found
+        assert parallel.found == serial.found, n
+        assert parallel.exhausted == serial.exhausted, n
+        assert parallel.nodes_expanded == serial.nodes_expanded, n
+        assert parallel.prune_counts == serial.prune_counts, n
+
+
+def test_parallel_budget_is_global():
+    # one deadline for the whole search, not one budget per worker
+    start = time.monotonic()
+    outcome = find_good_permutation(SearchConfig(16, time_budget=1.0, jobs=2))
+    assert time.monotonic() - start < 4.0
+    assert outcome.found is None
+    assert not outcome.exhausted
+
+
+def test_parallel_checkpoint_stops_at_first_find(tmp_path):
+    path = tmp_path / "parallel.ckpt"
+    first = find_good_permutation(SearchConfig(8, jobs=2, checkpoint_path=str(path)))
+    assert first.found is not None
+    lines = [json.loads(l) for l in path.read_text().splitlines()]
+    assert lines[0]["kind"] == "config"
+    assert lines[-1] == {"kind": "found", "image": list(first.found.image)}
+    # one line per branch before the find, in order, and nothing after it
+    middle = lines[1:-1]
+    assert all(l["kind"] == "prefix_done" for l in middle)
+    assert [l["prefix"] for l in middle] == [[v] for v in range(first.found.image[0])]
+    resumed = find_good_permutation(SearchConfig(8, jobs=2, checkpoint_path=str(path)))
+    assert resumed.found == first.found
 
 
 def test_checkpoint_write_and_resume(tmp_path):
