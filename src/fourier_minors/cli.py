@@ -5,6 +5,19 @@ Every command can write a single self-describing RunRecord as one JSON line
 the result payload.  Identical command plus configuration reproduces the
 payload byte for byte (wall-time fields excepted).
 
+Payloads are result dataclasses written by one codec, `encode`, and read
+back by its inverse, `decode`:
+- each field becomes the key of the same name, except `index_set`, which
+  is written as `set` (`_KEYS`);
+- an IndexSet is written as its members and a Permutation as its image,
+  both read back with the `modulus` of the enclosing payload; a CycElem
+  is `{modulus, totient, coeffs}`;
+- int dict keys become strings in ascending order; tuples become lists;
+- None is written as null, and a field typed `X | None` reads null as None.
+A payload adds its `kind` (a minor record also its `modulus`) to the
+encoded fields.  The `scan` and `perm-search` config echoes are their
+encoded configurations, the latter without `modulus`.
+
 Exit codes: 0 success, 1 usage error, 2 precondition violation,
 3 inconclusive (time budget expired before the search space was covered),
 4 a theorem1 counterexample (a vanishing 2x2 or 3x3 minor for a square-free
@@ -17,8 +30,10 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from . import __version__
 from .cyclotomic import CycElem, ring_new
@@ -53,17 +68,8 @@ class RunRecord:
             )
 
     def to_json_line(self) -> str:
-        doc = {
-            "record": "run",
-            "schema": SCHEMA_VERSION,
-            "command": self.command,
-            "version": self.version,
-            "params": self.params,
-            "config": self.config,
-            "payload": self.payload,
-            "exact_mode": self.exact_mode,
-            "wall_time": self.wall_time,
-        }
+        doc = {"record": "run", "schema": SCHEMA_VERSION,
+               **{f.name: getattr(self, f.name) for f in fields(self)}}
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
@@ -80,187 +86,99 @@ def parse_run_record(line: str) -> RunRecord:
     doc = json.loads(line)
     if doc.get("record") != "run" or doc.get("schema") != SCHEMA_VERSION:
         raise ValueError("not a schema-1 run record")
-    return RunRecord(
-        command=doc["command"],
-        version=doc["version"],
-        params=doc["params"],
-        config=doc["config"],
-        payload=doc["payload"],
-        exact_mode=doc["exact_mode"],
-        wall_time=doc["wall_time"],
-    )
+    return RunRecord(**{f.name: doc[f.name] for f in fields(RunRecord)})
 
 
 # ---------------------------------------------------------------------------
-# Payload builders and parsers (payloads are plain JSON-able dicts)
+# The record codec (payloads are plain JSON-able dicts)
+
+_KEYS = {"index_set": "set"}  # the one field whose payload key differs
 
 
-def element_payload(e: CycElem) -> dict:
-    return {
-        "modulus": e.ring.modulus,
-        "totient": e.ring.totient,
-        "coeffs": list(e.coeffs),
-    }
+def encode(value):
+    """The JSON form of a result value, as the module docstring states."""
+    if isinstance(value, IndexSet):
+        return list(value.members)
+    if isinstance(value, Permutation):
+        return list(value.image)
+    if isinstance(value, CycElem):
+        return {"modulus": value.ring.modulus, "totient": value.ring.totient,
+                "coeffs": list(value.coeffs)}
+    if is_dataclass(value):
+        return {_KEYS.get(f.name, f.name): encode(getattr(value, f.name))
+                for f in fields(value)}
+    if isinstance(value, dict):
+        return {str(k): encode(v) for k, v in sorted(value.items())}
+    if isinstance(value, (list, tuple)):
+        return [encode(v) for v in value]
+    return value
 
 
-def parse_element(doc: dict) -> CycElem:
-    ring = ring_new(doc["modulus"])
-    return ring.element(doc["coeffs"])
+def decode(tp, doc, modulus: int | None = None):
+    """The value of type `tp` that `encode` wrote as `doc`.  IndexSet and
+    Permutation take `modulus`, the one of the enclosing payload."""
+    if doc is None:
+        return None
+    if tp is IndexSet:
+        return IndexSet.of(modulus, doc)
+    if tp is Permutation:
+        return Permutation(modulus, tuple(doc))
+    if tp is CycElem:
+        return ring_new(doc["modulus"]).element(doc["coeffs"])
+    if is_dataclass(tp):
+        modulus = doc.get("modulus", modulus)
+        hints = get_type_hints(tp)
+        return tp(**{f.name: decode(hints[f.name], doc[_KEYS.get(f.name, f.name)], modulus)
+                     for f in fields(tp)})
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is dict:
+        return {int(k): decode(args[1], v, modulus) for k, v in doc.items()}
+    if origin in (list, tuple):  # list[X] or tuple[X, ...]
+        return origin(decode(args[0], v, modulus) for v in doc)
+    if origin is UnionType:  # X | None, and doc is not None
+        return decode(next(a for a in args if a is not type(None)), doc, modulus)
+    return doc
 
 
 def minor_record_payload(rec: MinorRecord) -> dict:
-    return {
-        "kind": "minor_record",
-        "modulus": rec.index_set.modulus,
-        "set": list(rec.index_set.members),
-        "size": rec.size,
-        "singular": rec.singular,
-        "determinant": element_payload(rec.determinant) if rec.determinant else None,
-    }
+    return {"kind": "minor_record", "modulus": rec.index_set.modulus, **encode(rec)}
 
 
 def parse_minor_record(doc: dict) -> MinorRecord:
-    det = parse_element(doc["determinant"]) if doc["determinant"] else None
-    return MinorRecord(
-        index_set=IndexSet.of(doc["modulus"], doc["set"]),
-        size=doc["size"],
-        singular=doc["singular"],
-        determinant=det,
-    )
+    return decode(MinorRecord, doc)
 
 
 def scan_report_payload(rep: ScanReport) -> dict:
-    return {
-        "kind": "scan_report",
-        "modulus": rep.modulus,
-        "exact_mode": rep.exact_mode,
-        "use_complement": rep.use_complement,
-        "use_shift_classes": rep.use_shift_classes,
-        "counts": {str(r): c for r, c in sorted(rep.counts.items())},
-        "exemplars": {
-            str(r): [list(s) for s in sets] for r, sets in sorted(rep.exemplars.items())
-        },
-        "exemplar_cap": rep.exemplar_cap,
-        "classes_tested": rep.classes_tested,
-        "prefilter_hits": rep.prefilter_hits,
-        "wall_time": rep.wall_time,
-    }
+    return {"kind": "scan_report", **encode(rep)}
 
 
 def parse_scan_report(doc: dict) -> ScanReport:
-    return ScanReport(
-        modulus=doc["modulus"],
-        exact_mode=doc["exact_mode"],
-        use_complement=doc["use_complement"],
-        use_shift_classes=doc["use_shift_classes"],
-        counts={int(r): c for r, c in doc["counts"].items()},
-        exemplars={
-            int(r): [tuple(s) for s in sets] for r, sets in doc["exemplars"].items()
-        },
-        exemplar_cap=doc["exemplar_cap"],
-        classes_tested=doc["classes_tested"],
-        prefilter_hits=doc["prefilter_hits"],
-        wall_time=doc["wall_time"],
-    )
+    return decode(ScanReport, doc)
 
 
 def witness_plans_payload(plans: list[WitnessPlan]) -> dict:
-    return {
-        "kind": "witness_plans",
-        "plans": [
-            {
-                "modulus": p.modulus,
-                "size": p.size,
-                "prime": p.prime,
-                "cofactor": p.cofactor,
-                "case": p.case,
-                "s": p.s,
-                "t": p.t,
-                "set": list(p.index_set.members),
-                "certificate": p.certificate,
-                "directly_verified": p.directly_verified,
-            }
-            for p in plans
-        ],
-    }
+    return {"kind": "witness_plans", "plans": encode(plans)}
 
 
 def parse_witness_plans(doc: dict) -> list[WitnessPlan]:
-    return [
-        WitnessPlan(
-            modulus=p["modulus"],
-            size=p["size"],
-            prime=p["prime"],
-            cofactor=p["cofactor"],
-            case=p["case"],
-            s=p["s"],
-            t=p["t"],
-            index_set=IndexSet.of(p["modulus"], p["set"]),
-            certificate=p["certificate"],
-            directly_verified=p["directly_verified"],
-        )
-        for p in doc["plans"]
-    ]
+    return decode(list[WitnessPlan], doc["plans"])
 
 
 def theorem1_payload(reports: list[Theorem1Report], skipped: list[int]) -> dict:
-    return {
-        "kind": "theorem1_report",
-        "reports": [
-            {
-                "modulus": r.modulus,
-                "sizes": list(r.sizes),
-                "passed": r.passed,
-                "counterexample": list(r.counterexample) if r.counterexample else None,
-                "pairs_checked": r.pairs_checked,
-                "certified_sizes": list(r.certified_sizes),
-                "note": r.note,
-                "wall_time": r.wall_time,
-            }
-            for r in reports
-        ],
-        "skipped_not_square_free": skipped,
-    }
+    return {"kind": "theorem1_report", "reports": encode(reports),
+            "skipped_not_square_free": skipped}
 
 
 def parse_theorem1(doc: dict) -> list[Theorem1Report]:
-    return [
-        Theorem1Report(
-            modulus=r["modulus"],
-            sizes=tuple(r["sizes"]),
-            passed=r["passed"],
-            counterexample=tuple(r["counterexample"]) if r["counterexample"] else None,
-            pairs_checked=r["pairs_checked"],
-            certified_sizes=tuple(r["certified_sizes"]),
-            note=r["note"],
-            wall_time=r["wall_time"],
-        )
-        for r in doc["reports"]
-    ]
+    return decode(list[Theorem1Report], doc["reports"])
 
 
 def search_outcome_payload(out: SearchOutcome) -> dict:
-    return {
-        "kind": "search_outcome",
-        "modulus": out.modulus,
-        "found": list(out.found.image) if out.found else None,
-        "exhausted": out.exhausted,
-        "nodes_expanded": out.nodes_expanded,
-        "prune_counts": {str(k): v for k, v in sorted(out.prune_counts.items())},
-        "wall_time": out.wall_time,
-    }
+    return {"kind": "search_outcome", **encode(out)}
 
 
 def parse_search_outcome(doc: dict) -> SearchOutcome:
-    found = Permutation(doc["modulus"], tuple(doc["found"])) if doc["found"] else None
-    return SearchOutcome(
-        modulus=doc["modulus"],
-        found=found,
-        exhausted=doc["exhausted"],
-        nodes_expanded=doc["nodes_expanded"],
-        prune_counts={int(k): v for k, v in doc["prune_counts"].items()},
-        wall_time=doc["wall_time"],
-    )
+    return decode(SearchOutcome, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +191,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _write_record(path: str | None, record: RunRecord) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
+def _write_record(args, start: float, params: dict, payload: dict,
+                  config: dict | None = None, exact_mode: bool = True) -> None:
+    """Build the command's RunRecord and write it to `--out`, if given."""
+    record = RunRecord(args.command, __version__, params, config or {}, payload,
+                       exact_mode, time.perf_counter() - start)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(record.to_json_line() + "\n")
 
 
@@ -304,25 +226,17 @@ def cmd_det(args) -> int:
     print(f"modulus={args.n} totient={ring.totient}")
     print(f"determinant coefficients (basis 1, w, ..., w^{ring.totient - 1}):")
     print(f"  {list(rec.determinant.coeffs)}")
-    record = RunRecord(
-        command="det", version=__version__,
-        params={"n": args.n, "set": list(k.members)},
-        config={}, payload=minor_record_payload(rec),
-        exact_mode=True, wall_time=time.perf_counter() - start,
-    )
-    _write_record(args.out, record)
+    _write_record(args, start, {"n": args.n, "set": list(k.members)},
+                  minor_record_payload(rec))
     return 0
 
 
 def cmd_scan(args) -> int:
     start = time.perf_counter()
     config = ScanConfig(
-        exact=not args.prefilter,
-        use_complement=not args.no_complement,
-        use_shift_classes=not args.no_shift_classes,
-        override=args.override,
-        exemplar_cap=args.cap,
-        jobs=args.jobs,
+        exact=not args.prefilter, use_complement=not args.no_complement,
+        use_shift_classes=not args.no_shift_classes, override=args.override,
+        exemplar_cap=args.cap, jobs=args.jobs,
     )
     report = scan_all(args.n, config)
     total = sum(report.counts.values())
@@ -337,19 +251,8 @@ def cmd_scan(args) -> int:
         print("  no vanishing principal minors")
     print(f"classes tested: {report.classes_tested}, prefilter hits: "
           f"{report.prefilter_hits}, {report.wall_time:.2f}s")
-    record = RunRecord(
-        command="scan", version=__version__,
-        params={"n": args.n},
-        config={
-            "exact": config.exact, "use_complement": config.use_complement,
-            "use_shift_classes": config.use_shift_classes, "override": config.override,
-            "exemplar_cap": config.exemplar_cap, "jobs": config.jobs,
-            "ceiling": config.ceiling,
-        },
-        payload=scan_report_payload(report),
-        exact_mode=config.exact, wall_time=time.perf_counter() - start,
-    )
-    _write_record(args.out, record)
+    _write_record(args, start, {"n": args.n}, scan_report_payload(report),
+                  encode(config), config.exact)
     return 0
 
 
@@ -366,13 +269,8 @@ def cmd_witness(args) -> int:
         tag = "verified" if p.directly_verified else "verified via complement base"
         print(f"N={p.modulus} r={p.size} [{p.case}] {list(p.index_set.members)} ({tag})")
         print(f"  {p.certificate}")
-    record = RunRecord(
-        command="witness", version=__version__,
-        params={"n": args.n, "r": args.r, "all": args.all},
-        config={}, payload=witness_plans_payload(plans),
-        exact_mode=True, wall_time=time.perf_counter() - start,
-    )
-    _write_record(args.out, record)
+    _write_record(args, start, {"n": args.n, "r": args.r, "all": args.all},
+                  witness_plans_payload(plans))
     return 0
 
 
@@ -391,8 +289,7 @@ def cmd_theorem1(args) -> int:
     else:
         print("error: pass --n N or --range A..B", file=sys.stderr)
         return 1
-    reports = []
-    skipped = []
+    reports, skipped = [], []
     for n in moduli:
         if args.range and not is_square_free(n):
             skipped.append(n)
@@ -403,13 +300,8 @@ def cmd_theorem1(args) -> int:
         status = "pass" if rep.passed else f"FAIL at {rep.counterexample}"
         print(f"N={n}: {status} ({rep.pairs_checked} translated sets checked; "
               f"certifies sizes {list(rep.certified_sizes)})")
-    record = RunRecord(
-        command="theorem1", version=__version__,
-        params={"n": args.n, "range": args.range},
-        config={}, payload=theorem1_payload(reports, skipped),
-        exact_mode=True, wall_time=time.perf_counter() - start,
-    )
-    _write_record(args.out, record)
+    _write_record(args, start, {"n": args.n, "range": args.range},
+                  theorem1_payload(reports, skipped))
     # a counterexample would falsify the arithmetic, not the usage; keep it
     # distinct from the reserved codes 1..3
     return 0 if all(r.passed for r in reports) else 4
@@ -418,12 +310,8 @@ def cmd_theorem1(args) -> int:
 def cmd_perm_search(args) -> int:
     start = time.perf_counter()
     config = SearchConfig(
-        modulus=args.n,
-        order=args.order,
-        symmetry=args.symmetry,
-        time_budget=args.budget,
-        jobs=args.jobs,
-        checkpoint_path=args.resume,
+        modulus=args.n, order=args.order, symmetry=args.symmetry,
+        time_budget=args.budget, jobs=args.jobs, checkpoint_path=args.resume,
     )
     outcome = find_good_permutation(config)
     if outcome.found:
@@ -435,18 +323,9 @@ def cmd_perm_search(args) -> int:
         print(f"N={args.n}: INCONCLUSIVE (budget expired before exhaustion)")
     print(f"nodes={outcome.nodes_expanded} prunes={dict(sorted(outcome.prune_counts.items()))} "
           f"{outcome.wall_time:.2f}s")
-    record = RunRecord(
-        command="perm-search", version=__version__,
-        params={"n": args.n},
-        config={
-            "order": config.order, "symmetry": config.symmetry,
-            "time_budget": config.time_budget, "jobs": config.jobs,
-            "checkpoint_path": config.checkpoint_path,
-        },
-        payload=search_outcome_payload(outcome),
-        exact_mode=True, wall_time=time.perf_counter() - start,
-    )
-    _write_record(args.out, record)
+    echo = encode(config)
+    del echo["modulus"]  # echoed as params.n
+    _write_record(args, start, {"n": args.n}, search_outcome_payload(outcome), echo)
     if outcome.found is None and not outcome.exhausted:
         return 3
     return 0

@@ -281,7 +281,7 @@ def zero_flags(ring: CycRing, exps) -> tuple[np.ndarray, int]:
     determinants, and how many the one-prime screen certified nonzero.
     The screen's survivors are decided by their canonical coefficients."""
     exps = _as_batch(ring, exps)
-    flags = ~nonzero_screen(ring, exps)
+    flags = _evaluate(exps, ring.modulus, 0, False)
     idx = np.nonzero(flags)[0]
     if len(idx):
         flags[idx] = ~(det_power_batch(ring, exps[idx]) != 0).any(axis=1)

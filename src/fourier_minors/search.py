@@ -99,8 +99,7 @@ def _batch_rows_cols_singular(
     ring: CycRing, rows: np.ndarray, cols: np.ndarray
 ) -> np.ndarray:
     """Vanishing flags for dets of F[rows[b], cols[b]] batches."""
-    exps = (rows[:, :, None] * cols[:, None, :]) % ring.modulus
-    return powerdet.zero_flags(ring, exps)[0]
+    return powerdet.zero_flags(ring, rows[:, :, None] * cols[:, None, :])[0]
 
 
 def is_good_permutation(modulus: int, sigma) -> bool:
@@ -225,32 +224,53 @@ def _run_branch(
 
 
 def _load_checkpoint(path: str, config: SearchConfig):
+    """(done, found, nodes, prunes) from the checkpoint at `path`.
+
+    The first line is a config line, which must match `config`; each
+    `prefix_done` and `found` line adds its branch's nodes and prunes.  A
+    last line without its newline is the trace of an interrupted write: it
+    is dropped and cut off the file, so appends start on a fresh line.  Any
+    other malformed line or unknown kind is refused.
+    """
     done: set[int] = set()
     found: tuple[int, ...] | None = None
     nodes = 0
     prunes: Counter[int] = Counter()
     try:
-        fh = open(path, "r", encoding="utf-8")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
-        return done, found, nodes, prunes
-    with fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+        data = b""
+    end = data.rfind(b"\n") + 1
+    if end < len(data):
+        with open(path, "r+b") as fh:
+            fh.truncate(end)
+    for number, line in enumerate(data[:end].splitlines(), 1):
+        try:
             rec = json.loads(line)
+            if number == 1 and rec["kind"] != "config":
+                raise ValueError("the first line is not the config line")
             if rec["kind"] == "config":
                 for key in ("modulus", "order", "symmetry"):
                     if rec[key] != getattr(config, key):
                         raise PreconditionError(
                             f"checkpoint {path} was written with {key}={rec[key]!r}"
                         )
-            elif rec["kind"] == "prefix_done":
+                continue
+            if rec["kind"] == "prefix_done":
                 done.add(int(rec["prefix"][0]))
-                nodes += int(rec.get("nodes", 0))
-                prunes.update({int(k): v for k, v in rec.get("prunes", {}).items()})
             elif rec["kind"] == "found":
-                found = tuple(int(x) for x in rec["image"])
+                found = Permutation(config.modulus, tuple(int(x) for x in rec["image"])).image
+            else:
+                raise ValueError(f"unknown kind {rec['kind']!r}")
+            nodes += int(rec.get("nodes", 0))
+            prunes.update({int(k): int(v) for k, v in rec.get("prunes", {}).items()})
+        except PreconditionError:
+            raise
+        except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
+            raise PreconditionError(
+                f"checkpoint {path} line {number} is malformed: {exc}"
+            ) from None
     return done, found, nodes, prunes
 
 
@@ -280,7 +300,7 @@ def find_good_permutation(config: SearchConfig, on_test=None) -> SearchOutcome:
     if config.checkpoint_path:
         done, found, nodes, prunes = _load_checkpoint(config.checkpoint_path, config)
         writer = open(config.checkpoint_path, "a", encoding="utf-8")
-        if not done and found is None:
+        if writer.tell() == 0:  # a new or empty file starts with its config line
             writer.write(json.dumps({
                 "kind": "config", "modulus": n, "order": config.order,
                 "symmetry": config.symmetry,
@@ -309,18 +329,21 @@ def find_good_permutation(config: SearchConfig, on_test=None) -> SearchOutcome:
         for v, (image, bn, bp, completed) in zip(pending, results):
             nodes += bn
             prunes.update(bp)
+            work = {"nodes": bn, "prunes": {str(k): c for k, c in bp.items()}}
             if not completed:
                 all_completed = False
             elif image is not None:
                 found = image
-                _emit({"kind": "found", "image": list(image)})
+                _emit({"kind": "found", "image": list(image), **work})
                 break
             else:
-                _emit({"kind": "prefix_done", "prefix": [v], "nodes": bn,
-                       "prunes": {str(k): c for k, c in bp.items()}})
+                _emit({"kind": "prefix_done", "prefix": [v], **work})
 
         if found is not None:
             if not is_good_permutation(n, found):
+                if not pending:
+                    raise PreconditionError(f"checkpoint {config.checkpoint_path} "
+                                            "records a permutation that is not good")
                 raise AssertionError("search returned a permutation that fails verification")
             return SearchOutcome(n, Permutation(n, found), False, nodes,
                                  dict(prunes), time.monotonic() - start)

@@ -308,8 +308,7 @@ def _shift_class_reps(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
 def _judge_members(ring: CycRing, members: np.ndarray, exact: bool) -> tuple[np.ndarray, int]:
     """Singularity flags for principal sets given as (B, r) member arrays,
     and in prefilter mode the number the one-prime screen certified."""
-    exps = (members[:, :, None] * members[:, None, :]) % ring.modulus
-    flags, screened = powerdet.zero_flags(ring, exps)
+    flags, screened = powerdet.zero_flags(ring, members[:, :, None] * members[:, None, :])
     return flags, 0 if exact else screened
 
 

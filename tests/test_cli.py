@@ -220,3 +220,35 @@ def test_payload_builders_invert():
     assert parse_witness_plans(witness_plans_payload(plans)) == plans
     outcome = find_good_permutation(SearchConfig(5))
     assert parse_search_outcome(search_outcome_payload(outcome)) == outcome
+
+
+def test_codec_round_trips_edge_shapes():
+    from fourier_minors import MinorRecord, SearchOutcome, Theorem1Report
+    from fourier_minors.cli import theorem1_payload
+
+    def through_json(payload):
+        return json.loads(json.dumps(payload, sort_keys=True))
+
+    outcome = SearchOutcome(16, None, False, 5654, {10: 1, 2: 3659}, 0.5)
+    payload = search_outcome_payload(outcome)
+    assert payload["found"] is None
+    assert list(payload["prune_counts"]) == ["2", "10"]  # ascending int keys
+    assert parse_search_outcome(through_json(payload)) == outcome
+
+    report = Theorem1Report(12, (2, 3), False, (3, 6), 66, (2, 3, 9, 10), "note", 0.1)
+    payload = theorem1_payload([report], [8, 9])
+    assert payload["reports"][0]["counterexample"] == [3, 6]
+    assert parse_theorem1(through_json(payload)) == [report]
+
+    rep = scan_all(8, use_shift_classes=False)
+    assert not rep.use_shift_classes and any(rep.counts.values())
+    assert parse_scan_report(through_json(scan_report_payload(rep))) == rep
+
+    ring = ring_new(9)
+    big = ring.element([2**70, -(2**65), 3, 0, 0, 1])
+    rec = MinorRecord(IndexSet.of(9, [0, 3, 6]), 3, False, big)
+    payload = minor_record_payload(rec)
+    assert payload["set"] == [0, 3, 6] and payload["modulus"] == 9
+    assert payload["determinant"] == {"modulus": 9, "totient": 6,
+                                      "coeffs": [2**70, -(2**65), 3, 0, 0, 1]}
+    assert parse_minor_record(through_json(payload)) == rec

@@ -175,7 +175,10 @@ def test_parallel_checkpoint_stops_at_first_find(tmp_path):
     assert first.found is not None
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert lines[0]["kind"] == "config"
-    assert lines[-1] == {"kind": "found", "image": list(first.found.image)}
+    # the found line carries its branch's work, so the lines sum to the run's
+    assert lines[-1] == {"kind": "found", "image": list(first.found.image),
+                         "nodes": lines[-1]["nodes"], "prunes": lines[-1]["prunes"]}
+    assert sum(l["nodes"] for l in lines[1:]) == first.nodes_expanded
     # one line per branch before the find, in order, and nothing after it
     middle = lines[1:-1]
     assert all(l["kind"] == "prefix_done" for l in middle)
@@ -210,6 +213,60 @@ def test_checkpoint_resume_skips_completed_prefixes(tmp_path):
     assert outcome.found.image[0] != 0
     assert outcome.nodes_expanded >= 99
     assert outcome.prune_counts.get(2, 0) >= 7
+
+
+def test_resume_after_find_reports_first_run_work(tmp_path):
+    path = tmp_path / "found.ckpt"
+    first = find_good_permutation(SearchConfig(9, checkpoint_path=str(path)))
+    assert first.found is not None and first.prune_counts
+    for _ in range(2):
+        resumed = find_good_permutation(SearchConfig(9, checkpoint_path=str(path)))
+        assert resumed.found == first.found
+        assert resumed.nodes_expanded == first.nodes_expanded
+        assert resumed.prune_counts == first.prune_counts
+
+
+def test_truncated_checkpoint_line_resumes_cleanly(tmp_path):
+    whole = find_good_permutation(SearchConfig(8))
+    path = tmp_path / "cut.ckpt"
+    find_good_permutation(SearchConfig(8, checkpoint_path=str(path)))
+    lines = path.read_text().splitlines(keepends=True)
+    last = lines[-1]
+    for cut in (1, len(last) // 2, len(last) - 1):  # an interrupted last write
+        path.write_text("".join(lines[:-1]) + last[:cut])
+        resumed = find_good_permutation(SearchConfig(8, checkpoint_path=str(path)))
+        assert resumed.found == whole.found, cut
+        assert resumed.exhausted == whole.exhausted, cut
+        assert resumed.nodes_expanded == whole.nodes_expanded, cut
+        assert resumed.prune_counts == whole.prune_counts, cut
+        # the partial line was cut off before the resume appended its own
+        assert path.read_text() == "".join(lines), cut
+
+
+def test_corrupt_checkpoint_is_refused(tmp_path, capsys):
+    from fourier_minors.cli import main
+
+    config = json.dumps({"kind": "config", "modulus": 8, "order": "ascending",
+                         "symmetry": False}) + "\n"
+    done = json.dumps({"kind": "prefix_done", "prefix": [0], "nodes": 1,
+                       "prunes": {}}) + "\n"
+    bodies = {
+        "garbage": config + "garbage\n" + done,
+        "partial middle line": config + done[:20] + "\n" + done,
+        "unknown kind": config + json.dumps({"kind": "later"}) + "\n",
+        "missing config": done,
+        "not a permutation": config + json.dumps({"kind": "found",
+                                                  "image": [0] * 8}) + "\n",
+        "not good": config + json.dumps({"kind": "found",
+                                         "image": list(range(8))}) + "\n",
+    }
+    for name, body in bodies.items():
+        path = tmp_path / "corrupt.ckpt"
+        path.write_text(body)
+        assert main(["perm-search", "--n", "8", "--resume", str(path)]) == 2, name
+        err = capsys.readouterr().err
+        assert "precondition violated" in err and "Traceback" not in err, name
+        assert path.read_text() == body, name
 
 
 def test_checkpoint_config_mismatch_rejected(tmp_path):
