@@ -1,14 +1,23 @@
 """Backtracking search for column permutations whose permuted Fourier
 matrix (w^(k*sigma(l))) has no vanishing principal minor.
 
-For an index set K, the principal submatrix of the permuted matrix equals
-the plain Fourier submatrix with rows K and columns sigma(K), so every test
-reduces to an exact determinant of a w-power matrix.  The search assigns
-sigma position by position; after each assignment it tests exactly the
-subsets of assigned positions that contain the new position, smallest sizes
-first, and prunes on the first vanishing minor.  Along any completed branch
-those families union to the full power set, so a surviving leaf is a good
-permutation (it is re-verified in full anyway).
+For an index set K, the principal submatrix of the permuted matrix has
+rows K and columns sigma(K) in the order of K, so every test is an exact
+determinant of a w-power matrix.  The search assigns sigma position by
+position, deciding at each node the domain of one free position (forward
+checking; Haralick and Elliott, Artif. Intell. 14, 1980): for each unused
+value, the smallest size of a vanishing minor on the position plus
+assigned positions once it takes the value, or 0.  Each size is one engine
+batch over (values still alive x subsets), smallest first.  A vanishing
+minor vanishes under every completion, so a prune loses no good
+permutation; along a completed branch the tested families union to the
+full power set, so a surviving leaf is good (it is re-verified anyway).
+
+Both order policies count alike.  `ascending` takes the first free
+position, `most-constrained` the one with the fewest zero entries (the
+first on ties).  Each value tried there is one node (`nodes_expanded`); a
+value whose entry is a size s is one prune at s (`prune_counts`), and
+every other value is assigned and searched below.
 
 Complementation is NOT assumed for permuted matrices; nothing here relies
 on it.  Exhaustion claims rest only on the plain depth-first tree, plus the
@@ -31,7 +40,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .cyclotomic import CycRing, ring_new
+from .cyclotomic import ring_new
 from .errors import PreconditionError
 from . import powerdet
 
@@ -95,23 +104,14 @@ class _BudgetExpired(Exception):
     pass
 
 
-def _batch_rows_cols_singular(
-    ring: CycRing, rows: np.ndarray, cols: np.ndarray
-) -> np.ndarray:
-    """Vanishing flags for dets of F[rows[b], cols[b]] batches."""
-    return powerdet.zero_flags(ring, rows[:, :, None] * cols[:, None, :])[0]
-
-
 def is_good_permutation(modulus: int, sigma) -> bool:
     """Exact check that no principal minor of the permuted matrix vanishes."""
     perm = sigma if isinstance(sigma, Permutation) else Permutation(modulus, tuple(sigma))
     ring = ring_new(modulus)
     image = np.array(perm.image, dtype=np.int64)
     for r in range(1, modulus + 1):
-        rows = np.array(list(combinations(range(modulus), r)), dtype=np.int64)
-        rows = rows.reshape(-1, r)
-        cols = np.sort(image[rows], axis=1)
-        if _batch_rows_cols_singular(ring, rows, cols).any():
+        rows = np.array(list(combinations(range(modulus), r)), dtype=np.int64).reshape(-1, r)
+        if powerdet.zero_flags(ring, rows[:, :, None] * image[rows][:, None, :])[0].any():
             return False
     return True
 
@@ -127,100 +127,89 @@ class _SearchState:
         self.prunes: Counter[int] = Counter()
         self.img = np.full(config.modulus, -1, dtype=np.int64)
         self.assigned: list[int] = []
-        self.used: set[int] = set()
 
     def _check_budget(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _BudgetExpired
 
-    def _passes_incremental(self, pos: int) -> bool:
-        """Test every subset of assigned positions containing `pos`."""
-        others = self.assigned
-        for s in range(1, len(others) + 2):
-            combos = list(combinations(others, s - 1))
-            rows = np.sort(
-                np.array([c + (pos,) for c in combos], dtype=np.int64).reshape(-1, s),
-                axis=1,
-            )
-            cols = np.sort(self.img[rows], axis=1)
-            singular = _batch_rows_cols_singular(self.ring, rows, cols)
-            if self.on_test is not None:
-                for row in rows:
-                    self.on_test(tuple(int(x) for x in row), len(self.assigned))
-            if singular.any():
-                self.prunes[s] += 1
-                return False
-        return True
+    def _domain(self, pos: int) -> tuple[np.ndarray, np.ndarray]:
+        """(values, fail): the unused values in ascending order and, for
+        each, the smallest size of a vanishing minor on `pos` plus assigned
+        positions once sigma(pos) takes it, or 0 when none vanishes."""
+        values = np.setdiff1d(np.arange(self.n), self.img[self.assigned])
+        fail = np.zeros(len(values), dtype=np.int64)
+        for s in range(1, len(self.assigned) + 2):
+            live = np.flatnonzero(fail == 0)
+            if not len(live):
+                break
+            rows = np.array([c + (pos,) for c in combinations(self.assigned, s - 1)],
+                            dtype=np.int64).reshape(-1, s)
+            for row in rows.tolist() if self.on_test is not None else []:
+                self.on_test(tuple(sorted(row)), len(self.assigned))
+            cols = np.repeat(self.img[rows][None], len(live), axis=0)
+            cols[:, :, -1] = values[live, None]
+            exps = rows[None, :, :, None] * cols[:, :, None, :]
+            zero = powerdet.zero_flags(self.ring, exps.reshape(-1, s, s))[0]
+            vanish = zero.reshape(len(live), -1).any(axis=1)
+            fail[live[vanish]] = s
+        return values, fail
 
-    def _viable_values(self, pos: int) -> list[int]:
-        vals = []
-        for v in range(self.n):
-            if v in self.used:
-                continue
-            self.img[pos] = v
-            if self._passes_incremental(pos):
-                vals.append(v)
-            self.img[pos] = -1
-        return vals
-
-    def _select_position(self) -> tuple[int, list[int] | None]:
-        unassigned = [p for p in range(self.n) if self.img[p] < 0]
-        if self.config.order == ORDER_ASCENDING:
-            return unassigned[0], None
-        best_pos, best_vals = None, None
-        for p in unassigned:
-            vals = self._viable_values(p)
-            if best_vals is None or len(vals) < len(best_vals):
-                best_pos, best_vals = p, vals
-                if not vals:
-                    break
-        return best_pos, best_vals
+    def _descend(self, pos: int, value: int):
+        """Leaves below the assignment sigma(pos) = value."""
+        self.img[pos] = value
+        self.assigned.append(pos)
+        yield from self.leaves()
+        self.assigned.pop()
+        self.img[pos] = -1
 
     def leaves(self):
         """Re-verified good images below the current assignment, in DFS order."""
         self._check_budget()
-        if len(self.assigned) == self.n:
+        free = [p for p in range(self.n) if self.img[p] < 0]
+        if not free:
             image = tuple(int(x) for x in self.img)
             if is_good_permutation(self.n, image):
                 yield image
             return
-        pos, vals = self._select_position()
-        candidates = vals if vals is not None else [
-            v for v in range(self.n) if v not in self.used
-        ]
-        for v in candidates:
+        if self.config.order == ORDER_ASCENDING:
+            free = free[:1]
+        best = None
+        for p in free:
+            values, fail = self._domain(p)
+            if best is None or np.count_nonzero(fail == 0) < np.count_nonzero(best[2] == 0):
+                best = p, values, fail
+                if fail.all():
+                    break
+        pos, values, fail = best
+        for v, f in zip(values.tolist(), fail.tolist()):
             self.nodes += 1
-            self.img[pos] = v
-            self.used.add(v)
-            if vals is not None or self._passes_incremental(pos):
-                self.assigned.append(pos)
-                yield from self.leaves()
-                self.assigned.pop()
-            self.img[pos] = -1
-            self.used.discard(v)
+            if f:
+                self.prunes[f] += 1
+            else:
+                yield from self._descend(pos, v)
 
 
 def _run_branch(
     config: SearchConfig, first_value: int, deadline: float | None, on_test=None
 ) -> tuple[tuple[int, ...] | None, int, dict[int, int], bool]:
-    """DFS of the subtree with position 0 pinned to first_value, up to its
-    first leaf.  A branch started after the deadline does no work.
-
-    Returns (image or None, nodes, prune counts, completed).
-    """
+    """(image or None, nodes, prune counts, completed) of the DFS below
+    sigma(0) = first_value, up to its first leaf.  A branch started after
+    the deadline does no work."""
     state = _SearchState(config, on_test=on_test, deadline=deadline)
-    image = None
     try:
         state._check_budget()
         state.nodes += 1
-        state.img[0] = first_value
-        state.used.add(first_value)
-        if state._passes_incremental(0):
-            state.assigned.append(0)
-            image = next(state.leaves(), None)
+        if on_test is not None:
+            on_test((0,), 0)  # F[0, sigma(0)] = w^0 = 1 needs no engine call
+        image = next(state._descend(0, first_value), None)
         return image, state.nodes, dict(state.prunes), True
     except _BudgetExpired:
         return None, state.nodes, dict(state.prunes), False
+
+
+def _branches(config: SearchConfig) -> range:
+    """The values of position 0, one branch each."""
+    return range(1 if config.symmetry else config.modulus)
 
 
 def _load_checkpoint(path: str, config: SearchConfig):
@@ -230,12 +219,13 @@ def _load_checkpoint(path: str, config: SearchConfig):
     `prefix_done` and `found` line adds its branch's nodes and prunes.  A
     last line without its newline is the trace of an interrupted write: it
     is dropped and cut off the file, so appends start on a fresh line.  Any
-    other malformed line or unknown kind is refused.
+    other malformed line or unknown kind is refused, and so is a prefix
+    that is not one of this search's branches or repeats one, a negative
+    count, or a prune size outside 1..N.
     """
     done: set[int] = set()
     found: tuple[int, ...] | None = None
-    nodes = 0
-    prunes: Counter[int] = Counter()
+    nodes, prunes = 0, Counter()
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -253,24 +243,30 @@ def _load_checkpoint(path: str, config: SearchConfig):
             if rec["kind"] == "config":
                 for key in ("modulus", "order", "symmetry"):
                     if rec[key] != getattr(config, key):
-                        raise PreconditionError(
-                            f"checkpoint {path} was written with {key}={rec[key]!r}"
-                        )
+                        raise PreconditionError(f"checkpoint {path} was written with "
+                                                f"{key}={rec[key]!r}")
                 continue
             if rec["kind"] == "prefix_done":
-                done.add(int(rec["prefix"][0]))
+                (v,) = rec["prefix"]
+                if type(v) is not int or v not in _branches(config) or v in done:
+                    raise ValueError(f"prefix {rec['prefix']} is no new branch")
+                done.add(v)
             elif rec["kind"] == "found":
                 found = Permutation(config.modulus, tuple(int(x) for x in rec["image"])).image
             else:
                 raise ValueError(f"unknown kind {rec['kind']!r}")
-            nodes += int(rec.get("nodes", 0))
-            prunes.update({int(k): int(v) for k, v in rec.get("prunes", {}).items()})
+            counts = {int(k): c for k, c in rec.get("prunes", {}).items()}
+            work = [rec.get("nodes", 0), *counts.values()]
+            if any(type(c) is not int or c < 0 for c in work) or not all(
+                    1 <= k <= config.modulus for k in counts):
+                raise ValueError("negative counts or prune sizes outside 1..N")
+            nodes += work[0]
+            prunes.update(counts)
         except PreconditionError:
             raise
         except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
-            raise PreconditionError(
-                f"checkpoint {path} line {number} is malformed: {exc}"
-            ) from None
+            raise PreconditionError(f"checkpoint {path} line {number} is malformed: "
+                                    f"{exc}") from None
     return done, found, nodes, prunes
 
 
@@ -295,26 +291,22 @@ def find_good_permutation(config: SearchConfig, on_test=None) -> SearchOutcome:
     prunes: Counter[int] = Counter()
     done: set[int] = set()
     found: tuple[int, ...] | None = None
-    writer = None
-    pool = None
-    if config.checkpoint_path:
-        done, found, nodes, prunes = _load_checkpoint(config.checkpoint_path, config)
-        writer = open(config.checkpoint_path, "a", encoding="utf-8")
-        if writer.tell() == 0:  # a new or empty file starts with its config line
-            writer.write(json.dumps({
-                "kind": "config", "modulus": n, "order": config.order,
-                "symmetry": config.symmetry,
-            }) + "\n")
-            writer.flush()
+    writer = pool = None
 
     def _emit(rec: dict) -> None:
         if writer is not None:
             writer.write(json.dumps(rec) + "\n")
             writer.flush()
 
+    if config.checkpoint_path:
+        done, found, nodes, prunes = _load_checkpoint(config.checkpoint_path, config)
+        writer = open(config.checkpoint_path, "a", encoding="utf-8")
+        if writer.tell() == 0:  # a new or empty file starts with its config line
+            _emit({"kind": "config", "modulus": n, "order": config.order,
+                   "symmetry": config.symmetry})
     try:
         # a checkpointed find is only re-verified
-        branches = [] if found else range(1 if config.symmetry else n)
+        branches = [] if found else _branches(config)
         pending = [v for v in branches if v not in done]
         deadline = start + config.time_budget if config.time_budget else None
         branch = partial(_run_branch, config, deadline=deadline)
@@ -361,8 +353,7 @@ def enumerate_good_permutations(
 ) -> list[Permutation]:
     """All good permutations (up to limit), in lexicographic image order."""
     if modulus > ENUMERATE_MAX_N and not override:
-        raise PreconditionError(
-            f"modulus {modulus} exceeds the enumeration ceiling {ENUMERATE_MAX_N}"
-        )
+        raise PreconditionError(f"modulus {modulus} exceeds the enumeration ceiling "
+                                f"{ENUMERATE_MAX_N}")
     leaves = _SearchState(SearchConfig(modulus)).leaves()
     return [Permutation(modulus, image) for image in islice(leaves, limit)]

@@ -4,10 +4,11 @@ from itertools import combinations, permutations
 
 import pytest
 
-from fourier_minors import (Permutation, PreconditionError, SearchConfig,
+from fourier_minors import (IndexSet, Permutation, PreconditionError, SearchConfig,
                             enumerate_good_permutations, find_good_permutation,
-                            is_good_permutation)
-from fourier_minors.search import ORDER_MOST_CONSTRAINED
+                            is_good_permutation, powerdet, ring_new)
+from fourier_minors.minors import det_exact, submatrix
+from fourier_minors.search import ORDER_MOST_CONSTRAINED, _SearchState
 
 
 def brute_force_images(n):
@@ -142,6 +143,59 @@ def test_most_constrained_order_finds_verified_permutations():
         outcome = find_good_permutation(SearchConfig(n, order=ORDER_MOST_CONSTRAINED))
         assert outcome.found is not None
         assert is_good_permutation(n, outcome.found)
+    for n in range(1, 7):
+        brute = brute_force_images(n)
+        config = SearchConfig(n, order=ORDER_MOST_CONSTRAINED)
+        outcome = find_good_permutation(config)
+        assert outcome.found is not None and outcome.found.image in brute, n
+        # the most-constrained tree's leaves are every good permutation
+        assert set(_SearchState(config).leaves()) == brute, n
+        assert {p.image for p in enumerate_good_permutations(n)} == brute, n
+
+
+def _oracle_fail(ring, sigma, assigned, pos):
+    """Smallest r with a vanishing minor on S + {pos}, |S| = r - 1, S within
+    the assigned positions, by det_exact (no engine code); 0 if none."""
+    for r in range(1, len(assigned) + 2):
+        for rest in combinations(assigned, r - 1):
+            rows = tuple(sorted(rest + (pos,)))
+            cols = tuple(sorted(sigma[k] for k in rows))
+            matrix = submatrix(ring, IndexSet(ring.modulus, rows),
+                               IndexSet(ring.modulus, cols))
+            if det_exact(matrix).is_zero():
+                return r
+    return 0
+
+
+def test_domain_matches_exact_oracle(rng, monkeypatch):
+    calls = []
+    engine = powerdet.zero_flags
+    monkeypatch.setattr(powerdet, "zero_flags",
+                        lambda *args: calls.append(1) or engine(*args))
+    sizes = set()
+    for _ in range(100):
+        n = rng.randrange(2, 10)
+        ring = ring_new(n)
+        positions = list(range(n))
+        rng.shuffle(positions)
+        depth = rng.randrange(n)  # any set of assigned positions, any free pos
+        assigned, pos = positions[:depth], positions[depth]
+        image = rng.sample(range(n), depth)
+        state = _SearchState(SearchConfig(n, order=ORDER_MOST_CONSTRAINED))
+        for k, v in zip(assigned, image):
+            state.img[k] = v
+        state.assigned = list(assigned)
+        calls.clear()
+        values, fail = state._domain(pos)
+        # one engine call per size, however many values are free
+        assert len(calls) <= depth + 1, (n, assigned, pos)
+        assert values.tolist() == sorted(set(range(n)) - set(image))
+        for v, f in zip(values.tolist(), fail.tolist()):
+            sigma = dict(zip(assigned, image))
+            sigma[pos] = v
+            assert f == _oracle_fail(ring, sigma, assigned, pos), (n, sigma, pos)
+            sizes.add(f)
+    assert {0, 2, 3, 4} <= sizes  # the cases cover several failing sizes
 
 
 def test_budget_expiry_is_inconclusive():
@@ -248,8 +302,14 @@ def test_corrupt_checkpoint_is_refused(tmp_path, capsys):
 
     config = json.dumps({"kind": "config", "modulus": 8, "order": "ascending",
                          "symmetry": False}) + "\n"
+    symmetric = json.dumps({"kind": "config", "modulus": 8, "order": "ascending",
+                            "symmetry": True}) + "\n"
     done = json.dumps({"kind": "prefix_done", "prefix": [0], "nodes": 1,
                        "prunes": {}}) + "\n"
+
+    def branch(prefix, nodes=1, prunes=None):
+        return json.dumps({"kind": "prefix_done", "prefix": prefix, "nodes": nodes,
+                           "prunes": prunes or {}}) + "\n"
     bodies = {
         "garbage": config + "garbage\n" + done,
         "partial middle line": config + done[:20] + "\n" + done,
@@ -259,11 +319,23 @@ def test_corrupt_checkpoint_is_refused(tmp_path, capsys):
                                                   "image": [0] * 8}) + "\n",
         "not good": config + json.dumps({"kind": "found",
                                          "image": list(range(8))}) + "\n",
+        "prefix outside 0..N-1": config + branch([99], nodes=-5),
+        "negative nodes": config + branch([1], nodes=-5),
+        "negative prune count": config + branch([1], prunes={"2": -7}),
+        "prune size above N": config + branch([1], prunes={"99": 1}),
+        "prune size 0": config + branch([1], prunes={"0": 1}),
+        "repeated branch": config + done + done,
+        "prefix of two values": config + branch([0, 1]),
+        "non-integer prefix": config + branch([True]),
+        "branch outside --symmetry": symmetric + branch([3]),
     }
     for name, body in bodies.items():
         path = tmp_path / "corrupt.ckpt"
         path.write_text(body)
-        assert main(["perm-search", "--n", "8", "--resume", str(path)]) == 2, name
+        argv = ["perm-search", "--n", "8", "--resume", str(path)]
+        if body.startswith(symmetric):
+            argv.append("--symmetry")
+        assert main(argv) == 2, name
         err = capsys.readouterr().err
         assert "precondition violated" in err and "Traceback" not in err, name
         assert path.read_text() == body, name
