@@ -351,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="same exact engine; report how many classes its "
                            "one-prime screen certified nonzero")
     p.add_argument("--no-complement", action="store_true")
-    p.add_argument("--no-shift-classes", action="store_true")
+    p.add_argument("--no-shift-classes", action="store_true",
+                   help="decide every set, not one per affine class")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--override", action="store_true", help="ignore the scan ceiling")
     p.add_argument("--cap", type=int, default=16, help="exemplars kept per size")

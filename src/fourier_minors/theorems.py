@@ -5,16 +5,33 @@ principal minors of F_N.
 
 The scanner decides every nonempty index set.  Two independently toggleable
 reductions accelerate it without changing reported totals: complementary
-sizes mirror each other (r and N-r agree), and translation classes are
-scanned once per orbit and weighted by orbit size.  Counts are always
-full-orbit totals over all subsets.
+sizes mirror each other (r and N-r agree), and affine classes are scanned
+once per orbit and weighted by orbit size.  Counts are always full-orbit
+totals over all subsets.
+
+Lemma (affine invariance).  For a unit u mod N and any c, F[uK + c] is
+singular iff F[K] is.
+- Translation: w^((k+c)(l+c)) = w^(kl) * w^(ck) * w^(cl) * w^(c^2), so
+  F[K + c] is F[K] with rows and columns rescaled by roots of unity, and
+  its determinant is det F[K] times a unit of Z[w].
+- Multiplication: F[uK] = (w^(u^2 kl)) for k, l in K, the image of F[K]
+  under the Galois automorphism w -> w^(u^2) of Q(w) (u^2 is a unit), which
+  sends only 0 to 0.  Sorting uK permutes rows and columns alike, which
+  leaves the determinant unchanged.
+So singularity is constant on the orbits of the affine group
+G = {k -> uk + c}, of order N * phi(N).  The scan decides one
+representative per orbit, the set with the least bitmask sum 2^k, and
+weights it by the orbit size N * phi(N) / |Stab(K)|, where
+Stab(K) = {(u, c) : uK + c = K}.  Candidates stream through the engine in
+chunks of bounded size, so memory does not grow with C(N-1, r-1).
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, replace
-from itertools import combinations
+from math import comb, gcd
 
 import numpy as np
 
@@ -245,7 +262,7 @@ DEFAULT_SCAN_CEILING = 22
 class ScanConfig:
     exact: bool = True
     use_complement: bool = True
-    use_shift_classes: bool = True
+    use_shift_classes: bool = True  # one set per affine class (see the lemma)
     ceiling: int = DEFAULT_SCAN_CEILING
     override: bool = False
     exemplar_cap: int = 16
@@ -272,37 +289,134 @@ class ScanReport:
     wall_time: float
 
 
-def _all_subsets(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    members = np.array(list(combinations(range(n), r)), dtype=np.int64).reshape(-1, r)
-    return members, np.ones(len(members), dtype=np.int64)
+# Candidate sets per chunk of the scan's stream (a chunk holds fewer than
+# twice this many), so the working set does not grow with C(N-1, r-1).
+_CHUNK = 1 << 15
 
 
-def _shift_class_reps(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical translation-class representatives of size r, with orbit sizes.
+def _units(n: int) -> list[int]:
+    return [u for u in range(n) if gcd(u, n) == 1]
 
-    Representatives contain 0 and have the minimal bitmask among the N
-    rotations of the set; weight is the orbit length N / |stabilizer|.
-    Bitmasks are uint64, so N is at most 64.
+
+def _extend(rows: np.ndarray, n: int, k: int, depth: int) -> np.ndarray:
+    """Every continuation, in lexicographic order, of the prefixes `rows`
+    of k-subsets of range(n) to `depth` members.  Column 0 is a sentinel
+    one below the least member allowed; it stays in the result."""
+    for j in range(rows.shape[1] - 1, depth):
+        start = rows[:, -1] + 1
+        count = n - k + j + 1 - start  # member j lies in start .. n-k+j
+        idx = np.repeat(np.arange(len(rows)), count)
+        step = np.arange(len(idx)) - np.repeat(np.cumsum(count) - count, count)
+        rows = np.hstack([rows[idx], (start[idx] + step)[:, None]])
+    return rows
+
+
+def _prefix_groups(n: int, k: int, lo: int) -> list[np.ndarray]:
+    """The k-subsets of range(lo, n) as groups of prefixes, in lexicographic
+    order; `_extend(group, n, k, k)` completes a group to fewer than
+    2 * _CHUNK subsets."""
+    depth = next(d for d in range(k + 1) if comb(n - lo - d, k - d) <= _CHUNK)
+    prefixes = _extend(np.full((1, 1), lo - 1, dtype=np.int64), n, k, depth)
+    completions = np.array([comb(n - 1 - x, k - depth) for x in range(lo - 1, n)])
+    sizes = completions[prefixes[:, -1] - lo + 1]
+    group = (np.cumsum(sizes) - sizes) // _CHUNK
+    return np.split(prefixes, np.flatnonzero(np.diff(group)) + 1)
+
+
+def _masks(members: np.ndarray) -> np.ndarray:
+    """Bitmask sum 2^k over the members on the last axis (uint64, so N <= 64)."""
+    return np.bitwise_or.reduce(np.uint64(1) << members.astype(np.uint64, copy=False), axis=-1)
+
+
+def _affine_reps(n: int, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of `members` (sorted sets containing 0) whose bitmask is
+    least in their affine orbit, with the orbit sizes N * phi(N) / |Stab|.
+
+    The least translate of a set contains 0, so the least translate of uK is
+    one of the r translates of uK that take a member to 0, and a (u, c)
+    fixing K takes the member -c of uK to 0: counting those translates
+    equal to K over every unit u counts Stab(K).  A translate taking x to 0
+    has largest member N - g, g the cyclic gap below x, so K can only be
+    least if no gap of K is wider than its last, N - max K.  The units go
+    in batches of doubling size, each batch on the rows that survived the
+    last.
     """
-    if n > 64:
-        raise PreconditionError(f"translation classes need N <= 64, got {n}")
-    if r == 1:
-        return np.zeros((1, 1), dtype=np.int64), np.array([n], dtype=np.int64)
-    tail = np.array(list(combinations(range(1, n), r - 1)), dtype=np.int64).reshape(-1, r - 1)
-    members = np.hstack([np.zeros((len(tail), 1), dtype=np.int64), tail])
-    masks = np.bitwise_or.reduce(
-        np.left_shift(np.uint64(1), members.astype(np.uint64)), axis=1
-    )
+    if members.shape[1] > 1:
+        members = members[np.diff(members, axis=1).max(axis=1) <= n - members[:, -1]]
+    masks = _masks(members)
+    stab = np.zeros(len(masks), dtype=np.int64)
     full = np.uint64((1 << n) - 1)
-    best = masks.copy()
-    stab = np.ones(len(masks), dtype=np.int64)
-    for c in range(1, n):
-        rot = ((masks >> np.uint64(c)) | (masks << np.uint64(n - c))) & full
-        np.minimum(best, rot, out=best)
-        stab += rot == masks
-    keep = masks == best
-    weights = (n // stab[keep]).astype(np.int64)
-    return members[keep], weights
+    units = _units(n)
+    done = 0
+    while done < len(units):
+        batch = np.array(units[done:max(1, 2 * done)], dtype=np.int64)[:, None, None]
+        done += len(batch)
+        x = (members * batch % n).astype(np.uint64)
+        umasks = _masks(x)[:, :, None]
+        # the translates by -x, in two left shifts so none reaches 64 bits
+        rots = ((umasks >> x) | (umasks << (np.uint64(n - 1) - x) << np.uint64(1))) & full
+        least = masks[:, None]
+        keep = (rots >= least).all(axis=(0, 2))
+        stab = (stab + (rots == least).sum(axis=(0, 2)))[keep]
+        members, masks = members[keep], masks[keep]
+    return members, n * len(units) // stab
+
+
+def _exemplar_keys(n: int, sets: np.ndarray, classes: bool) -> np.ndarray:
+    """The distinct keys, ascending, of `sets` or, with `classes`, of every
+    set in their affine orbits.  Member k sets bit N-1-k of a key, so among
+    sets of one size the lexicographically first have the largest keys."""
+    if classes:
+        units = np.array(_units(n))[:, None, None]
+        sets = (sets[:, None, None, :] * units + np.arange(n)[:, None]) % n
+        sets = sets.reshape(-1, sets.shape[-1])
+    return np.unique(_masks(n - 1 - sets))
+
+
+def _last(keys: np.ndarray, cap: int) -> np.ndarray:
+    return keys[max(len(keys) - cap, 0):]
+
+
+def _key_sets(n: int, keys: np.ndarray) -> list[tuple[int, ...]]:
+    """The sets of ascending `keys`, in lexicographic order."""
+    return [tuple(k for k in range(n) if key >> (n - 1 - k) & 1)
+            for key in reversed(keys.tolist())]
+
+
+def _scan_chunk(task: tuple) -> tuple[int, int, int, np.ndarray, int]:
+    """(r, classes tested, singular sets, exemplar keys, screen hits) of
+    one chunk of the scan: a group of prefixes of size-r candidates."""
+    n, r, classes, exact, cap, prefixes = task
+    if classes:
+        # candidates are {0} plus (r-1)-subsets of 1..N-1; 0 is the sentinel
+        members, weights = _affine_reps(n, _extend(prefixes, n, r - 1, r - 1))
+    else:
+        members = _extend(prefixes, n, r, r)[:, 1:]
+        weights = np.ones(len(members), dtype=np.int64)
+    flags, hits = _judge_members(ring_new(n), members, exact)
+    keys = _last(_exemplar_keys(n, members[flags], classes), cap)
+    return r, len(members), int(weights[flags].sum()), keys, hits
+
+
+def _map_chunks(tasks, jobs: int):
+    """`_scan_chunk` over `tasks`, results in task order.  jobs > 1 runs
+    the chunks in one pool of spawned worker processes per scan, with at
+    most 2 * jobs chunks submitted ahead of the one being read."""
+    if jobs <= 1:
+        yield from map(_scan_chunk, tasks)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
+        window: deque = deque()
+        for task in tasks:
+            window.append(pool.submit(_scan_chunk, task))
+            if len(window) > 2 * jobs:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
 
 
 def _judge_members(ring: CycRing, members: np.ndarray, exact: bool) -> tuple[np.ndarray, int]:
@@ -312,18 +426,6 @@ def _judge_members(ring: CycRing, members: np.ndarray, exact: bool) -> tuple[np.
     return flags, 0 if exact else screened
 
 
-def _judge_worker(args: tuple[int, np.ndarray, bool]) -> tuple[np.ndarray, int]:
-    modulus, members, exact = args
-    return _judge_members(ring_new(modulus), members, exact)
-
-
-def _orbit_sets(n: int, rows: np.ndarray, cap: int) -> list[tuple[int, ...]]:
-    """The first `cap` distinct translates of the (F, r) sets `rows`, sorted."""
-    shifted = np.sort((rows[:, None, :] + np.arange(n)[:, None]) % n, axis=2)
-    sets = np.unique(shifted.reshape(-1, rows.shape[1]), axis=0)[:cap]
-    return [tuple(s) for s in sets.tolist()]
-
-
 def scan_all(modulus: int, config: ScanConfig | None = None, **kwargs) -> ScanReport:
     """Decide singularity of every nonempty principal index set of F_N."""
     if config is None:
@@ -331,14 +433,13 @@ def scan_all(modulus: int, config: ScanConfig | None = None, **kwargs) -> ScanRe
     elif kwargs:
         config = replace(config, **kwargs)
     n = modulus
-    if n < 1:
-        raise PreconditionError("need modulus >= 1")
+    if not 1 <= n <= 64:
+        raise PreconditionError(f"the scan needs 1 <= N <= 64, got {n}")
     if n > config.ceiling and not config.override:
         raise PreconditionError(
             f"modulus {n} exceeds the scan ceiling {config.ceiling}; pass override"
         )
     start = time.perf_counter()
-    ring = ring_new(n)
     counts = {r: 0 for r in range(1, n + 1)}
     exemplars: dict[int, list[tuple[int, ...]]] = {r: [] for r in range(1, n + 1)}
     classes_tested = 0
@@ -349,21 +450,20 @@ def scan_all(modulus: int, config: ScanConfig | None = None, **kwargs) -> ScanRe
     else:
         sizes = list(range(1, n + 1))
 
-    for r in sizes:
-        if config.use_shift_classes:
-            members, weights = _shift_class_reps(n, r)
-        else:
-            members, weights = _all_subsets(n, r)
-        classes_tested += len(members)
-        flags, hits = _run_judgments(ring, members, config)
+    classes, cap = config.use_shift_classes, config.exemplar_cap
+    tasks = (
+        (n, r, classes, config.exact, cap, prefixes)
+        for r in sizes
+        for prefixes in (_prefix_groups(n, r - 1, 1) if classes else _prefix_groups(n, r, 0))
+    )
+    keys = {r: np.zeros(0, dtype=np.uint64) for r in sizes}
+    for r, tested, count, found, hits in _map_chunks(tasks, config.jobs):
+        classes_tested += tested
         prefilter_hits += hits
-        counts[r] = int(weights[flags].sum())
-        if flags.any():
-            if config.use_shift_classes:
-                exemplars[r] = _orbit_sets(n, members[flags], config.exemplar_cap)
-            else:
-                sets = sorted(tuple(int(x) for x in row) for row in members[flags])
-                exemplars[r] = sets[: config.exemplar_cap]
+        counts[r] += count
+        keys[r] = _last(np.union1d(keys[r], found), cap)
+    for r in sizes:
+        exemplars[r] = _key_sets(n, keys[r])
 
     if config.use_complement:
         # counts[N] mirrors the empty set, whose principal matrix is the
@@ -390,19 +490,3 @@ def scan_all(modulus: int, config: ScanConfig | None = None, **kwargs) -> ScanRe
         prefilter_hits=prefilter_hits,
         wall_time=time.perf_counter() - start,
     )
-
-
-def _run_judgments(
-    ring: CycRing, members: np.ndarray, config: ScanConfig
-) -> tuple[np.ndarray, int]:
-    if config.jobs <= 1 or len(members) < 4096:
-        return _judge_members(ring, members, config.exact)
-    chunks = np.array_split(members, config.jobs * 4)
-    args = [(ring.modulus, chunk, config.exact) for chunk in chunks if len(chunk)]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-        results = list(pool.map(_judge_worker, args))
-    flags = np.concatenate([f for f, _ in results]) if results else np.zeros(0, dtype=bool)
-    hits = sum(h for _, h in results)
-    return flags, hits

@@ -280,6 +280,28 @@ def test_resume_after_find_reports_first_run_work(tmp_path):
         assert resumed.prune_counts == first.prune_counts
 
 
+def test_each_find_is_verified_once(tmp_path, monkeypatch):
+    # a fresh find is checked in full at its leaf only; a find read back from
+    # a checkpoint is checked once, before it is reported
+    from fourier_minors import search
+
+    calls = []
+
+    def counting(modulus, sigma):
+        calls.append(tuple(sigma))
+        return is_good_permutation(modulus, sigma)
+
+    monkeypatch.setattr(search, "is_good_permutation", counting)
+    for n in (9, 10, 11, 12):
+        path = tmp_path / f"n{n}.ckpt"
+        calls.clear()
+        fresh = find_good_permutation(SearchConfig(n, checkpoint_path=str(path)))
+        assert calls == [fresh.found.image], n
+        calls.clear()
+        resumed = find_good_permutation(SearchConfig(n, checkpoint_path=str(path)))
+        assert resumed.found == fresh.found and calls == [fresh.found.image], n
+
+
 def test_truncated_checkpoint_line_resumes_cleanly(tmp_path):
     whole = find_good_permutation(SearchConfig(8))
     path = tmp_path / "cut.ckpt"

@@ -1,12 +1,17 @@
+from itertools import combinations
+from math import comb, gcd
+
+import numpy as np
 import pytest
 
 from fourier_minors import (IndexSet, PreconditionError, build_witness,
                             is_singular, is_square_free, ring_new, scan_all,
                             smallest_square_factor, verify_theorem1,
                             witness_sweep)
+from fourier_minors import theorems
 from fourier_minors.theorems import (CASE_COMPLEMENTED, CASE_P2_EVEN,
                                      CASE_PGE3_BLOCKS, CASE_PGE3_SMALL_R,
-                                     ScanConfig, _shift_class_reps)
+                                     ScanConfig)
 
 from conftest import cached_scan, full_singularity_map
 
@@ -252,52 +257,140 @@ def test_scan_ceiling_guard():
     assert scan_all(4, ceiling=3, override=True).counts[2] == 2
 
 
-def test_scan_parallel_matches_serial():
-    serial = scan_all(14)
-    parallel = scan_all(14, jobs=2)
-    assert serial.counts == parallel.counts
-    assert serial.exemplars == parallel.exemplars
+def test_scan_parallel_matches_serial(monkeypatch):
+    # small chunks give many more tasks than the window of 2 * jobs, and
+    # a counting executor shows that one pool ran every chunk
+    from concurrent import futures
+
+    pools, submits = [], []
+
+    class CountingPool(futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+        def submit(self, fn, task):
+            submits.append(task[1])  # the size r of the chunk
+            return super().submit(fn, task)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(theorems, "_CHUNK", 64)
+    for config in (ScanConfig(), ScanConfig(use_shift_classes=False, exact=False)):
+        pools.clear()
+        submits.clear()
+        serial = scan_all(14, config)
+        parallel = scan_all(14, config, jobs=2)
+        assert len(pools) == 1
+        assert len(submits) > 4 and sorted(set(submits)) == list(range(1, 8))
+        assert serial.counts == parallel.counts
+        assert serial.exemplars == parallel.exemplars
+        assert serial.classes_tested == parallel.classes_tested
+        assert serial.prefilter_hits == parallel.prefilter_hits
 
 
-def test_shift_class_reps_cover_all_subsets():
-    # orbit sizes of canonical representatives add up to C(N, r)
-    from math import comb
-    for n in (4, 7, 9, 12, 15):
+def test_scan_chunking_is_transparent(monkeypatch):
+    # chunks of a few candidates give the records of one chunk per size
+    configs = [ScanConfig(exemplar_cap=cap, use_complement=comp, use_shift_classes=shift)
+               for cap in (0, 3, 16) for comp in (True, False) for shift in (True, False)]
+    whole = {(n, c): scan_all(n, c) for n in (12, 13) for c in configs}
+    monkeypatch.setattr(theorems, "_CHUNK", 16)
+    for (n, config), report in whole.items():
+        chunked = scan_all(n, config)
+        assert chunked.counts == report.counts, (n, config)
+        assert chunked.exemplars == report.exemplars, (n, config)
+        assert chunked.classes_tested == report.classes_tested, (n, config)
+
+
+def _units(n):
+    return [u for u in range(n) if gcd(u, n) == 1]
+
+
+def _python_orbit(n, members):
+    """The affine orbit of a set, by plain integer arithmetic."""
+    return {frozenset((u * k + c) % n for k in members)
+            for u in _units(n) for c in range(n)}
+
+
+def _python_stabiliser(n, members):
+    target = frozenset(members)
+    return sum(1 for u in _units(n) for c in range(n)
+               if frozenset((u * k + c) % n for k in members) == target)
+
+
+def _mask(members):
+    return sum(1 << k for k in members)
+
+
+def _class_reps(n, r):
+    """The scan's class representatives of size r and their weights."""
+    parts = [theorems._affine_reps(n, theorems._extend(p, n, r - 1, r - 1))
+             for p in theorems._prefix_groups(n, r - 1, 1)]
+    return (np.vstack([m for m, _ in parts]).tolist(),
+            np.concatenate([w for _, w in parts]).tolist())
+
+
+def _check_reps(n, r):
+    members, weights = _class_reps(n, r)
+    assert sum(weights) == comb(n, r), (n, r)
+    for row, weight in zip(members, weights):
+        orbit = _python_orbit(n, row)
+        assert row[0] == 0 and row == sorted(row)
+        assert _mask(row) == min(_mask(s) for s in orbit), (n, row)
+        assert weight == len(orbit) == n * len(_units(n)) // _python_stabiliser(n, row)
+    # each representative is least in its orbit, so the orbits are distinct
+    assert len({tuple(row) for row in members}) == len(members)
+
+
+def test_affine_class_reps_cover_all_subsets():
+    # weights add up to C(N, r), and each representative is the least mask
+    # of its orbit with weight N * phi / |Stab|, against plain Python orbits
+    for n in (1, 2, 4, 7, 9, 12, 15):
         for r in range(1, n + 1):
-            members, weights = _shift_class_reps(n, r)
-            assert int(weights.sum()) == comb(n, r), (n, r)
-            for row in members:
-                assert row[0] == 0
+            _check_reps(n, r)
 
 
-def test_shift_class_reps_up_to_64_match_python_rotations():
-    # the uint64 rotation filter against plain integer rotations
-    from math import comb
-    for n in (33, 40, 63, 64):
-        members, weights = _shift_class_reps(n, 3)
-        assert int(weights.sum()) == comb(n, 3)
-        full = (1 << n) - 1
-        for row, weight in zip(members.tolist(), weights.tolist()):
-            mask = sum(1 << k for k in row)
-            rots = [((mask >> c) | (mask << (n - c))) & full for c in range(n)]
-            assert min(rots) == mask and weight == n // rots.count(mask)
-    with pytest.raises(PreconditionError):
-        _shift_class_reps(65, 2)
+def test_affine_class_reps_up_to_64_match_python_orbits(monkeypatch):
+    # the uint64 masks and translates against Python integers, up to bit 63,
+    # in several chunks per size
+    monkeypatch.setattr(theorems, "_CHUNK", 500)
+    for n, r in ((33, 5), (40, 3), (63, 3), (64, 1), (64, 2), (64, 3), (64, 63)):
+        _check_reps(n, r)
+    for shift in (True, False):
+        with pytest.raises(PreconditionError):
+            scan_all(65, override=True, use_shift_classes=shift)
 
 
 def test_orbit_exemplars_match_python_orbits(rng):
-    import numpy as np
-    from fourier_minors.theorems import _orbit_sets
-    for n, r in ((6, 2), (12, 4), (16, 8), (18, 9)):
+    for n, r in ((6, 2), (12, 4), (16, 8), (18, 9), (64, 5)):
         rows = np.array([[0] + sorted(rng.sample(range(1, n), r - 1)) for _ in range(7)])
-        sets = {tuple(sorted((x + c) % n for x in row)) for row in rows.tolist()
-                for c in range(n)}
-        for cap in (1, 16, 10 ** 6):
-            assert _orbit_sets(n, rows, cap) == sorted(sets)[:cap]
+        orbits = sorted({tuple(sorted(s)) for row in rows.tolist()
+                         for s in _python_orbit(n, row)})
+        plain = sorted({tuple(row) for row in rows.tolist()})
+        for cap in (0, 1, 16, 10 ** 6):
+            for classes, expected in ((True, orbits), (False, plain)):
+                keys = theorems._exemplar_keys(n, rows, classes)
+                sets = theorems._key_sets(n, theorems._last(keys, cap))
+                assert sets == expected[:cap], (n, r, cap, classes)
 
 
 def test_scan_classes_tested_counts_representatives():
-    report = scan_all(6)
-    assert report.classes_tested == sum(
-        len(_shift_class_reps(6, r)[0]) for r in range(1, 4)
-    )
+    # one decided set per affine orbit, or every set without the reduction
+    for n in (6, 9, 12):
+        orbits = {frozenset(_python_orbit(n, s)) for r in range(1, n + 1)
+                  for s in combinations(range(n), r)}
+        sizes = {o: len(next(iter(o))) for o in orbits}
+        assert scan_all(n).classes_tested == sum(1 for s in sizes.values() if s <= n // 2)
+        assert scan_all(n, use_complement=False).classes_tested == len(orbits)
+        assert scan_all(n, use_shift_classes=False).classes_tested == sum(
+            comb(n, r) for r in range(1, n // 2 + 1))
+
+
+def test_singular_sets_are_closed_under_affine_maps():
+    # the affine-invariance lemma of the theorems docstring, by brute force
+    for n in (8, 9, 12):
+        flags = full_singularity_map(n)
+        for mask, singular in flags.items():
+            members = [k for k in range(n) if mask >> k & 1]
+            for image in _python_orbit(n, members):
+                assert flags[_mask(image)] == singular, (n, members, sorted(image))
+        assert any(flags.values())
