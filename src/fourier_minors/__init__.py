@@ -4,10 +4,8 @@ __version__ = "0.1.0"
 
 from .cyclotomic import CycElem, CycRing, cyclotomic_polynomial, ring_new
 from .errors import PreconditionError
-from .minors import (IndexSet, MinorRecord, complement, det_2x2_formula,
-                     det_3x3_formula, det_exact, index_reduce, is_singular,
-                     minor_record, shift_identity_check, singular_3x3_condition,
-                     submatrix)
+from .minors import (IndexSet, MinorRecord, complement, det_exact, is_singular,
+                     minor_record, submatrix)
 from .search import (Permutation, SearchConfig, SearchOutcome,
                      enumerate_good_permutations, find_good_permutation,
                      is_good_permutation)
@@ -18,10 +16,8 @@ from .theorems import (ScanConfig, ScanReport, Theorem1Report, WitnessPlan,
 __all__ = [
     "CycElem", "CycRing", "cyclotomic_polynomial", "ring_new",
     "PreconditionError",
-    "IndexSet", "MinorRecord", "complement", "det_2x2_formula",
-    "det_3x3_formula", "det_exact", "index_reduce", "is_singular",
-    "minor_record", "shift_identity_check", "singular_3x3_condition",
-    "submatrix",
+    "IndexSet", "MinorRecord", "complement", "det_exact", "is_singular",
+    "minor_record", "submatrix",
     "Permutation", "SearchConfig", "SearchOutcome",
     "enumerate_good_permutations", "find_good_permutation",
     "is_good_permutation",

@@ -18,7 +18,6 @@ the package uses them.
 from __future__ import annotations
 
 import math
-import threading
 from functools import lru_cache
 
 import numpy as np
@@ -36,8 +35,8 @@ _EPS = 2.0 ** -52
 # float64 and `approx_complex` abstains.
 _FLOAT_SAFE = 2 ** 52
 
-# numpy int64 mirrors of the power tables are only built when every entry
-# fits comfortably, leaving headroom for the batched determinant kernel.
+# The int64 power table is only built when every entry fits comfortably,
+# leaving headroom for the batched determinant kernel.
 _NP_TABLE_LIMIT = 2 ** 40
 
 
@@ -122,11 +121,13 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 class CycRing:
-    """Ring context for a fixed modulus N: Phi_N plus reduction tables.
+    """Ring context for a fixed modulus N: Phi_N plus its power table.
 
-    Immutable after construction (the lazily grown power table is
-    append-only and idempotent), so instances may be shared freely across
-    threads and processes.
+    The table of x^j mod Phi_N (`np_tables`) is the only source of
+    reduction: arrays reduce through it in `reduce`, scalars through its
+    Python rows in `element`.  Its caches are filled on first use and
+    never change after (threads racing on first use build equal copies),
+    so instances may be shared freely across threads and processes.
     """
 
     def __init__(self, modulus: int, *, max_modulus: int = DEFAULT_MAX_MODULUS) -> None:
@@ -139,13 +140,9 @@ class CycRing:
         self.modulus = modulus
         self.phi_poly: tuple[int, ...] = cyclotomic_polynomial(modulus)
         self.totient: int = len(self.phi_poly) - 1
-        # x^totient reduced: the negated tail of the monic Phi_N.
-        self._head: tuple[int, ...] = tuple(-c for c in self.phi_poly[:-1])
-        e0 = [0] * self.totient
-        e0[0] = 1
-        self._pow_rows: list[tuple[int, ...]] = [tuple(e0)]
-        self._grow_lock = threading.Lock()
-        self._np_cache: tuple[np.ndarray, np.ndarray] | None | str = "unset"
+        self._table: np.ndarray | None = None
+        self._max_coeff = 0  # max_j max|coeff(x^j)|, set with the table
+        self._rows: list[tuple[int, ...]] | None = None
         self._float_roots: np.ndarray | None = None
 
     def __repr__(self) -> str:
@@ -157,34 +154,6 @@ class CycRing:
     def __hash__(self) -> int:
         return hash(("CycRing", self.modulus))
 
-    def _pow_row(self, j: int) -> tuple[int, ...]:
-        """Canonical coefficients of x^j mod Phi_N, for any j >= 0.
-
-        The memo grows append-only; reads of already-present rows are
-        lock-free, growth is serialized.
-        """
-        rows = self._pow_rows
-        if j < len(rows):
-            return rows[j]
-        phi = self.totient
-        with self._grow_lock:
-            while len(rows) <= j:
-                cur = rows[-1]
-                lead = cur[-1]
-                nxt = [0] + list(cur[:-1])
-                if lead:
-                    head = self._head
-                    for i in range(phi):
-                        nxt[i] += lead * head[i]
-                rows.append(tuple(nxt))
-        return rows[j]
-
-    @property
-    def reduction_table(self) -> tuple[tuple[int, ...], ...]:
-        """x^j mod Phi_N for j = totient .. 2*totient - 2 (product reduction)."""
-        phi = self.totient
-        return tuple(self._pow_row(j) for j in range(phi, 2 * phi - 1))
-
     def zero(self) -> CycElem:
         return CycElem(self, (0,) * self.totient)
 
@@ -192,29 +161,48 @@ class CycRing:
         return self.from_int(1)
 
     def from_int(self, value: int) -> CycElem:
-        coeffs = [0] * self.totient
-        coeffs[0] = value
-        return CycElem(self, tuple(coeffs))
+        return self.element([value])
+
+    def _power_rows(self) -> list[tuple[int, ...]]:
+        """The power table as Python ints, for scalar arithmetic."""
+        if self._rows is None:
+            self._rows = list(map(tuple, self.np_tables().tolist()))
+        return self._rows
 
     def element(self, coeffs) -> CycElem:
         """Element from power-basis coefficients (padded, reduced if long)."""
         coeffs = [int(c) for c in coeffs]
+        return self._fold(coeffs + [0] * (self.totient - len(coeffs)))
+
+    def _fold(self, coeffs: list[int]) -> CycElem:
+        """The element sum_j coeffs[j] * w^j, len(coeffs) >= phi: the
+        coefficient of x^j folds in through row j mod N of the power table,
+        since x^N = 1 mod Phi_N."""
         phi = self.totient
-        if len(coeffs) <= phi:
-            coeffs += [0] * (phi - len(coeffs))
-            return CycElem(self, tuple(coeffs))
         out = coeffs[:phi]
-        for j in range(phi, len(coeffs)):
-            c = coeffs[j]
-            if c:
-                row = self._pow_row(j)
-                for i in range(phi):
-                    out[i] += c * row[i]
+        if len(coeffs) > phi:
+            rows, n = self._power_rows(), self.modulus
+            for j in range(phi, len(coeffs)):
+                c = coeffs[j]
+                if c:
+                    row = rows[j % n]
+                    for i in range(phi):
+                        out[i] += c * row[i]
         return CycElem(self, tuple(out))
 
     def root_power(self, exponent: int) -> CycElem:
         """w^exponent (exponent taken mod N)."""
-        return CycElem(self, self._pow_row(exponent % self.modulus))
+        return CycElem(self, self._power_rows()[exponent % self.modulus])
+
+    def reduce(self, raw: np.ndarray, weight: int) -> np.ndarray:
+        """Canonical (B, phi) coefficients of raw (B, N) vectors of
+        Z[x]/(x^N - 1) whose absolute entry sums are at most `weight`:
+        int64 while weight * max|coeff(x^j)| < 2^62, Python ints (dtype
+        object) past it."""
+        table = self.np_tables()
+        small = weight * self._max_coeff < 2 ** 62
+        raw = raw.astype(np.int64 if small else object, copy=False)
+        return raw[:, :self.totient] + raw[:, self.totient:] @ table[self.totient:]
 
     @property
     def float_roots(self) -> np.ndarray:
@@ -228,34 +216,38 @@ class CycRing:
             self._float_roots = np.array(vals, dtype=np.complex128)
         return self._float_roots
 
-    def np_tables(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """int64 mirrors: (power table (N, phi), high-power reduction (N-phi, phi)).
+    def np_tables(self) -> np.ndarray:
+        """The read-only int64 power table, shape (N, phi): row j holds the
+        canonical coefficients of x^j mod Phi_N, j = 0 .. N-1.
 
-        Returns None when some table entry is too large for safe int64 use;
-        callers must then stay on the arbitrary-precision path.  Built by the
-        recurrence x^(j+1) = x * x^j: shift up one degree and fold the
-        leading coefficient back through x^phi = head.  An entry grows by at
-        most |lead| * max|head| per step, so while every lead stays within
-        the limit no entry can overflow before the final check.
+        Built by the recurrence x^(j+1) = x * x^j: shift up one degree and
+        fold the leading coefficient back through x^phi = -(Phi_N - x^phi).
+        An entry grows by at most |lead| * max|head| per step, so while
+        every lead stays within _NP_TABLE_LIMIT no entry can overflow before
+        the final check.  Raises PreconditionError when an entry exceeds
+        the limit.
         """
-        if isinstance(self._np_cache, str):
-            self._np_cache = None  # unless the build below succeeds
+        if self._table is None:
             n, phi = self.modulus, self.totient
-            head = np.array(self._head, dtype=np.int64)
+            head = -np.array(self.phi_poly[:-1], dtype=np.int64)
             if n * int(np.abs(head).max()) * _NP_TABLE_LIMIT >= 2 ** 62:
-                return None
+                raise PreconditionError(f"Phi_{n} is too large for an int64 power table")
             full = np.zeros((n, phi), dtype=np.int64)
             full[0, 0] = 1
             for j in range(n - 1):
                 lead = int(full[j, -1])
+                if abs(lead) > _NP_TABLE_LIMIT:
+                    break  # the bound check below refuses the table
                 full[j + 1, 1:] = full[j, :-1]
                 if lead:
-                    if abs(lead) > _NP_TABLE_LIMIT:
-                        return None
                     full[j + 1] += lead * head
-            if max(int(full.max()), -int(full.min())) <= _NP_TABLE_LIMIT:
-                self._np_cache = (full, full[phi:])
-        return self._np_cache
+            bound = max(int(full.max()), -int(full.min()))
+            if bound > _NP_TABLE_LIMIT:
+                raise PreconditionError(f"x^j mod Phi_{n} outgrows the int64 power table")
+            full.flags.writeable = False
+            self._max_coeff = bound  # before the table, which marks it set
+            self._table = full
+        return self._table
 
 
 @lru_cache(maxsize=None)
@@ -316,35 +308,15 @@ class CycElem:
         if isinstance(other, int):
             return CycElem(self.ring, tuple(other * a for a in self.coeffs))
         self._check(other)
-        phi = self.ring.totient
         a, b = self.coeffs, other.coeffs
-        conv = [0] * (2 * phi - 1)
+        conv = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     conv[i + j] += ai * bj
-        out = conv[:phi]
-        for j in range(phi, 2 * phi - 1):
-            c = conv[j]
-            if c:
-                row = self.ring._pow_row(j)
-                for i in range(phi):
-                    out[i] += c * row[i]
-        return CycElem(self.ring, tuple(out))
+        return self.ring._fold(conv)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> CycElem:
-        if n < 0:
-            raise ValueError("negative powers are not defined in Z[w]")
-        out = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)

@@ -1,5 +1,4 @@
-"""Index sets, exact principal minors, closed small-minor forms, and the
-two singularity-preserving reductions (translation and complementation).
+"""Index sets, complementation, and exact principal minors.
 
 `det_exact` works over arbitrary ring elements (memoized Laplace expansion,
 no division); it is kept as an independent oracle.  Singularity tests and
@@ -83,18 +82,6 @@ def complement(k: IndexSet) -> IndexSet:
     return IndexSet(k.modulus, tuple(i for i in range(k.modulus) if i not in present))
 
 
-def index_reduce(k: IndexSet) -> IndexSet:
-    """Translate so the smallest member becomes 0 (differences mod N)."""
-    if len(k) == 0:
-        raise PreconditionError("cannot reduce an empty index set")
-    base = k.members[0]
-    return IndexSet.of(k.modulus, ((x - base) % k.modulus for x in k.members))
-
-
-def shift(k: IndexSet, c: int) -> IndexSet:
-    return IndexSet.of(k.modulus, ((x + c) % k.modulus for x in k.members))
-
-
 def exponent_matrix(rows: IndexSet, cols: IndexSet) -> np.ndarray:
     r = np.array(rows.members, dtype=np.int64)
     c = np.array(cols.members, dtype=np.int64)
@@ -145,54 +132,6 @@ def is_singular(ring: CycRing, k: IndexSet) -> bool:
     if len(k) == 0:
         raise PreconditionError("singularity of the empty set is not defined")
     return bool(powerdet.zero_flags(ring, exponent_matrix(k, k)[None, :, :])[0][0])
-
-
-def det_2x2_formula(ring: CycRing, a: int) -> CycElem:
-    """Closed form for the minor on {0, a}: w^(a^2) - 1."""
-    if not 0 < a <= ring.modulus - 1:
-        raise PreconditionError("need 0 < a <= N-1")
-    return ring.root_power(a * a) - ring.one()
-
-
-def det_3x3_formula(ring: CycRing, a: int, b: int) -> CycElem:
-    """Closed form for the minor on {0, a, b}:
-    (w^(a^2) - 1)(w^(b^2) - 1) - (w^(ab) - 1)^2.
-    """
-    if not 0 < a < b <= ring.modulus - 1:
-        raise PreconditionError("need 0 < a < b <= N-1")
-    one = ring.one()
-    return (ring.root_power(a * a) - one) * (ring.root_power(b * b) - one) \
-        - (ring.root_power(a * b) - one) ** 2
-
-
-def singular_3x3_condition(ring: CycRing, a: int, b: int) -> bool:
-    """Whether (w^(a^2) - 1)(w^(b^2) - 1) equals (w^(ab) - 1)^2."""
-    if not 0 < a < b <= ring.modulus - 1:
-        raise PreconditionError("need 0 < a < b <= N-1")
-    one = ring.one()
-    lhs = (ring.root_power(a * a) - one) * (ring.root_power(b * b) - one)
-    rhs = (ring.root_power(a * b) - one) ** 2
-    return lhs == rhs
-
-
-SHIFT_CHECK_MAX = 8
-
-
-def shift_identity_check(ring: CycRing, k: IndexSet) -> bool:
-    """Verify det F[K] = w^(a1*(-r*a1 + 2*sum(K))) * det F[L], L = K - a1.
-
-    Exact check of the translation identity behind `index_reduce`, at test
-    scale (|K| <= 8).
-    """
-    r = len(k)
-    if not 1 <= r <= SHIFT_CHECK_MAX:
-        raise PreconditionError(f"need 1 <= |K| <= {SHIFT_CHECK_MAX}")
-    lhs = det_exact(submatrix(ring, k, k))
-    reduced = index_reduce(k)
-    a1 = k.members[0]
-    exponent = a1 * (-r * a1 + 2 * sum(k.members))
-    rhs = ring.root_power(exponent) * det_exact(submatrix(ring, reduced, reduced))
-    return lhs == rhs
 
 
 def minor_record(ring: CycRing, k: IndexSet) -> MinorRecord:

@@ -21,9 +21,10 @@ Hence the two uses of the evaluation primitive `_evaluate`:
   nonzero in Z[w] (`nonzero_screen`);
 - coefficients: the values at all N roots, inverse-transformed mod p and
   combined by CRT over primes whose product exceeds 2 * r!, give the raw
-  vector exactly, and reduction mod Phi_N makes it canonical
-  (`det_power_batch`).  A determinant is zero iff every canonical
-  coefficient is 0 (`zero_flags` asks only for the screen's survivors).
+  vector exactly, and reduction mod Phi_N through the ring's power table
+  makes it canonical (`det_power_batch`, `CycRing.reduce`).  A
+  determinant is zero iff every canonical coefficient is 0 (`zero_flags`
+  asks only for the screen's survivors).
 
 Determinants mod p come from batched, division-free Gaussian elimination
 in numpy int64, the batch on the last axis: with p < 2^31 every product of
@@ -50,9 +51,6 @@ from .cyclotomic import CycElem, CycRing, ROOT_ERROR, _EPS, divisors
 PRIME_LIMIT = 2 ** 31
 # Working-set cap of one batched elimination; larger batches are chunked.
 _BATCH_BYTES = 16 * 2 ** 20
-# Canonical coefficients are computed in int64 while r! * max|coeff(w^j)|
-# stays below this.
-_INT64_SAFE = 2 ** 62
 # The float twin's subset expansion holds C(r, r/2) states per matrix.
 _APPROX_MAX_R = 16
 
@@ -218,26 +216,6 @@ def _crt_symmetric(residues: list[np.ndarray], primes: list[int]) -> np.ndarray:
     return np.where(x > m // 2, x - m, x)
 
 
-@lru_cache(maxsize=None)
-def _max_power_coeff(ring: CycRing) -> int | None:
-    """max_j max|coeff(w^j)|, or None without int64 tables."""
-    tables = ring.np_tables()
-    return None if tables is None else max(int(tables[0].max()), -int(tables[0].min()))
-
-
-def reduce_raw(ring: CycRing, raw: np.ndarray) -> np.ndarray:
-    """Canonical (B, phi) coefficients from raw (B, N) vectors mod x^N - 1."""
-    phi = ring.totient
-    tables = ring.np_tables()
-    if tables is None:
-        raise ValueError("reduction table entries too large for int64")
-    red = tables[1]
-    out = raw[:, :phi].astype(np.int64, copy=True)
-    if raw.shape[1] > phi:
-        out += raw[:, phi:] @ red
-    return out
-
-
 def _as_batch(ring: CycRing, exps) -> np.ndarray:
     exps = np.asarray(exps, dtype=np.int64)
     if exps.ndim != 3 or exps.shape[1] != exps.shape[2]:
@@ -262,18 +240,13 @@ def det_power_batch(ring: CycRing, exps) -> np.ndarray:
     r! * max|coeff(w^j)| stays below 2^62, Python ints (dtype object) past it.
     """
     exps = _as_batch(ring, exps)
-    nbatch, r, _ = exps.shape
+    r = exps.shape[1]
     n = ring.modulus
     primes, residues = [], []
     for index in range(_primes_for(n, r)):
         primes.append(field(n, index)[0])
         residues.append(_interpolate(_evaluate(exps, n, index, True), n, index))
-    raw = _crt_symmetric(residues, primes)
-    bound = _max_power_coeff(ring)
-    if bound is not None and factorial(r) * bound < _INT64_SAFE:
-        return reduce_raw(ring, raw.astype(np.int64))
-    return np.array([ring.element(row).coeffs for row in raw.tolist()],
-                    dtype=object).reshape(nbatch, ring.totient)
+    return ring.reduce(_crt_symmetric(residues, primes), factorial(r))
 
 
 def zero_flags(ring: CycRing, exps) -> tuple[np.ndarray, int]:
@@ -290,8 +263,7 @@ def zero_flags(ring: CycRing, exps) -> tuple[np.ndarray, int]:
 
 def det_power_single(ring: CycRing, exps) -> CycElem:
     """Exact determinant of one w-power matrix, as a ring element."""
-    canon = det_power_batch(ring, np.asarray(exps, dtype=np.int64)[None, :, :])[0]
-    return CycElem(ring, tuple(int(c) for c in canon))
+    return ring.element(det_power_batch(ring, np.asarray(exps, dtype=np.int64)[None])[0])
 
 
 @lru_cache(maxsize=None)

@@ -109,7 +109,7 @@ def is_good_permutation(modulus: int, sigma) -> bool:
     perm = sigma if isinstance(sigma, Permutation) else Permutation(modulus, tuple(sigma))
     ring = ring_new(modulus)
     image = np.array(perm.image, dtype=np.int64)
-    for r in range(1, modulus + 1):
+    for r in range(2, modulus + 1):  # a 1x1 minor is a power of w
         rows = np.array(list(combinations(range(modulus), r)), dtype=np.int64).reshape(-1, r)
         if powerdet.zero_flags(ring, rows[:, :, None] * image[rows][:, None, :])[0].any():
             return False
@@ -138,7 +138,9 @@ class _SearchState:
         positions once sigma(pos) takes it, or 0 when none vanishes."""
         values = np.setdiff1d(np.arange(self.n), self.img[self.assigned])
         fail = np.zeros(len(values), dtype=np.int64)
-        for s in range(1, len(self.assigned) + 2):
+        if self.on_test is not None:
+            self.on_test((pos,), len(self.assigned))  # w^(pos*v) never vanishes
+        for s in range(2, len(self.assigned) + 2):
             live = np.flatnonzero(fail == 0)
             if not len(live):
                 break

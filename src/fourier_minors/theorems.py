@@ -79,7 +79,7 @@ class Theorem1Report:
     wall_time: float
 
 
-def verify_theorem1(modulus: int, sizes: tuple[int, ...] = (2, 3)) -> Theorem1Report:
+def verify_theorem1(modulus: int) -> Theorem1Report:
     """Check that no 2x2 / 3x3 principal minor vanishes, by the exact engine.
 
     Requires a square-free modulus >= 4.  Only the translated sets {0, a}
@@ -92,9 +92,7 @@ def verify_theorem1(modulus: int, sizes: tuple[int, ...] = (2, 3)) -> Theorem1Re
         raise PreconditionError("need modulus >= 4")
     if not is_square_free(modulus):
         raise PreconditionError(f"{modulus} is not square-free")
-    sizes = tuple(sorted(set(sizes)))
-    if not sizes or any(s not in (2, 3) for s in sizes):
-        raise PreconditionError("sizes must be a nonempty subset of {2, 3}")
+    sizes = (2, 3)
 
     ring = ring_new(modulus)
     counterexample: tuple[int, ...] | None = None
@@ -377,6 +375,11 @@ def _last(keys: np.ndarray, cap: int) -> np.ndarray:
     return keys[max(len(keys) - cap, 0):]
 
 
+def _ends(keys: np.ndarray, cap: int) -> np.ndarray:
+    """The `cap` smallest and the `cap` largest of ascending `keys`."""
+    return keys if len(keys) <= 2 * cap else np.concatenate([keys[:cap], _last(keys, cap)])
+
+
 def _key_sets(n: int, keys: np.ndarray) -> list[tuple[int, ...]]:
     """The sets of ascending `keys`, in lexicographic order."""
     return [tuple(k for k in range(n) if key >> (n - 1 - k) & 1)
@@ -394,7 +397,7 @@ def _scan_chunk(task: tuple) -> tuple[int, int, int, np.ndarray, int]:
         members = _extend(prefixes, n, r, r)[:, 1:]
         weights = np.ones(len(members), dtype=np.int64)
     flags, hits = _judge_members(ring_new(n), members, exact)
-    keys = _last(_exemplar_keys(n, members[flags], classes), cap)
+    keys = _ends(_exemplar_keys(n, members[flags], classes), cap)
     return r, len(members), int(weights[flags].sum()), keys, hits
 
 
@@ -461,22 +464,18 @@ def scan_all(modulus: int, config: ScanConfig | None = None, **kwargs) -> ScanRe
         classes_tested += tested
         prefilter_hits += hits
         counts[r] += count
-        keys[r] = _last(np.union1d(keys[r], found), cap)
+        keys[r] = _ends(np.union1d(keys[r], found), cap)
+    full = np.uint64((1 << n) - 1)
     for r in sizes:
-        exemplars[r] = _key_sets(n, keys[r])
-
-    if config.use_complement:
-        # counts[N] mirrors the empty set, whose principal matrix is the
-        # empty product and never singular.
-        for r in sizes:
-            rc = n - r
-            if rc == r or rc < 1:
-                continue
+        exemplars[r] = _key_sets(n, _last(keys[r], cap))
+        rc = n - r
+        if config.use_complement and rc != r:
+            # Complementing reverses the key order among sets of one size,
+            # so the first sets of size N - r are the complements of the
+            # sets of size r with the smallest keys.  counts[N] mirrors the
+            # empty set, whose principal matrix is never singular.
             counts[rc] = counts[r]
-            comp = [
-                tuple(complement(IndexSet.of(n, s)).members) for s in exemplars[r]
-            ]
-            exemplars[rc] = sorted(comp)[: config.exemplar_cap]
+            exemplars[rc] = _key_sets(n, full ^ keys[r][:cap][::-1])
 
     return ScanReport(
         modulus=n,

@@ -1,0 +1,69 @@
+"""Closed small-minor forms and the translation identity, as test oracles.
+
+They work through `CycRing.root_power` and ring arithmetic only, never
+through the batched engine, so they cross-check its verdicts.
+"""
+
+from fourier_minors import IndexSet, PreconditionError, det_exact, submatrix
+
+
+def index_reduce(k: IndexSet) -> IndexSet:
+    """Translate so the smallest member becomes 0 (differences mod N)."""
+    if len(k) == 0:
+        raise PreconditionError("cannot reduce an empty index set")
+    base = k.members[0]
+    return IndexSet.of(k.modulus, ((x - base) % k.modulus for x in k.members))
+
+
+def shift(k: IndexSet, c: int) -> IndexSet:
+    return IndexSet.of(k.modulus, ((x + c) % k.modulus for x in k.members))
+
+
+def det_2x2_formula(ring, a: int):
+    """Closed form for the minor on {0, a}: w^(a^2) - 1."""
+    if not 0 < a <= ring.modulus - 1:
+        raise PreconditionError("need 0 < a <= N-1")
+    return ring.root_power(a * a) - ring.one()
+
+
+def _3x3_terms(ring, a: int, b: int):
+    """((w^(a^2) - 1)(w^(b^2) - 1), (w^(ab) - 1)^2)."""
+    if not 0 < a < b <= ring.modulus - 1:
+        raise PreconditionError("need 0 < a < b <= N-1")
+    one = ring.one()
+    ab = ring.root_power(a * b) - one
+    return (ring.root_power(a * a) - one) * (ring.root_power(b * b) - one), ab * ab
+
+
+def det_3x3_formula(ring, a: int, b: int):
+    """Closed form for the minor on {0, a, b}:
+    (w^(a^2) - 1)(w^(b^2) - 1) - (w^(ab) - 1)^2.
+    """
+    lhs, rhs = _3x3_terms(ring, a, b)
+    return lhs - rhs
+
+
+def singular_3x3_condition(ring, a: int, b: int) -> bool:
+    """Whether (w^(a^2) - 1)(w^(b^2) - 1) equals (w^(ab) - 1)^2."""
+    lhs, rhs = _3x3_terms(ring, a, b)
+    return lhs == rhs
+
+
+SHIFT_CHECK_MAX = 8
+
+
+def shift_identity_check(ring, k: IndexSet) -> bool:
+    """Verify det F[K] = w^(a1*(-r*a1 + 2*sum(K))) * det F[L], L = K - a1.
+
+    Exact check of the translation identity behind `index_reduce`, at test
+    scale (|K| <= 8).
+    """
+    r = len(k)
+    if not 1 <= r <= SHIFT_CHECK_MAX:
+        raise PreconditionError(f"need 1 <= |K| <= {SHIFT_CHECK_MAX}")
+    lhs = det_exact(submatrix(ring, k, k))
+    reduced = index_reduce(k)
+    a1 = k.members[0]
+    exponent = a1 * (-r * a1 + 2 * sum(k.members))
+    rhs = ring.root_power(exponent) * det_exact(submatrix(ring, reduced, reduced))
+    return lhs == rhs

@@ -15,11 +15,12 @@ import pytest
 from fourier_minors import (IndexSet, ScanConfig, SearchConfig,
                             cyclotomic_polynomial, find_good_permutation,
                             is_good_permutation, is_singular, is_square_free,
-                            ring_new, scan_all, shift_identity_check, submatrix,
-                            det_exact, verify_theorem1, witness_sweep)
+                            ring_new, scan_all, submatrix, det_exact,
+                            verify_theorem1, witness_sweep)
 from fourier_minors.cyclotomic import divisors, poly_mul
 
 from conftest import cached_scan, full_singularity_map, leibniz_det
+from oracles import shift_identity_check
 
 
 def report(num, ok, detail, elapsed, limit=None):

@@ -252,3 +252,25 @@ def test_codec_round_trips_edge_shapes():
     assert payload["determinant"] == {"modulus": 9, "totient": 6,
                                       "coeffs": [2**70, -(2**65), 3, 0, 0, 1]}
     assert parse_minor_record(through_json(payload)) == rec
+
+
+def test_perfbench_bindings_exist():
+    # perfbench/tracing.py wraps these attributes by name.  They are only
+    # looked up: Tracer.install would rebind this process's module globals.
+    import importlib
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    bindings = [*tracing.FUNCTIONS,
+                ("cyclotomic", "CycRing.__init__"), ("cyclotomic", "CycRing.np_tables"),
+                ("powerdet", "det_power_batch"), ("powerdet", "approx_det_batch")]
+    assert {mod for mod, _ in bindings} <= set(tracing.MODULES)
+    for mod, attr in bindings:
+        obj = importlib.import_module(f"fourier_minors.{mod}")
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), (mod, attr)

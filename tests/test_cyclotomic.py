@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from fourier_minors import PreconditionError, cyclotomic_polynomial, ring_new
@@ -64,31 +65,43 @@ def test_minimal_polynomial_soundness_up_to_64():
         assert acc.is_zero(), n
 
 
+def _remainders(ring, count):
+    """x^j mod Phi_N for j < count by long division, x^(j+1) from x * x^j."""
+    phi, rem, out = ring.totient, [1], []
+    for _ in range(count):
+        out.append(rem + [0] * (phi - len(rem)))
+        _, rem = poly_divmod_monic([0] + rem, list(ring.phi_poly))
+    return out
+
+
 def test_reduction_table_matches_direct_remainder():
-    for n in (4, 6, 9, 12, 16, 30):
+    # element() and reduce() fold every power x^j, j past N included,
+    # into the long-division remainder of x^j by Phi_N
+    for n in (1, 4, 6, 9, 12, 16, 30):
         ring = ring_new(n)
-        phi = ring.totient
-        table = ring.reduction_table
-        assert len(table) == max(phi - 1, 0)
-        for offset, row in enumerate(table):
-            assert len(row) == phi
-            # independent route: long-division remainder of x^j by Phi_N
-            j = phi + offset
-            x_j = [0] * j + [1]
-            _, rem = poly_divmod_monic(x_j, list(ring.phi_poly))
-            rem = rem + [0] * (phi - len(rem))
-            assert list(row) == rem
+        rems = _remainders(ring, 3 * n)
+        for j, rem in enumerate(rems):
+            assert list(ring.element([0] * j + [1]).coeffs) == rem, (n, j)
+        raw = np.eye(n, dtype=np.int64)
+        assert ring.reduce(raw, 1).tolist() == rems[:n]
+        assert ring.reduce(raw.astype(object) * 2 ** 70, 2 ** 70).tolist() == \
+            [[c * 2 ** 70 for c in rem] for rem in rems[:n]]
 
 
 def test_np_tables_match_python_power_rows():
-    # the numpy recurrence against the arbitrary-precision power rows
-    from fourier_minors.cyclotomic import CycRing
+    # the numpy recurrence against long-division remainders of x^j
     for n in (1, 2, 12, 30, 105, 210, 1155):
-        ring = CycRing(n)
-        power, red = ring.np_tables()
-        rows = [list(ring._pow_row(j)) for j in range(n)]
-        assert power.tolist() == rows
-        assert red.tolist() == rows[ring.totient:]
+        table = CycRing(n).np_tables()
+        assert table.dtype == np.int64
+        assert table.tolist() == _remainders(CycRing(n), n), n
+
+
+def test_np_tables_refuse_oversized_entries(monkeypatch):
+    import fourier_minors.cyclotomic as cyc
+    monkeypatch.setattr(cyc, "_NP_TABLE_LIMIT", 1)
+    with pytest.raises(PreconditionError):
+        CycRing(105).np_tables()  # Phi_105 has the coefficient -2 at x^7
+    assert CycRing(12).np_tables().shape == (12, 4)
 
 
 def test_root_power_examples():

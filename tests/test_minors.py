@@ -1,14 +1,13 @@
 import pytest
 
-from fourier_minors import (IndexSet, PreconditionError, complement,
-                            det_2x2_formula, det_3x3_formula, det_exact,
-                            index_reduce, is_singular, minor_record, ring_new,
-                            shift_identity_check, singular_3x3_condition,
-                            submatrix)
-from fourier_minors.minors import exponent_matrix, shift
+from fourier_minors import (IndexSet, PreconditionError, complement, det_exact,
+                            is_singular, minor_record, ring_new, submatrix)
+from fourier_minors.minors import exponent_matrix
 from fourier_minors import powerdet
 
 from conftest import full_singularity_map
+from oracles import (det_2x2_formula, det_3x3_formula, index_reduce, shift,
+                     shift_identity_check, singular_3x3_condition)
 
 
 def test_index_set_validation():

@@ -79,6 +79,24 @@ def test_incremental_family_covers_power_set():
         assert seen == expected, n
 
 
+def test_engine_never_sees_1x1_minors(monkeypatch):
+    # a 1x1 minor is a power of w; the search and the leaf check skip it
+    import fourier_minors.powerdet as pd
+    sizes = set()
+    real = pd.zero_flags
+
+    def recording(ring, exps):
+        sizes.add(exps.shape[1])
+        return real(ring, exps)
+
+    monkeypatch.setattr(pd, "zero_flags", recording)
+    for order in ("ascending", ORDER_MOST_CONSTRAINED):
+        outcome = find_good_permutation(SearchConfig(9, order=order))
+        assert outcome.found is not None
+    assert is_good_permutation(1, (0,))
+    assert min(sizes) == 2
+
+
 def test_incremental_family_identity_to_8():
     # The family tested at step d (ascending order) is every subset of
     # positions 0..d containing d, independent of the values tried, so the

@@ -14,6 +14,7 @@ from fourier_minors.theorems import (CASE_COMPLEMENTED, CASE_P2_EVEN,
                                      ScanConfig)
 
 from conftest import cached_scan, full_singularity_map
+from oracles import det_3x3_formula
 
 
 def test_is_square_free_examples():
@@ -64,14 +65,12 @@ def test_theorem1_rejects_non_square_free():
 def test_theorem1_verdict_matches_elementwise_formula(rng):
     # the closed form of det{0, a, b}, composed from the int64 power table
     # and through ring arithmetic, and the engine's verdict on the same set
-    from fourier_minors import det_3x3_formula
     for n in (10, 15, 21, 33):
         ring = ring_new(n)
         for _ in range(40):
             a = rng.randrange(1, n - 1)
             b = rng.randrange(a + 1, n)
-            tables = ring.np_tables()
-            power = tables[0]
+            power = ring.np_tables()
             vec = (
                 power[(a * a + b * b) % n]
                 + 2 * power[(a * b) % n]
@@ -202,6 +201,18 @@ def test_scan_reduction_equivalence_to_12():
         only_comp = scan_all(n, ScanConfig(use_shift_classes=False))
         assert only_shift.counts == reduced.counts, n
         assert only_comp.counts == reduced.counts, n
+
+
+def test_complemented_exemplars_are_the_first_sets():
+    # exemplars of sizes above N/2 are the lexicographically first singular
+    # sets of their size, whichever reductions produced them
+    for n in (9, 12, 16):
+        direct = scan_all(n, use_complement=False).exemplars
+        for cap in (0, 3, 16):
+            for classes in (True, False):
+                mirrored = scan_all(n, exemplar_cap=cap, use_shift_classes=classes).exemplars
+                assert mirrored == {r: sets[:cap] for r, sets in direct.items()}, \
+                    (n, cap, classes)
 
 
 def test_scan_counts_match_exhaustive_map():
