@@ -52,6 +52,12 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+@lru_cache(maxsize=None)
+def units(n: int) -> tuple[int, ...]:
+    """The units mod n as 1 .. n, ascending (so 1 comes first)."""
+    return tuple(u for u in range(1, n + 1) if math.gcd(u, n) == 1)
+
+
 def poly_mul(a: list[int], b: list[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):

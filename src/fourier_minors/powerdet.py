@@ -15,16 +15,35 @@ element of order exactly N (F_p^* is cyclic of order p - 1, so one exists).
 - Leibniz writes det(w^(e_ij)) as r! signed powers of w, so its raw vector
   in Z[x]/(x^N - 1) has absolute entry sum at most r!.
 
-Hence the two uses of the evaluation primitive `_evaluate`:
+Lemma (zeros from conjugates).  Let alpha = det(w^(e_ij)) of size r.
+- For p = 1 (mod N), the maps w -> zeta^u, one per unit u mod N, are the
+  phi(N) ring maps Z[w] -> F_p.  Their kernels are the distinct primes of
+  Z[w] above p (p splits completely and is unramified), and the product
+  of those primes is pZ[w].
+- So if alpha maps to 0 under every one of them, for each of several
+  primes p with product M, then alpha lies in every prime above each p,
+  hence in pZ[w] for each p, hence in M*Z[w].
+- If alpha != 0, then alpha = M*beta with beta != 0 in Z[w], and
+  |N(alpha)| = M^phi * |N(beta)| >= M^phi.  But each complex conjugate
+  w -> w^u of alpha is det(w^(u*e_ij)), a determinant of an r x r matrix
+  of roots of unity, of absolute value at most r^(r/2) by Hadamard's
+  bound; so |N(alpha)| <= r^(r*phi/2), and M^2 <= r^r.
+So, over primes whose product M satisfies M^2 > r^r, alpha = 0 iff it
+vanishes at every unit at every one of those primes.  With primes near
+2^31 that takes one prime for r <= 15 and two for 16 <= r <= 26.
+
+The evaluation primitive `_evaluate` has three uses:
 
 - screen: a determinant nonzero at the first prime with w -> zeta is
   nonzero in Z[w] (`nonzero_screen`);
+- zero flags: the screen's survivors are decided by flags-mode
+  elimination at w -> zeta^u for every unit u, one prime at a time, until
+  the primes' product M has M^2 > r^r (`zero_flags`); no coefficient is
+  computed;
 - coefficients: the values at all N roots, inverse-transformed mod p and
   combined by CRT over primes whose product exceeds 2 * r!, give the raw
   vector exactly, and reduction mod Phi_N through the ring's power table
-  makes it canonical (`det_power_batch`, `CycRing.reduce`).  A
-  determinant is zero iff every canonical coefficient is 0 (`zero_flags`
-  asks only for the screen's survivors).
+  makes it canonical (`det_power_batch`, `CycRing.reduce`).
 
 Determinants mod p come from batched, division-free Gaussian elimination
 in numpy int64, the batch on the last axis: with p < 2^31 every product of
@@ -42,11 +61,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, isqrt
 
 import numpy as np
 
-from .cyclotomic import CycElem, CycRing, ROOT_ERROR, _EPS, divisors
+from .cyclotomic import CycElem, CycRing, ROOT_ERROR, _EPS, divisors, units
 
 PRIME_LIMIT = 2 ** 31
 # Working-set cap of one batched elimination; larger batches are chunked.
@@ -107,10 +126,10 @@ def _root_powers(n: int, index: int) -> np.ndarray:
     return out
 
 
-def _primes_for(n: int, r: int) -> int:
-    """How many of field(n, 0), field(n, 1), ... multiply past 2 * r!."""
+def _primes_for(n: int, bound: int) -> int:
+    """How many of field(n, 0), field(n, 1), ... multiply past `bound`."""
     count, prod = 0, 1
-    while prod <= 2 * factorial(r):
+    while prod <= bound:
         prod *= field(n, count)[0]
         count += 1
     return count
@@ -169,26 +188,24 @@ def _eliminate(a: np.ndarray, p: int, values: bool) -> np.ndarray:
     return a[r - 1, r - 1] * _inverse(den, p) % p
 
 
-def _evaluate(exps: np.ndarray, n: int, index: int, values: bool) -> np.ndarray:
-    """With `values`, the (B, N) determinants mod the index-th prime of the
-    w-power matrices `exps` at w -> zeta^k, k = 0 .. N-1; otherwise their
-    (B,) zero flags at w -> zeta.  Runs in byte-capped chunks; exps must be
-    reduced mod n."""
+def _evaluate(exps: np.ndarray, n: int, index: int, values: bool,
+              ks: np.ndarray | None = None) -> np.ndarray:
+    """Determinants mod the index-th prime (`values`) or zero flags of the
+    w-power matrices `exps` at w -> zeta^k: shape (B, len(ks)) over the
+    multipliers `ks`, or (B,) at k = 1 alone when `ks` is None.  Runs in
+    byte-capped chunks; exps must be reduced mod n."""
     pw = _root_powers(n, index)
     p = field(n, index)[0]
     nbatch, r, _ = exps.shape
-    count = n if values else 1
+    count = 1 if ks is None else len(ks)
     chunk = max(1, _BATCH_BYTES // (8 * r * r * count))
     parts = []
     for s in range(0, max(nbatch, 1), chunk):  # an empty batch is one chunk
         e = exps[s:s + chunk].transpose(1, 2, 0)
-        if values:
-            a = pw[(e[..., None] * np.arange(n)) % n].reshape(r, r, -1)
-        else:
-            a = pw[e]
+        a = pw[e] if ks is None else pw[(e[..., None] * ks) % n].reshape(r, r, -1)
         parts.append(_eliminate(a, p, values).reshape(-1, count))
     out = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return out if values else out[:, 0]
+    return out[:, 0] if ks is None else out
 
 
 def _interpolate(vals: np.ndarray, n: int, index: int) -> np.ndarray:
@@ -243,22 +260,32 @@ def det_power_batch(ring: CycRing, exps) -> np.ndarray:
     r = exps.shape[1]
     n = ring.modulus
     primes, residues = [], []
-    for index in range(_primes_for(n, r)):
+    for index in range(_primes_for(n, 2 * factorial(r))):
         primes.append(field(n, index)[0])
-        residues.append(_interpolate(_evaluate(exps, n, index, True), n, index))
+        vals = _evaluate(exps, n, index, True, np.arange(n))
+        residues.append(_interpolate(vals, n, index))
     return ring.reduce(_crt_symmetric(residues, primes), factorial(r))
 
 
 def zero_flags(ring: CycRing, exps) -> tuple[np.ndarray, int]:
     """(flags, screened): exact vanishing flags of a batch of w-power
     determinants, and how many the one-prime screen certified nonzero.
-    The screen's survivors are decided by their canonical coefficients."""
+    The screen's survivors are decided by their Galois conjugates mod p
+    (see the module docstring), never by coefficients."""
     exps = _as_batch(ring, exps)
-    flags = _evaluate(exps, ring.modulus, 0, False)
-    idx = np.nonzero(flags)[0]
-    if len(idx):
-        flags[idx] = ~(det_power_batch(ring, exps[idx]) != 0).any(axis=1)
-    return flags, len(flags) - len(idx)
+    n, r = ring.modulus, exps.shape[1]
+    flags = _evaluate(exps, n, 0, False)
+    idx = np.flatnonzero(flags)
+    screened = len(flags) - len(idx)
+    ks = np.array(units(n), dtype=np.int64)
+    for index in range(_primes_for(n, isqrt(r ** r))):
+        # the screen already took u = 1 at the first prime
+        todo = ks[1:] if index == 0 else ks
+        if len(idx) and len(todo):
+            zero = _evaluate(exps[idx], n, index, False, todo).all(axis=1)
+            flags[idx[~zero]] = False
+            idx = idx[zero]
+    return flags, screened
 
 
 def det_power_single(ring: CycRing, exps) -> CycElem:

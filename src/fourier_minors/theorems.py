@@ -31,11 +31,11 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from math import comb, gcd
+from math import comb
 
 import numpy as np
 
-from .cyclotomic import CycRing, ring_new
+from .cyclotomic import CycRing, divisors, ring_new, units
 from .errors import PreconditionError
 from .minors import IndexSet, complement, is_singular
 from . import powerdet
@@ -82,10 +82,26 @@ class Theorem1Report:
 def verify_theorem1(modulus: int) -> Theorem1Report:
     """Check that no 2x2 / 3x3 principal minor vanishes, by the exact engine.
 
-    Requires a square-free modulus >= 4.  Only the translated sets {0, a}
-    and {0, a, b} need checking, one batch per size; a pass certifies sizes
-    2, 3, N-3 and N-2 outright (translation preserves singularity, and
-    complementary sizes mirror each other).
+    Requires a square-free modulus >= 4.  By translation only the sets
+    {0, a} and {0, a, b} with 0 < a < b < N need checking, and by the
+    unit group far fewer:
+
+    Lemma (one set per unit class).  For a in 1..N-1 let g = gcd(a, N).
+    There is a unit u with ua = g (mod N): take u = (a/g)^-1 mod N/g and
+    lift it to a unit mod N (reduction (Z/N)^* -> (Z/(N/g))^* is onto).
+    So u{0, a} = {0, g} and u{0, a, b} = {0, g, ub}, and by the affine
+    lemma (module docstring) each is singular iff the original is.
+
+    Size 2 therefore decides {0, g} for the proper divisors g of N, and
+    size 3 decides {0, g, b} for each proper divisor g and each b in
+    1..N-1 other than g, skipping a divisor b < g (that set is listed
+    under b already); one engine batch per size.  `pairs_checked` is the
+    coverage, the translated sets the pass settles (N-1 + C(N-1, 2) when
+    it passes), not the number of sets the engine decides.  A
+    counterexample is reported as its failing representative, sorted: a
+    translated pair (a, b) with a < b, or (g,) for size 2.  A pass
+    certifies sizes 2, 3, N-3 and N-2 outright (complementary sizes
+    mirror each other).
     """
     start = time.perf_counter()
     if modulus < 4:
@@ -95,16 +111,18 @@ def verify_theorem1(modulus: int) -> Theorem1Report:
     sizes = (2, 3)
 
     ring = ring_new(modulus)
+    proper = np.array(divisors(modulus)[:-1], dtype=np.int64)
+    g = np.repeat(proper, modulus - 1)
+    b = np.tile(np.arange(1, modulus, dtype=np.int64), len(proper))
+    keep = (b != g) & ~((modulus % b == 0) & (b < g))
+    tails = {2: proper[:, None], 3: np.sort(np.stack([g, b], axis=1)[keep], axis=1)}
     counterexample: tuple[int, ...] | None = None
     pairs = 0
     for size in sizes:
-        if size == 2:
-            tail = np.arange(1, modulus, dtype=np.int64)[:, None]
-        else:
-            tail = np.stack(np.triu_indices(modulus - 1, k=1), axis=1).astype(np.int64) + 1
+        tail = tails[size]
         members = np.hstack([np.zeros((len(tail), 1), dtype=np.int64), tail])
         flags, _ = _judge_members(ring, members, True)
-        pairs += len(members)
+        pairs += comb(modulus - 1, size - 1)
         if flags.any():
             counterexample = tuple(int(x) for x in tail[np.argmax(flags)])
             break
@@ -292,10 +310,6 @@ class ScanReport:
 _CHUNK = 1 << 15
 
 
-def _units(n: int) -> list[int]:
-    return [u for u in range(n) if gcd(u, n) == 1]
-
-
 def _extend(rows: np.ndarray, n: int, k: int, depth: int) -> np.ndarray:
     """Every continuation, in lexicographic order, of the prefixes `rows`
     of k-subsets of range(n) to `depth` members.  Column 0 is a sentinel
@@ -344,10 +358,9 @@ def _affine_reps(n: int, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     masks = _masks(members)
     stab = np.zeros(len(masks), dtype=np.int64)
     full = np.uint64((1 << n) - 1)
-    units = _units(n)
-    done = 0
-    while done < len(units):
-        batch = np.array(units[done:max(1, 2 * done)], dtype=np.int64)[:, None, None]
+    group, done = units(n), 0
+    while done < len(group):
+        batch = np.array(group[done:max(1, 2 * done)], dtype=np.int64)[:, None, None]
         done += len(batch)
         x = (members * batch % n).astype(np.uint64)
         umasks = _masks(x)[:, :, None]
@@ -357,7 +370,7 @@ def _affine_reps(n: int, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         keep = (rots >= least).all(axis=(0, 2))
         stab = (stab + (rots == least).sum(axis=(0, 2)))[keep]
         members, masks = members[keep], masks[keep]
-    return members, n * len(units) // stab
+    return members, n * len(group) // stab
 
 
 def _exemplar_keys(n: int, sets: np.ndarray, classes: bool) -> np.ndarray:
@@ -365,8 +378,8 @@ def _exemplar_keys(n: int, sets: np.ndarray, classes: bool) -> np.ndarray:
     set in their affine orbits.  Member k sets bit N-1-k of a key, so among
     sets of one size the lexicographically first have the largest keys."""
     if classes:
-        units = np.array(_units(n))[:, None, None]
-        sets = (sets[:, None, None, :] * units + np.arange(n)[:, None]) % n
+        mult = np.array(units(n))[:, None, None]
+        sets = (sets[:, None, None, :] * mult + np.arange(n)[:, None]) % n
         sets = sets.reshape(-1, sets.shape[-1])
     return np.unique(_masks(n - 1 - sets))
 

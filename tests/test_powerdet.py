@@ -1,4 +1,4 @@
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 import pytest
@@ -169,6 +169,79 @@ def test_agrees_with_gaussian_oracle_beyond_r16(rng):
                 ref = gaussian_det([[unit[n][e] for e in row] for row in exps[b].tolist()])
                 assert tuple(int(c) for c in canon[b]) == ref[:ring.totient]
                 assert bool(flags[b]) == (ref == (0, 0))
+
+
+def test_zero_flags_never_computes_coefficients(rng, monkeypatch):
+    import fourier_minors.powerdet as pd
+    calls = []
+    monkeypatch.setattr(pd, "det_power_batch", lambda *a: calls.append(a))
+    monkeypatch.setattr(pd, "_interpolate", lambda *a: calls.append(a))
+    zeros = 0
+    for n in (8, 12, 16, 27):
+        ring = ring_new(n)
+        for r in (2, 3, 5, 8, 13, 16, 20):
+            exps = random_exps(rng, n, r, 6, force_zero=1.0)
+            flags, _ = zero_flags(ring, exps)
+            assert flags.all()  # a repeated row or column
+            zeros += len(flags)
+    assert not calls and zeros == 4 * 7 * 6
+
+
+def test_conjugate_primes_pass_hadamard_bound(monkeypatch):
+    import fourier_minors.powerdet as pd
+    used = []
+    original = pd._evaluate
+
+    def recording(exps, n, index, values, ks=None):
+        used.append(index)
+        return original(exps, n, index, values, ks)
+
+    monkeypatch.setattr(pd, "_evaluate", recording)
+    for n in (3, 16, 27, 210):
+        for r in range(1, 41):
+            count = pd._primes_for(n, isqrt(r ** r))
+            primes = [field(n, i)[0] for i in range(count)]
+            assert prod(primes) ** 2 > r ** r
+            assert prod(primes[:-1]) ** 2 <= r ** r  # no prime more than needed
+            if r > 1 and n in (16, 27):
+                used.clear()
+                assert zero_flags(ring_new(n), np.zeros((1, r, r), dtype=np.int64))[0][0]
+                assert used == [0, *range(count)]  # the screen, then the sweep
+    assert [pd._primes_for(16, isqrt(r ** r)) for r in (15, 16, 26, 27)] == [1, 2, 2, 3]
+
+
+def _small_field(n, index):
+    """The index-th smallest prime p = 1 (mod n), with an element of order n."""
+    p, found = 1, -1
+    while found < index:
+        p += n
+        found += all(p % q for q in range(2, isqrt(p) + 1))
+    zeta = next(z for z in (pow(g, (p - 1) // n, p) for g in range(2, p))
+                if all(pow(z, k, p) != 1 for k in range(1, n) if n % k == 0))
+    return p, zeta
+
+
+def test_zero_flags_exact_with_small_primes(rng, monkeypatch, leibniz):
+    # primes near N make the screen's false zeros frequent; the sweep over
+    # every unit and the Hadamard prime count must still decide them
+    import fourier_minors.powerdet as pd
+    pd._root_powers.cache_clear()
+    monkeypatch.setattr(pd, "field", _small_field)
+    false_zeros = 0
+    try:
+        for n in (5, 8, 12):
+            ring = ring_new(n)
+            for r in range(1, 6):
+                exps = random_exps(rng, n, r, 40, force_zero=0.3)
+                flags, _ = zero_flags(ring, exps)
+                screen = ~nonzero_screen(ring, exps)
+                for b in range(len(exps)):
+                    ref = leibniz([[ring.root_power(int(e)) for e in row] for row in exps[b]])
+                    assert bool(flags[b]) == ref.is_zero(), (n, exps[b].tolist())
+                    false_zeros += int(screen[b] and not ref.is_zero())
+    finally:
+        pd._root_powers.cache_clear()
+    assert false_zeros >= 5
 
 
 @pytest.mark.parametrize("n", [1000, 3000])

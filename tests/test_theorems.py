@@ -9,6 +9,7 @@ from fourier_minors import (IndexSet, PreconditionError, build_witness,
                             smallest_square_factor, verify_theorem1,
                             witness_sweep)
 from fourier_minors import theorems
+from fourier_minors.cli import main
 from fourier_minors.theorems import (CASE_COMPLEMENTED, CASE_P2_EVEN,
                                      CASE_PGE3_BLOCKS, CASE_PGE3_SMALL_R,
                                      ScanConfig)
@@ -81,6 +82,66 @@ def test_theorem1_verdict_matches_elementwise_formula(rng):
             direct = det_3x3_formula(ring, a, b)
             assert tuple(int(c) for c in vec) == direct.coeffs
             assert is_singular(ring, IndexSet.of(n, (0, a, b))) == direct.is_zero()
+
+
+def _theorem1_listing(n, proper):
+    """The sets theorem 1 decides for the divisor list `proper`, by the
+    rule of its docstring, in plain Python."""
+    sets = {frozenset((0, g)) for g in proper}
+    for g in proper:
+        for b in range(1, n):
+            if b != g and not (n % b == 0 and b < g):
+                sets.add(frozenset((0, g, b)))
+    return sets
+
+
+def _unit_covered(n, decided):
+    """True when every {0, a} and {0, a, b} has a unit multiple in `decided`."""
+    translated = [(0, a) for a in range(1, n)] + [(0, a, b) for a, b in
+                                                  combinations(range(1, n), 2)]
+    return all(any(frozenset(u * k % n for k in s) in decided for u in _units(n))
+               for s in translated)
+
+
+def test_theorem1_unit_classes_cover_every_translated_set(monkeypatch):
+    decided = []
+    original = theorems._judge_members
+
+    def recording(ring, members, exact):
+        decided.extend(frozenset(row) for row in members.tolist())
+        return original(ring, members, exact)
+
+    monkeypatch.setattr(theorems, "_judge_members", recording)
+    for n in (6, 10, 15, 30, 42, 105):
+        decided.clear()
+        report = verify_theorem1(n)
+        assert report.passed
+        assert report.pairs_checked == n - 1 + comb(n - 1, 2)
+        proper = [d for d in range(1, n) if n % d == 0]
+        listing = _theorem1_listing(n, proper)
+        assert len(decided) == len(set(decided)) and set(decided) == listing, n
+        assert _unit_covered(n, listing), n
+        for g in proper:  # no divisor is redundant
+            assert not _unit_covered(n, _theorem1_listing(n, [d for d in proper if d != g]))
+
+
+def test_theorem1_counterexample_is_a_translated_pair(monkeypatch, tmp_path):
+    original = theorems._judge_members
+
+    def flag_one(ring, members, exact):
+        flags, hits = original(ring, members, exact)
+        if members.shape[1] == 3:
+            flags[len(flags) // 2] = True  # a representative {0, g, b}
+        return flags, hits
+
+    monkeypatch.setattr(theorems, "_judge_members", flag_one)
+    n = 30
+    report = verify_theorem1(n)
+    assert not report.passed
+    a, b = report.counterexample
+    assert 0 < a < b < n
+    assert report.pairs_checked == n - 1 + comb(n - 1, 2)
+    assert main(["theorem1", "--n", str(n), "--out", str(tmp_path / "t.jsonl")]) == 4
 
 
 # ---------------------------------------------------------------------------
