@@ -38,11 +38,10 @@ from typing import get_args, get_origin, get_type_hints
 from . import __version__
 from .cyclotomic import CycElem, ring_new
 from .errors import PreconditionError
-from .minors import IndexSet, MinorRecord, minor_record
-from .search import (Permutation, SearchConfig, SearchOutcome, find_good_permutation)
-from .theorems import (ScanConfig, ScanReport, Theorem1Report, WitnessPlan,
-                       build_witness, is_square_free, scan_all, verify_theorem1,
-                       witness_sweep)
+from .minors import IndexSet, minor_record
+from .search import Permutation, SearchConfig, find_good_permutation
+from .theorems import (ScanConfig, build_witness, is_square_free, scan_all,
+                       verify_theorem1, witness_sweep)
 
 SCHEMA_VERSION = 1
 
@@ -97,6 +96,8 @@ _KEYS = {"index_set": "set"}  # the one field whose payload key differs
 
 def encode(value):
     """The JSON form of a result value, as the module docstring states."""
+    if value is None or isinstance(value, (int, float, str)):
+        return value  # leaves first: most values in a payload are ints
     if isinstance(value, IndexSet):
         return list(value.members)
     if isinstance(value, Permutation):
@@ -140,47 +141,6 @@ def decode(tp, doc, modulus: int | None = None):
     return doc
 
 
-def minor_record_payload(rec: MinorRecord) -> dict:
-    return {"kind": "minor_record", "modulus": rec.index_set.modulus, **encode(rec)}
-
-
-def parse_minor_record(doc: dict) -> MinorRecord:
-    return decode(MinorRecord, doc)
-
-
-def scan_report_payload(rep: ScanReport) -> dict:
-    return {"kind": "scan_report", **encode(rep)}
-
-
-def parse_scan_report(doc: dict) -> ScanReport:
-    return decode(ScanReport, doc)
-
-
-def witness_plans_payload(plans: list[WitnessPlan]) -> dict:
-    return {"kind": "witness_plans", "plans": encode(plans)}
-
-
-def parse_witness_plans(doc: dict) -> list[WitnessPlan]:
-    return decode(list[WitnessPlan], doc["plans"])
-
-
-def theorem1_payload(reports: list[Theorem1Report], skipped: list[int]) -> dict:
-    return {"kind": "theorem1_report", "reports": encode(reports),
-            "skipped_not_square_free": skipped}
-
-
-def parse_theorem1(doc: dict) -> list[Theorem1Report]:
-    return decode(list[Theorem1Report], doc["reports"])
-
-
-def search_outcome_payload(out: SearchOutcome) -> dict:
-    return {"kind": "search_outcome", **encode(out)}
-
-
-def parse_search_outcome(doc: dict) -> SearchOutcome:
-    return decode(SearchOutcome, doc)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -191,9 +151,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _write_record(args, start: float, params: dict, payload: dict,
+def _write_record(args, start: float, params: dict, result,
                   config: dict | None = None, exact_mode: bool = True) -> None:
-    """Build the command's RunRecord and write it to `--out`, if given."""
+    """Build the command's RunRecord, its payload the command's `kind` plus
+    the encoded `result`, and write it to `--out`, if given."""
+    payload = {"kind": _PAYLOAD_KINDS[args.command], **encode(result)}
     record = RunRecord(args.command, __version__, params, config or {}, payload,
                        exact_mode, time.perf_counter() - start)
     if args.out:
@@ -227,7 +189,7 @@ def cmd_det(args) -> int:
     print(f"determinant coefficients (basis 1, w, ..., w^{ring.totient - 1}):")
     print(f"  {list(rec.determinant.coeffs)}")
     _write_record(args, start, {"n": args.n, "set": list(k.members)},
-                  minor_record_payload(rec))
+                  {"modulus": args.n, **encode(rec)})
     return 0
 
 
@@ -251,8 +213,7 @@ def cmd_scan(args) -> int:
         print("  no vanishing principal minors")
     print(f"classes tested: {report.classes_tested}, prefilter hits: "
           f"{report.prefilter_hits}, {report.wall_time:.2f}s")
-    _write_record(args, start, {"n": args.n}, scan_report_payload(report),
-                  encode(config), config.exact)
+    _write_record(args, start, {"n": args.n}, report, encode(config), report.exact_mode)
     return 0
 
 
@@ -270,7 +231,7 @@ def cmd_witness(args) -> int:
         print(f"N={p.modulus} r={p.size} [{p.case}] {list(p.index_set.members)} ({tag})")
         print(f"  {p.certificate}")
     _write_record(args, start, {"n": args.n, "r": args.r, "all": args.all},
-                  witness_plans_payload(plans))
+                  {"plans": plans})
     return 0
 
 
@@ -301,7 +262,7 @@ def cmd_theorem1(args) -> int:
         print(f"N={n}: {status} ({rep.pairs_checked} translated sets checked; "
               f"certifies sizes {list(rep.certified_sizes)})")
     _write_record(args, start, {"n": args.n, "range": args.range},
-                  theorem1_payload(reports, skipped))
+                  {"reports": reports, "skipped_not_square_free": skipped})
     # a counterexample would falsify the arithmetic, not the usage; keep it
     # distinct from the reserved codes 1..3
     return 0 if all(r.passed for r in reports) else 4
@@ -325,7 +286,7 @@ def cmd_perm_search(args) -> int:
           f"{outcome.wall_time:.2f}s")
     echo = encode(config)
     del echo["modulus"]  # echoed as params.n
-    _write_record(args, start, {"n": args.n}, search_outcome_payload(outcome), echo)
+    _write_record(args, start, {"n": args.n}, outcome, echo)
     if outcome.found is None and not outcome.exhausted:
         return 3
     return 0

@@ -58,35 +58,6 @@ def units(n: int) -> tuple[int, ...]:
     return tuple(u for u in range(1, n + 1) if math.gcd(u, n) == 1)
 
 
-def poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Exact division by a monic integer polynomial (ascending coefficients)."""
-    if not den or den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    rem = list(num)
-    dn = len(den) - 1
-    if len(rem) - 1 < dn:
-        return [0], rem
-    quot = [0] * (len(rem) - dn)
-    for k in range(len(rem) - 1, dn - 1, -1):
-        c = rem[k]
-        if c:
-            quot[k - dn] = c
-            for i in range(dn + 1):
-                rem[k - dn + i] -= c * den[i]
-    while len(rem) > 1 and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, ascending degree, exact integers, monic.
@@ -136,12 +107,12 @@ class CycRing:
     so instances may be shared freely across threads and processes.
     """
 
-    def __init__(self, modulus: int, *, max_modulus: int = DEFAULT_MAX_MODULUS) -> None:
+    def __init__(self, modulus: int) -> None:
         if modulus < 1:
             raise PreconditionError("modulus must be >= 1")
-        if modulus > max_modulus:
+        if modulus > DEFAULT_MAX_MODULUS:
             raise PreconditionError(
-                f"modulus {modulus} exceeds the precomputation bound {max_modulus}"
+                f"modulus {modulus} exceeds the precomputation bound {DEFAULT_MAX_MODULUS}"
             )
         self.modulus = modulus
         self.phi_poly: tuple[int, ...] = cyclotomic_polynomial(modulus)

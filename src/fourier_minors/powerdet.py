@@ -35,7 +35,7 @@ vanishes at every unit at every one of those primes.  With primes near
 The evaluation primitive `_evaluate` has three uses:
 
 - screen: a determinant nonzero at the first prime with w -> zeta is
-  nonzero in Z[w] (`nonzero_screen`);
+  nonzero in Z[w] (the first step of `zero_flags`);
 - zero flags: the screen's survivors are decided by flags-mode
   elimination at w -> zeta^u for every unit u, one prime at a time, until
   the primes' product M has M^2 > r^r (`zero_flags`); no coefficient is
@@ -240,13 +240,6 @@ def _as_batch(ring: CycRing, exps) -> np.ndarray:
     if exps.shape[1] < 1:
         raise ValueError("matrix dimension must be >= 1")
     return exps % ring.modulus
-
-
-def nonzero_screen(ring: CycRing, exps) -> np.ndarray:
-    """True where the determinant is nonzero at the first prime with
-    w -> zeta.  Every True is an exact certificate; a False is undecided."""
-    exps = _as_batch(ring, exps)
-    return ~_evaluate(exps, ring.modulus, 0, False)
 
 
 def det_power_batch(ring: CycRing, exps) -> np.ndarray:

@@ -42,6 +42,7 @@ import numpy as np
 
 from .cyclotomic import ring_new
 from .errors import PreconditionError
+from .theorems import ordered_map
 from . import powerdet
 
 ORDER_ASCENDING = "ascending"
@@ -278,11 +279,12 @@ def find_good_permutation(config: SearchConfig, on_test=None) -> SearchOutcome:
     Branches (first values) are taken in ascending order; each gets its
     checkpoint line when its result arrives, and the search stops at the
     first find, so that is the first good permutation in DFS order.
-    jobs > 1 runs branches ahead in worker processes and consumes their
-    results in the same order, so outcome, node and prune counts equal a
-    serial run's.  One budget covers the search: every branch honours one
-    absolute deadline (time.monotonic is system-wide) and a branch started
-    after it does no work.  An expiry yields found=None, exhausted=False
+    jobs > 1 runs branches ahead in worker processes (`ordered_map`) and
+    consumes their results in the same order, so outcome, node and prune
+    counts equal a serial run's; the workers are stopped when the search
+    returns or raises.  One budget covers the search: every branch
+    honours one absolute deadline (time.monotonic is system-wide) and a
+    branch started after it does no work.  An expiry yields found=None, exhausted=False
     (inconclusive), distinct from a completed empty search, unless with
     jobs > 1 a later branch finished with a find in time.  on_test is
     honoured by serial runs only.
@@ -293,7 +295,7 @@ def find_good_permutation(config: SearchConfig, on_test=None) -> SearchOutcome:
     prunes: Counter[int] = Counter()
     done: set[int] = set()
     found: tuple[int, ...] | None = None
-    writer = pool = None
+    writer = results = None
 
     def _emit(rec: dict) -> None:
         if writer is not None:
@@ -311,14 +313,10 @@ def find_good_permutation(config: SearchConfig, on_test=None) -> SearchOutcome:
         branches = [] if found else _branches(config)
         pending = [v for v in branches if v not in done]
         deadline = start + config.time_budget if config.time_budget else None
-        branch = partial(_run_branch, config, deadline=deadline)
-        if config.jobs > 1 and len(pending) > 1:
-            import multiprocessing
-
-            pool = multiprocessing.get_context("spawn").Pool(min(config.jobs, len(pending)))
-            results = pool.imap(branch, pending)
-        else:
-            results = map(partial(branch, on_test=on_test), pending)
+        jobs = min(config.jobs, len(pending))
+        branch = partial(_run_branch, config, deadline=deadline,
+                         on_test=on_test if jobs <= 1 else None)
+        results = ordered_map(branch, pending, jobs)
         all_completed = True
         for v, (image, bn, bp, completed) in zip(pending, results):
             nodes += bn
@@ -343,8 +341,8 @@ def find_good_permutation(config: SearchConfig, on_test=None) -> SearchOutcome:
         return SearchOutcome(n, None, all_completed, nodes, dict(prunes),
                              time.monotonic() - start)
     finally:
-        if pool is not None:
-            pool.terminate()
+        if results is not None:
+            results.close()
         if writer is not None:
             writer.close()
 

@@ -121,7 +121,7 @@ def verify_theorem1(modulus: int) -> Theorem1Report:
     for size in sizes:
         tail = tails[size]
         members = np.hstack([np.zeros((len(tail), 1), dtype=np.int64), tail])
-        flags, _ = _judge_members(ring, members, True)
+        flags, _ = _judge_members(ring, members)
         pairs += comb(modulus - 1, size - 1)
         if flags.any():
             counterexample = tuple(int(x) for x in tail[np.argmax(flags)])
@@ -284,6 +284,12 @@ class ScanConfig:
     exemplar_cap: int = 16
     jobs: int = 1
 
+    def __post_init__(self) -> None:
+        if self.exemplar_cap < 0:
+            raise PreconditionError("exemplar cap must be >= 0")
+        if self.jobs < 1:
+            raise PreconditionError("jobs must be >= 1")
+
 
 @dataclass(frozen=True)
 class ScanReport:
@@ -402,44 +408,54 @@ def _key_sets(n: int, keys: np.ndarray) -> list[tuple[int, ...]]:
 def _scan_chunk(task: tuple) -> tuple[int, int, int, np.ndarray, int]:
     """(r, classes tested, singular sets, exemplar keys, screen hits) of
     one chunk of the scan: a group of prefixes of size-r candidates."""
-    n, r, classes, exact, cap, prefixes = task
+    n, r, classes, cap, prefixes = task
     if classes:
         # candidates are {0} plus (r-1)-subsets of 1..N-1; 0 is the sentinel
         members, weights = _affine_reps(n, _extend(prefixes, n, r - 1, r - 1))
     else:
         members = _extend(prefixes, n, r, r)[:, 1:]
         weights = np.ones(len(members), dtype=np.int64)
-    flags, hits = _judge_members(ring_new(n), members, exact)
+    flags, hits = _judge_members(ring_new(n), members)
     keys = _ends(_exemplar_keys(n, members[flags], classes), cap)
     return r, len(members), int(weights[flags].sum()), keys, hits
 
 
-def _map_chunks(tasks, jobs: int):
-    """`_scan_chunk` over `tasks`, results in task order.  jobs > 1 runs
-    the chunks in one pool of spawned worker processes per scan, with at
-    most 2 * jobs chunks submitted ahead of the one being read."""
+def ordered_map(fn, tasks, jobs: int):
+    """`fn` over `tasks`, results in task order: the builtin `map` for
+    jobs <= 1, else one pool of `jobs` spawned workers with at most
+    2 * jobs tasks submitted ahead of the one being read.  A dead worker
+    raises BrokenProcessPool; closing the generator, or an exception,
+    cancels the queued tasks and terminates the workers."""
     if jobs <= 1:
-        yield from map(_scan_chunk, tasks)
+        yield from map(fn, tasks)
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
+    pool = ProcessPoolExecutor(max_workers=jobs, mp_context=context)
+    try:
         window: deque = deque()
         for task in tasks:
-            window.append(pool.submit(_scan_chunk, task))
+            window.append(pool.submit(fn, task))
             if len(window) > 2 * jobs:
                 yield window.popleft().result()
         while window:
             yield window.popleft().result()
+    finally:
+        # Before Python 3.14 (`terminate_workers`) no public call stops a
+        # running task, so the workers come from the executor's private
+        # table, which shutdown() clears.
+        workers = list(pool._processes.values())
+        pool.shutdown(wait=False, cancel_futures=True)
+        for worker in workers:
+            worker.terminate()
 
 
-def _judge_members(ring: CycRing, members: np.ndarray, exact: bool) -> tuple[np.ndarray, int]:
+def _judge_members(ring: CycRing, members: np.ndarray) -> tuple[np.ndarray, int]:
     """Singularity flags for principal sets given as (B, r) member arrays,
-    and in prefilter mode the number the one-prime screen certified."""
-    flags, screened = powerdet.zero_flags(ring, members[:, :, None] * members[:, None, :])
-    return flags, 0 if exact else screened
+    and the number the one-prime screen certified nonzero."""
+    return powerdet.zero_flags(ring, members[:, :, None] * members[:, None, :])
 
 
 def scan_all(modulus: int, config: ScanConfig | None = None, **kwargs) -> ScanReport:
@@ -468,14 +484,15 @@ def scan_all(modulus: int, config: ScanConfig | None = None, **kwargs) -> ScanRe
 
     classes, cap = config.use_shift_classes, config.exemplar_cap
     tasks = (
-        (n, r, classes, config.exact, cap, prefixes)
+        (n, r, classes, cap, prefixes)
         for r in sizes
         for prefixes in (_prefix_groups(n, r - 1, 1) if classes else _prefix_groups(n, r, 0))
     )
     keys = {r: np.zeros(0, dtype=np.uint64) for r in sizes}
-    for r, tested, count, found, hits in _map_chunks(tasks, config.jobs):
+    for r, tested, count, found, hits in ordered_map(_scan_chunk, tasks, config.jobs):
         classes_tested += tested
-        prefilter_hits += hits
+        if not config.exact:
+            prefilter_hits += hits
         counts[r] += count
         keys[r] = _ends(np.union1d(keys[r], found), cap)
     full = np.uint64((1 << n) - 1)

@@ -1,10 +1,14 @@
-"""Closed small-minor forms and the translation identity, as test oracles.
+"""Test oracles and helpers that no command needs.
 
-They work through `CycRing.root_power` and ring arithmetic only, never
-through the batched engine, so they cross-check its verdicts.
+The closed small-minor forms and the translation identity work through
+`CycRing.root_power` and ring arithmetic only, never through the batched
+engine, so they cross-check its verdicts.  The polynomial helpers check
+Phi_N by plain long multiplication and division, and `nonzero_screen`
+exposes the engine's one-prime screen on its own.
 """
 
 from fourier_minors import IndexSet, PreconditionError, det_exact, submatrix
+from fourier_minors import powerdet
 
 
 def index_reduce(k: IndexSet) -> IndexSet:
@@ -67,3 +71,38 @@ def shift_identity_check(ring, k: IndexSet) -> bool:
     exponent = a1 * (-r * a1 + 2 * sum(k.members))
     rhs = ring.root_power(exponent) * det_exact(submatrix(ring, reduced, reduced))
     return lhs == rhs
+
+
+def poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """Exact division by a monic integer polynomial (ascending coefficients)."""
+    if not den or den[-1] != 1:
+        raise ValueError("divisor must be monic")
+    rem = list(num)
+    dn = len(den) - 1
+    if len(rem) - 1 < dn:
+        return [0], rem
+    quot = [0] * (len(rem) - dn)
+    for k in range(len(rem) - 1, dn - 1, -1):
+        c = rem[k]
+        if c:
+            quot[k - dn] = c
+            for i in range(dn + 1):
+                rem[k - dn + i] -= c * den[i]
+    while len(rem) > 1 and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
+def nonzero_screen(ring, exps):
+    """True where the determinant is nonzero at the first prime with
+    w -> zeta.  Every True is an exact certificate; a False is undecided."""
+    return ~powerdet._evaluate(powerdet._as_batch(ring, exps), ring.modulus, 0, False)

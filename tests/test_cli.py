@@ -2,12 +2,10 @@ import json
 
 import pytest
 
-from fourier_minors import IndexSet, minor_record, ring_new, scan_all, witness_sweep
-from fourier_minors.cli import (main, minor_record_payload, parse_minor_record,
-                                parse_run_record, parse_scan_report,
-                                parse_search_outcome, parse_theorem1,
-                                parse_witness_plans, scan_report_payload,
-                                search_outcome_payload, witness_plans_payload)
+from fourier_minors import (IndexSet, MinorRecord, ScanReport, SearchOutcome,
+                            Theorem1Report, WitnessPlan, minor_record, ring_new,
+                            scan_all, witness_sweep)
+from fourier_minors.cli import decode, encode, main, parse_run_record
 from fourier_minors.search import SearchConfig, find_good_permutation
 from fourier_minors.theorems import verify_theorem1
 
@@ -42,7 +40,8 @@ def test_det_singular_and_record(tmp_path, capsys):
     assert "singular" in stdout and "totient=2" in stdout
     record = read_record(out)
     assert record.command == "det"
-    rec = parse_minor_record(record.payload)
+    assert record.payload["modulus"] == 4
+    rec = decode(MinorRecord, record.payload)
     assert rec.singular and rec.index_set.members == (0, 2)
     direct = minor_record(ring_new(4), IndexSet.of(4, [0, 2]))
     assert rec == direct
@@ -92,7 +91,7 @@ def test_scan_record_round_trip(tmp_path, capsys):
     out = tmp_path / "scan.jsonl"
     assert run(["scan", "--n", "9", "--out", str(out)]) == 0
     record = read_record(out)
-    report = parse_scan_report(record.payload)
+    report = decode(ScanReport, record.payload)
     direct = scan_all(9)
     assert report.counts == direct.counts
     assert report.exemplars == direct.exemplars
@@ -105,7 +104,17 @@ def test_scan_prefilter_flag(tmp_path, capsys):
     assert run(["scan", "--n", "15", "--prefilter", "--out", str(out)]) == 0
     record = read_record(out)
     assert not record.exact_mode
-    assert parse_scan_report(record.payload).prefilter_hits > 0
+    assert decode(ScanReport, record.payload).prefilter_hits > 0
+    assert run(["scan", "--n", "15", "--out", str(out)]) == 0
+    assert decode(ScanReport, read_record(out).payload).prefilter_hits == 0
+    capsys.readouterr()
+
+
+def test_scan_rejects_negative_cap_and_jobs(tmp_path, capsys):
+    out = tmp_path / "scan.jsonl"
+    for flag, value in (("--cap", "-1"), ("--jobs", "-3"), ("--jobs", "0")):
+        assert run(["scan", "--n", "12", flag, value, "--out", str(out)]) == 2
+        assert not out.exists()
     capsys.readouterr()
 
 
@@ -127,10 +136,10 @@ def test_scan_determinism_byte_identical(tmp_path, capsys):
 def test_witness_single_and_all(tmp_path, capsys):
     out = tmp_path / "w.jsonl"
     assert run(["witness", "--n", "9", "--r", "3", "--out", str(out)]) == 0
-    plans = parse_witness_plans(read_record(out).payload)
+    plans = decode(list[WitnessPlan], read_record(out).payload["plans"])
     assert len(plans) == 1 and plans[0].index_set.members == (0, 3, 6)
     assert run(["witness", "--n", "8", "--all", "--out", str(out)]) == 0
-    plans = parse_witness_plans(read_record(out).payload)
+    plans = decode(list[WitnessPlan], read_record(out).payload["plans"])
     assert plans == witness_sweep(8)
     capsys.readouterr()
 
@@ -148,7 +157,7 @@ def test_witness_square_free_precondition(capsys):
 def test_theorem1_single_and_range(tmp_path, capsys):
     out = tmp_path / "t.jsonl"
     assert run(["theorem1", "--n", "6", "--out", str(out)]) == 0
-    reports = parse_theorem1(read_record(out).payload)
+    reports = decode(list[Theorem1Report], read_record(out).payload["reports"])
     direct = verify_theorem1(6)
     assert reports[0].passed and reports[0].certified_sizes == direct.certified_sizes
     assert run(["theorem1", "--range", "5..12", "--out", str(out)]) == 0
@@ -168,7 +177,7 @@ def test_theorem1_non_square_free_precondition(capsys):
 def test_perm_search_found(tmp_path, capsys):
     out = tmp_path / "s.jsonl"
     assert run(["perm-search", "--n", "4", "--out", str(out)]) == 0
-    outcome = parse_search_outcome(read_record(out).payload)
+    outcome = decode(SearchOutcome, read_record(out).payload)
     direct = find_good_permutation(SearchConfig(4))
     assert outcome.found == direct.found
     capsys.readouterr()
@@ -178,7 +187,7 @@ def test_perm_search_budget_inconclusive(tmp_path, capsys):
     out = tmp_path / "s.jsonl"
     code = run(["perm-search", "--n", "16", "--budget", "0.2", "--out", str(out)])
     assert code == 3
-    outcome = parse_search_outcome(read_record(out).payload)
+    outcome = decode(SearchOutcome, read_record(out).payload)
     assert outcome.found is None and not outcome.exhausted
     assert "INCONCLUSIVE" in capsys.readouterr().out
 
@@ -193,13 +202,14 @@ def test_perm_search_resume_flag(tmp_path, capsys):
 
 def test_run_record_round_trip_equality(tmp_path, capsys):
     out = tmp_path / "r.jsonl"
-    for args in (["det", "--n", "9", "--set", "0,3,6"],
-                 ["scan", "--n", "8"],
-                 ["witness", "--n", "12", "--all"],
-                 ["theorem1", "--n", "10"],
-                 ["perm-search", "--n", "5"]):
+    for args, kind in ((["det", "--n", "9", "--set", "0,3,6"], "minor_record"),
+                       (["scan", "--n", "8"], "scan_report"),
+                       (["witness", "--n", "12", "--all"], "witness_plans"),
+                       (["theorem1", "--n", "10"], "theorem1_report"),
+                       (["perm-search", "--n", "5"], "search_outcome")):
         assert run(args + ["--out", str(out)]) == 0
         record = read_record(out)
+        assert record.payload["kind"] == kind
         assert parse_run_record(record.to_json_line()) == record
     capsys.readouterr()
 
@@ -213,45 +223,42 @@ def test_payload_kind_mismatch_rejected():
 
 def test_payload_builders_invert():
     rec = minor_record(ring_new(9), IndexSet.of(9, [0, 3, 6]))
-    assert parse_minor_record(minor_record_payload(rec)) == rec
+    assert decode(MinorRecord, encode(rec), 9) == rec
     rep = scan_all(6)
-    assert parse_scan_report(scan_report_payload(rep)) == rep
+    assert decode(ScanReport, encode(rep)) == rep
     plans = witness_sweep(9)
-    assert parse_witness_plans(witness_plans_payload(plans)) == plans
+    assert decode(list[WitnessPlan], encode(plans)) == plans
     outcome = find_good_permutation(SearchConfig(5))
-    assert parse_search_outcome(search_outcome_payload(outcome)) == outcome
+    assert decode(SearchOutcome, encode(outcome)) == outcome
 
 
 def test_codec_round_trips_edge_shapes():
-    from fourier_minors import MinorRecord, SearchOutcome, Theorem1Report
-    from fourier_minors.cli import theorem1_payload
-
     def through_json(payload):
         return json.loads(json.dumps(payload, sort_keys=True))
 
     outcome = SearchOutcome(16, None, False, 5654, {10: 1, 2: 3659}, 0.5)
-    payload = search_outcome_payload(outcome)
+    payload = encode(outcome)
     assert payload["found"] is None
     assert list(payload["prune_counts"]) == ["2", "10"]  # ascending int keys
-    assert parse_search_outcome(through_json(payload)) == outcome
+    assert decode(SearchOutcome, through_json(payload)) == outcome
 
     report = Theorem1Report(12, (2, 3), False, (3, 6), 66, (2, 3, 9, 10), "note", 0.1)
-    payload = theorem1_payload([report], [8, 9])
+    payload = encode({"reports": [report], "skipped_not_square_free": [8, 9]})
     assert payload["reports"][0]["counterexample"] == [3, 6]
-    assert parse_theorem1(through_json(payload)) == [report]
+    assert decode(list[Theorem1Report], through_json(payload)["reports"]) == [report]
 
     rep = scan_all(8, use_shift_classes=False)
     assert not rep.use_shift_classes and any(rep.counts.values())
-    assert parse_scan_report(through_json(scan_report_payload(rep))) == rep
+    assert decode(ScanReport, through_json(encode(rep))) == rep
 
     ring = ring_new(9)
     big = ring.element([2**70, -(2**65), 3, 0, 0, 1])
     rec = MinorRecord(IndexSet.of(9, [0, 3, 6]), 3, False, big)
-    payload = minor_record_payload(rec)
-    assert payload["set"] == [0, 3, 6] and payload["modulus"] == 9
+    payload = {"modulus": 9, **encode(rec)}  # the det command's payload fields
+    assert payload["set"] == [0, 3, 6]
     assert payload["determinant"] == {"modulus": 9, "totient": 6,
                                       "coeffs": [2**70, -(2**65), 3, 0, 0, 1]}
-    assert parse_minor_record(through_json(payload)) == rec
+    assert decode(MinorRecord, through_json(payload)) == rec
 
 
 def test_perfbench_bindings_exist():

@@ -1,3 +1,4 @@
+from contextlib import closing
 from itertools import combinations
 from math import comb, gcd
 
@@ -107,9 +108,9 @@ def test_theorem1_unit_classes_cover_every_translated_set(monkeypatch):
     decided = []
     original = theorems._judge_members
 
-    def recording(ring, members, exact):
+    def recording(ring, members):
         decided.extend(frozenset(row) for row in members.tolist())
-        return original(ring, members, exact)
+        return original(ring, members)
 
     monkeypatch.setattr(theorems, "_judge_members", recording)
     for n in (6, 10, 15, 30, 42, 105):
@@ -128,8 +129,8 @@ def test_theorem1_unit_classes_cover_every_translated_set(monkeypatch):
 def test_theorem1_counterexample_is_a_translated_pair(monkeypatch, tmp_path):
     original = theorems._judge_members
 
-    def flag_one(ring, members, exact):
-        flags, hits = original(ring, members, exact)
+    def flag_one(ring, members):
+        flags, hits = original(ring, members)
         if members.shape[1] == 3:
             flags[len(flags) // 2] = True  # a representative {0, g, b}
         return flags, hits
@@ -371,6 +372,57 @@ def test_scan_chunking_is_transparent(monkeypatch):
         assert chunked.counts == report.counts, (n, config)
         assert chunked.exemplars == report.exemplars, (n, config)
         assert chunked.classes_tested == report.classes_tested, (n, config)
+
+
+def _children_joined(timeout):
+    """True once every child process of this one has ended and been joined."""
+    import multiprocessing
+    import time
+
+    deadline = time.monotonic() + timeout
+    while multiprocessing.active_children():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+# The map's tests use builtins as task functions, so spawned workers can
+# unpickle them.
+
+def test_ordered_map_close_stops_running_and_queued_tasks():
+    import time
+
+    results = theorems.ordered_map(time.sleep, [0, 30, 30, 30], 2)
+    assert next(results) is None
+    start = time.monotonic()
+    results.close()
+    assert _children_joined(5.0)
+    assert time.monotonic() - start < 5.0
+
+
+def test_ordered_map_looks_ahead_two_tasks_per_job():
+    drawn = []
+
+    def tasks():
+        for x in range(-10, 10):
+            drawn.append(x)
+            yield x
+
+    with closing(theorems.ordered_map(abs, tasks(), 2)) as results:
+        assert next(results) == 10
+        assert len(drawn) <= 2 * 2 + 1
+        assert list(results) == [abs(x) for x in range(-9, 10)]
+    assert _children_joined(5.0)
+
+
+def test_ordered_map_dead_worker_raises():
+    import os
+    from concurrent.futures.process import BrokenProcessPool
+
+    with pytest.raises(BrokenProcessPool):
+        list(theorems.ordered_map(os._exit, [3, 3], 2))
+    assert _children_joined(5.0)
 
 
 def _units(n):
