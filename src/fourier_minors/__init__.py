@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .cyclotomic import CycElem, CycRing, cyclotomic_polynomial, ring_new
-from .errors import PreconditionError
+from .errors import PreconditionError, WorkerError
 from .minors import (IndexSet, MinorRecord, complement, det_exact, is_singular,
                      minor_record, submatrix)
 from .search import (Permutation, SearchConfig, SearchOutcome,
@@ -15,7 +15,7 @@ from .theorems import (ScanConfig, ScanReport, Theorem1Report, WitnessPlan,
 
 __all__ = [
     "CycElem", "CycRing", "cyclotomic_polynomial", "ring_new",
-    "PreconditionError",
+    "PreconditionError", "WorkerError",
     "IndexSet", "MinorRecord", "complement", "det_exact", "is_singular",
     "minor_record", "submatrix",
     "Permutation", "SearchConfig", "SearchOutcome",

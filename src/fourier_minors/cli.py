@@ -21,7 +21,7 @@ encoded configurations, the latter without `modulus`.
 Exit codes: 0 success, 1 usage error, 2 precondition violation,
 3 inconclusive (time budget expired before the search space was covered),
 4 a theorem1 counterexample (a vanishing 2x2 or 3x3 minor for a square-free
-modulus).
+modulus), 5 a `--jobs` worker process died (no record is written).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from . import __version__
 from .cyclotomic import CycElem, ring_new
-from .errors import PreconditionError
+from .errors import PreconditionError, WorkerError
 from .minors import IndexSet, minor_record
 from .search import Permutation, SearchConfig, find_good_permutation
 from .theorems import (ScanConfig, build_witness, is_square_free, scan_all,
@@ -364,6 +364,9 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 2
+    except WorkerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

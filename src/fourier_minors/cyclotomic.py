@@ -18,7 +18,7 @@ the package uses them.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -101,10 +101,10 @@ class CycRing:
     """Ring context for a fixed modulus N: Phi_N plus its power table.
 
     The table of x^j mod Phi_N (`np_tables`) is the only source of
-    reduction: arrays reduce through it in `reduce`, scalars through its
-    Python rows in `element`.  Its caches are filled on first use and
-    never change after (threads racing on first use build equal copies),
-    so instances may be shared freely across threads and processes.
+    reduction: scalars reduce through its Python rows in `element`.  Its
+    caches, and `power_bound`, are filled on first use and never change
+    after (threads racing on first use build equal copies), so instances
+    may be shared freely across threads and processes.
     """
 
     def __init__(self, modulus: int) -> None:
@@ -118,7 +118,6 @@ class CycRing:
         self.phi_poly: tuple[int, ...] = cyclotomic_polynomial(modulus)
         self.totient: int = len(self.phi_poly) - 1
         self._table: np.ndarray | None = None
-        self._max_coeff = 0  # max_j max|coeff(x^j)|, set with the table
         self._rows: list[tuple[int, ...]] | None = None
         self._float_roots: np.ndarray | None = None
 
@@ -171,16 +170,6 @@ class CycRing:
         """w^exponent (exponent taken mod N)."""
         return CycElem(self, self._power_rows()[exponent % self.modulus])
 
-    def reduce(self, raw: np.ndarray, weight: int) -> np.ndarray:
-        """Canonical (B, phi) coefficients of raw (B, N) vectors of
-        Z[x]/(x^N - 1) whose absolute entry sums are at most `weight`:
-        int64 while weight * max|coeff(x^j)| < 2^62, Python ints (dtype
-        object) past it."""
-        table = self.np_tables()
-        small = weight * self._max_coeff < 2 ** 62
-        raw = raw.astype(np.int64 if small else object, copy=False)
-        return raw[:, :self.totient] + raw[:, self.totient:] @ table[self.totient:]
-
     @property
     def float_roots(self) -> np.ndarray:
         """complex128 values of w^j, j = 0 .. N-1, each within ROOT_ERROR."""
@@ -193,38 +182,46 @@ class CycRing:
             self._float_roots = np.array(vals, dtype=np.complex128)
         return self._float_roots
 
+    @cached_property
+    def power_bound(self) -> int:
+        """h = max over j of max|coeff(x^j mod Phi_N)|, without the table."""
+        return self._walk_powers()
+
     def np_tables(self) -> np.ndarray:
         """The read-only int64 power table, shape (N, phi): row j holds the
-        canonical coefficients of x^j mod Phi_N, j = 0 .. N-1.
-
-        Built by the recurrence x^(j+1) = x * x^j: shift up one degree and
-        fold the leading coefficient back through x^phi = -(Phi_N - x^phi).
-        An entry grows by at most |lead| * max|head| per step, so while
-        every lead stays within _NP_TABLE_LIMIT no entry can overflow before
-        the final check.  Raises PreconditionError when an entry exceeds
-        the limit.
-        """
+        canonical coefficients of x^j mod Phi_N, j = 0 .. N-1.  Raises
+        PreconditionError when an entry exceeds _NP_TABLE_LIMIT."""
         if self._table is None:
-            n, phi = self.modulus, self.totient
-            head = -np.array(self.phi_poly[:-1], dtype=np.int64)
-            if n * int(np.abs(head).max()) * _NP_TABLE_LIMIT >= 2 ** 62:
-                raise PreconditionError(f"Phi_{n} is too large for an int64 power table")
-            full = np.zeros((n, phi), dtype=np.int64)
-            full[0, 0] = 1
-            for j in range(n - 1):
-                lead = int(full[j, -1])
-                if abs(lead) > _NP_TABLE_LIMIT:
-                    break  # the bound check below refuses the table
-                full[j + 1, 1:] = full[j, :-1]
-                if lead:
-                    full[j + 1] += lead * head
-            bound = max(int(full.max()), -int(full.min()))
-            if bound > _NP_TABLE_LIMIT:
-                raise PreconditionError(f"x^j mod Phi_{n} outgrows the int64 power table")
+            full = np.empty((self.modulus, self.totient), dtype=np.int64)
+            self._walk_powers(full)
             full.flags.writeable = False
-            self._max_coeff = bound  # before the table, which marks it set
             self._table = full
         return self._table
+
+    def _walk_powers(self, out: np.ndarray | None = None) -> int:
+        """max|coeff(x^j mod Phi_N)| over j < N, row j written to out[j] if
+        `out` is given.  x^(j+1) = x * x^j: shift up one degree (the window
+        buf[N-1-j : N-1-j+phi] is row j) and fold the lead back through
+        x^phi = -(Phi_N - x^phi).  An entry grows by at most
+        |lead| * max|head| per step, so no entry overflows while every lead
+        stays within _NP_TABLE_LIMIT; a zero lead leaves the bound as is."""
+        n, phi = self.modulus, self.totient
+        head = -np.array(self.phi_poly[:-1], dtype=np.int64)
+        if n * int(np.abs(head).max()) * _NP_TABLE_LIMIT >= 2 ** 62:
+            raise PreconditionError(f"Phi_{n} is too large for an int64 power table")
+        buf = np.zeros(n - 1 + phi, dtype=np.int64)
+        buf[n - 1] = bound = 1
+        for j in range(n):
+            row = buf[n - 1 - j:n - 1 - j + phi]
+            lead = int(buf[n - 1 - j + phi]) if j else 0  # the last entry of row j-1
+            if lead:
+                row += lead * head
+                bound = max(bound, int(row.max()), -int(row.min()))
+                if bound > _NP_TABLE_LIMIT:
+                    raise PreconditionError(f"x^j mod Phi_{n} outgrows the int64 power table")
+            if out is not None:
+                out[j] = row
+        return bound
 
 
 @lru_cache(maxsize=None)

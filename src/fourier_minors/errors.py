@@ -3,3 +3,7 @@ class PreconditionError(ValueError):
 
     Distinct from plain usage errors so the CLI can map it to exit code 2.
     """
+
+
+class WorkerError(RuntimeError):
+    """A `--jobs` worker process died; the CLI maps it to exit code 5."""

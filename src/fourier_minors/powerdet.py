@@ -4,16 +4,19 @@ reduction modulo primes.
 Lemma (reduction).  Let p be a prime with p = 1 (mod N), and zeta in F_p an
 element of order exactly N (F_p^* is cyclic of order p - 1, so one exists).
 
-- For every k, x -> zeta^k is a ring homomorphism Z[x]/(x^N - 1) -> F_p,
-  and w -> zeta is a ring homomorphism Z[w] = Z[x]/(Phi_N) -> F_p, since
-  Phi_N(zeta) = 0.  Homomorphisms commute with determinants, so
-  det(w^(e_ij)) maps to det(zeta^(e_ij)) mod p.
-- p does not divide N, so x^N - 1 = prod_k (x - zeta^k) has N distinct
-  roots in F_p, and Phi_N = prod_u (x - zeta^u) over the phi(N) units u
-  splits into distinct linear factors.  The values at all zeta^k therefore
-  determine a vector of Z[x]/(x^N - 1) mod p, by the inverse DFT.
-- Leibniz writes det(w^(e_ij)) as r! signed powers of w, so its raw vector
-  in Z[x]/(x^N - 1) has absolute entry sum at most r!.
+For every unit u mod N, zeta^u has order N, so w -> zeta^u is a ring map
+Z[w] = Z[x]/(Phi_N) -> F_p, and det(w^(e_ij)) maps to det(zeta^(u*e_ij)).
+As p does not divide N, Phi_N = prod_u (x - zeta^u) splits into phi(N)
+distinct linear factors.
+
+Lemma (coefficients).  The canonical vector c of alpha = det(w^(e_ij)) of
+size r is a polynomial of degree < phi with c(zeta^u) = alpha's image at u.
+- Lagrange interpolation at the roots a_u = zeta^u of Phi_N gives c mod p
+  as L @ (c(a_u))_u, with L[i, u] = q_u[i] / Phi_N'(a_u), q_u = Phi_N / (x - a_u).
+- Leibniz writes alpha as r! signed powers w^j, whose vectors x^j mod Phi_N
+  have entries of absolute value at most h = max_j max|coeff(x^j mod Phi_N)|.
+  So |c_i| <= r! * h, and CRT over primes whose product exceeds 2 * r! * h
+  recovers c as symmetric residues.
 
 Lemma (zeros from conjugates).  Let alpha = det(w^(e_ij)) of size r.
 - For p = 1 (mod N), the maps w -> zeta^u, one per unit u mod N, are the
@@ -40,10 +43,9 @@ The evaluation primitive `_evaluate` has three uses:
   elimination at w -> zeta^u for every unit u, one prime at a time, until
   the primes' product M has M^2 > r^r (`zero_flags`); no coefficient is
   computed;
-- coefficients: the values at all N roots, inverse-transformed mod p and
-  combined by CRT over primes whose product exceeds 2 * r!, give the raw
-  vector exactly, and reduction mod Phi_N through the ring's power table
-  makes it canonical (`det_power_batch`, `CycRing.reduce`).
+- coefficients: the values at the phi units, turned into coefficients
+  mod p by the Lagrange matrix and combined by CRT over primes whose
+  product exceeds 2 * r! * h, give c exactly (`det_power_batch`).
 
 Determinants mod p come from batched, division-free Gaussian elimination
 in numpy int64, the batch on the last axis: with p < 2^31 every product of
@@ -65,7 +67,8 @@ from math import factorial, isqrt
 
 import numpy as np
 
-from .cyclotomic import CycElem, CycRing, ROOT_ERROR, _EPS, divisors, units
+from .cyclotomic import (CycElem, CycRing, ROOT_ERROR, _EPS, cyclotomic_polynomial,
+                         divisors, units)
 
 PRIME_LIMIT = 2 ** 31
 # Working-set cap of one batched elimination; larger batches are chunked.
@@ -119,9 +122,10 @@ def field(n: int, index: int = 0) -> tuple[int, int]:
 def _root_powers(n: int, index: int) -> np.ndarray:
     """zeta^j mod p for j = 0 .. n-1, for field(n, index)."""
     p, zeta = field(n, index)
-    out = np.ones(n, dtype=np.int64)
+    powers = [1] * n
     for j in range(1, n):
-        out[j] = out[j - 1] * zeta % p
+        powers[j] = powers[j - 1] * zeta % p
+    out = np.array(powers, dtype=np.int64)
     out.flags.writeable = False  # shared by every caller through the cache
     return out
 
@@ -136,14 +140,19 @@ def _primes_for(n: int, bound: int) -> int:
 
 
 def _inverse(x: np.ndarray, p: int) -> np.ndarray:
-    """x^(p-2) mod p elementwise: the inverse of x, and 0 for 0."""
-    out = np.ones_like(x)
-    e = p - 2
-    while e:
-        if e & 1:
-            out = out * x % p
-        x = x * x % p
-        e >>= 1
+    """x^-1 mod p elementwise, and 0 for 0, by Montgomery's trick: prefix
+    products, one modular inverse of their total, and one pass back."""
+    vals = [v or 1 for v in x.tolist()]
+    prefix = [1]
+    for v in vals:
+        prefix.append(prefix[-1] * v % p)
+    inv = pow(prefix[-1], -1, p)
+    out = [0] * len(vals)
+    for i in range(len(vals) - 1, -1, -1):
+        out[i] = inv * prefix[i] % p
+        inv = inv * vals[i] % p
+    out = np.array(out, dtype=np.int64)
+    out[x == 0] = 0
     return out
 
 
@@ -208,17 +217,38 @@ def _evaluate(exps: np.ndarray, n: int, index: int, values: bool,
     return out[:, 0] if ks is None else out
 
 
-def _interpolate(vals: np.ndarray, n: int, index: int) -> np.ndarray:
-    """Inverse DFT mod p: raw[b, j] = n^-1 * sum_k vals[b, k] * zeta^(-jk),
-    by Horner's rule in y_j = zeta^(-j) for all j at once."""
+@lru_cache(maxsize=None)
+def _lagrange(n: int, index: int) -> np.ndarray:
+    """The read-only Lagrange matrix L mod p of field(n, index), its columns
+    the units u in `units` order (module docstring).  Synthetic division by
+    x - a for every root a at once, q[i-1] = Phi_N[i] + a * q[i], yields
+    row i of L before scaling; Horner's rule on the same q gives Phi_N'(a)."""
     p = field(n, index)[0]
-    y = _root_powers(n, index)[-np.arange(n) % n]
-    acc = np.repeat(vals[:, -1:], n, axis=1)
-    for k in range(n - 2, -1, -1):
-        acc *= y
-        acc += vals[:, k, None]
-        acc %= p
-    return acc * pow(n, -1, p) % p
+    poly = [c % p for c in cyclotomic_polynomial(n)]
+    phi = len(poly) - 1
+    roots = _root_powers(n, index)[np.array(units(n)) % n]
+    lag = np.empty((phi, phi), dtype=np.int64)
+    q = np.ones(phi, dtype=np.int64)
+    deriv = np.zeros(phi, dtype=np.int64)
+    for i in range(phi - 1, -1, -1):
+        lag[i] = q
+        deriv = (deriv * roots + q) % p
+        q = (q * roots + poly[i]) % p
+    np.multiply(lag, _inverse(deriv, p), out=lag)
+    np.remainder(lag, p, out=lag)
+    lag.flags.writeable = False  # shared by every caller through the cache
+    return lag
+
+
+def _coefficients(vals: np.ndarray, n: int, index: int) -> np.ndarray:
+    """Coefficients mod p from the values `vals` (B, phi) at the units:
+    vals @ L^T in 16-bit limbs of vals, so that no int64 partial sum passes
+    phi * 2^47 < 2^62 (phi < 2^15)."""
+    p = field(n, index)[0]
+    lag = _lagrange(n, index).T
+    low = (vals & 0xFFFF) @ lag
+    high = (vals >> 16) @ lag % p
+    return ((high << 16) + low) % p
 
 
 def _crt_symmetric(residues: list[np.ndarray], primes: list[int]) -> np.ndarray:
@@ -250,14 +280,15 @@ def det_power_batch(ring: CycRing, exps) -> np.ndarray:
     r! * max|coeff(w^j)| stays below 2^62, Python ints (dtype object) past it.
     """
     exps = _as_batch(ring, exps)
-    r = exps.shape[1]
-    n = ring.modulus
+    n, r = ring.modulus, exps.shape[1]
+    weight = factorial(r) * ring.power_bound
+    ks = np.array(units(n), dtype=np.int64)
     primes, residues = [], []
-    for index in range(_primes_for(n, 2 * factorial(r))):
+    for index in range(_primes_for(n, 2 * weight)):
         primes.append(field(n, index)[0])
-        vals = _evaluate(exps, n, index, True, np.arange(n))
-        residues.append(_interpolate(vals, n, index))
-    return ring.reduce(_crt_symmetric(residues, primes), factorial(r))
+        residues.append(_coefficients(_evaluate(exps, n, index, True, ks), n, index))
+    coeffs = _crt_symmetric(residues, primes)
+    return coeffs.astype(np.int64 if weight < 2 ** 62 else object, copy=False)
 
 
 def zero_flags(ring: CycRing, exps) -> tuple[np.ndarray, int]:

@@ -36,7 +36,7 @@ from math import comb
 import numpy as np
 
 from .cyclotomic import CycRing, divisors, ring_new, units
-from .errors import PreconditionError
+from .errors import PreconditionError, WorkerError
 from .minors import IndexSet, complement, is_singular
 from . import powerdet
 
@@ -424,13 +424,13 @@ def ordered_map(fn, tasks, jobs: int):
     """`fn` over `tasks`, results in task order: the builtin `map` for
     jobs <= 1, else one pool of `jobs` spawned workers with at most
     2 * jobs tasks submitted ahead of the one being read.  A dead worker
-    raises BrokenProcessPool; closing the generator, or an exception,
-    cancels the queued tasks and terminates the workers."""
+    raises WorkerError; closing the generator, or an exception, cancels
+    the queued tasks and terminates the workers."""
     if jobs <= 1:
         yield from map(fn, tasks)
         return
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     context = multiprocessing.get_context("spawn")
     pool = ProcessPoolExecutor(max_workers=jobs, mp_context=context)
@@ -442,6 +442,8 @@ def ordered_map(fn, tasks, jobs: int):
                 yield window.popleft().result()
         while window:
             yield window.popleft().result()
+    except BrokenExecutor as exc:  # BrokenProcessPool, a dead worker
+        raise WorkerError(f"a --jobs worker process died ({exc})") from exc
     finally:
         # Before Python 3.14 (`terminate_workers`) no public call stops a
         # running task, so the workers come from the executor's private

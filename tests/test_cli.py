@@ -3,8 +3,8 @@ import json
 import pytest
 
 from fourier_minors import (IndexSet, MinorRecord, ScanReport, SearchOutcome,
-                            Theorem1Report, WitnessPlan, minor_record, ring_new,
-                            scan_all, witness_sweep)
+                            Theorem1Report, WitnessPlan, WorkerError, minor_record,
+                            ring_new, scan_all, witness_sweep)
 from fourier_minors.cli import decode, encode, main, parse_run_record
 from fourier_minors.search import SearchConfig, find_good_permutation
 from fourier_minors.theorems import verify_theorem1
@@ -81,7 +81,8 @@ def test_cli_import_skips_mpmath_and_multiprocessing():
     import fourier_minors
     src = str(Path(fourier_minors.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import fourier_minors.cli; "
-            "print(sorted(m for m in ('mpmath', 'multiprocessing') if m in sys.modules))")
+            "print(sorted(m for m in ('mpmath', 'multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
@@ -116,6 +117,24 @@ def test_scan_rejects_negative_cap_and_jobs(tmp_path, capsys):
         assert run(["scan", "--n", "12", flag, value, "--out", str(out)]) == 2
         assert not out.exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, call", [
+    (["scan", "--n", "12", "--jobs", "2"], "scan_all"),
+    (["perm-search", "--n", "8", "--jobs", "2"], "find_good_permutation"),
+])
+def test_dead_worker_exits_5_without_record(tmp_path, capsys, monkeypatch, argv, call):
+    import fourier_minors.cli as cli
+
+    def dead(*args, **kwargs):
+        raise WorkerError("a --jobs worker process died (pool broken)")
+
+    monkeypatch.setattr(cli, call, dead)
+    out = tmp_path / "r.jsonl"
+    assert run([*argv, "--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err and "worker" in err
+    assert not out.exists()
 
 
 def test_scan_ceiling_precondition(capsys):

@@ -76,25 +76,26 @@ def _remainders(ring, count):
 
 
 def test_reduction_table_matches_direct_remainder():
-    # element() and reduce() fold every power x^j, j past N included,
-    # into the long-division remainder of x^j by Phi_N
+    # element() folds every power x^j, j past N included, into the
+    # long-division remainder of x^j by Phi_N
     for n in (1, 4, 6, 9, 12, 16, 30):
         ring = ring_new(n)
         rems = _remainders(ring, 3 * n)
         for j, rem in enumerate(rems):
             assert list(ring.element([0] * j + [1]).coeffs) == rem, (n, j)
-        raw = np.eye(n, dtype=np.int64)
-        assert ring.reduce(raw, 1).tolist() == rems[:n]
-        assert ring.reduce(raw.astype(object) * 2 ** 70, 2 ** 70).tolist() == \
-            [[c * 2 ** 70 for c in rem] for rem in rems[:n]]
 
 
 def test_np_tables_match_python_power_rows():
     # the numpy recurrence against long-division remainders of x^j
+    # power_bound walks the same recurrence without building the table
     for n in (1, 2, 12, 30, 105, 210, 1155):
         table = CycRing(n).np_tables()
+        rems = _remainders(CycRing(n), n)
         assert table.dtype == np.int64
-        assert table.tolist() == _remainders(CycRing(n), n), n
+        assert table.tolist() == rems, n
+        assert CycRing(n).power_bound == max(abs(c) for rem in rems for c in rem), n
+    # at N = 2387 the most negative coefficient, -4, sets the bound
+    assert CycRing(2387).power_bound == -int(CycRing(2387).np_tables().min()) == 4
 
 
 def test_np_tables_refuse_oversized_entries(monkeypatch):
@@ -102,6 +103,8 @@ def test_np_tables_refuse_oversized_entries(monkeypatch):
     monkeypatch.setattr(cyc, "_NP_TABLE_LIMIT", 1)
     with pytest.raises(PreconditionError):
         CycRing(105).np_tables()  # Phi_105 has the coefficient -2 at x^7
+    with pytest.raises(PreconditionError):
+        CycRing(105).power_bound
     assert CycRing(12).np_tables().shape == (12, 4)
 
 

@@ -1,9 +1,10 @@
-from math import isqrt, prod
+from math import factorial, isqrt, prod
 
 import numpy as np
 import pytest
 
 from fourier_minors import IndexSet, det_exact, ring_new, submatrix
+from fourier_minors.cyclotomic import CycRing
 from fourier_minors.minors import exponent_matrix
 from fourier_minors.powerdet import (PRIME_LIMIT, approx_det_batch, det_power_batch,
                                      det_power_single, field, zero_flags)
@@ -155,6 +156,57 @@ def test_agrees_with_det_exact_at_two_primes(rng):
     assert_matches(ring, exps, det_exact)
 
 
+def test_coefficients_with_power_bound_above_one(rng, leibniz):
+    # x^j mod Phi_N has coefficients up to h = 2, 2, 2, 3 here, so the
+    # coefficient bound that sets the prime count is r! * h
+    for n, h in ((105, 2), (165, 2), (210, 2), (385, 3)):
+        ring = CycRing(n)
+        det_power_batch(ring, random_exps(rng, n, 3, 2))
+        assert ring._table is None  # coefficients need no power table
+        assert ring.power_bound == h
+        for r in (1, 2, 3):
+            assert_matches(ring, random_exps(rng, n, r, 2), leibniz)
+
+
+def test_coefficients_at_moduli_one_and_two(rng, leibniz):
+    # Phi_1 = x - 1 and Phi_2 = x + 1: one unit, a 1 x 1 Lagrange matrix
+    for n in (1, 2):
+        for r in range(1, 7):
+            assert_matches(ring_new(n), random_exps(rng, n, r, 4), leibniz)
+
+
+def test_two_prime_coefficients_with_power_bound_above_one(rng, monkeypatch):
+    # Entries w^(N/2 * s_ij + a_i + b_j) give det = w^(sum a + sum b) * g,
+    # g the integer determinant of the (-1)^s_ij.  At N = 770 (h = 3) r = 12
+    # is the first size whose bound 2 * r! * h needs two primes; with h = 1
+    # that happens from r = 13 on.
+    import fourier_minors.powerdet as pd
+    used = []
+    original = pd._evaluate
+
+    def recording(exps, n, index, values, ks=None):
+        used.append(index)
+        return original(exps, n, index, values, ks)
+
+    monkeypatch.setattr(pd, "_evaluate", recording)
+    n, half = 770, 385
+    ring = ring_new(n)
+    assert ring.power_bound == 3
+    sign = [(1, 0), (-1, 0)]
+    for r, primes in ((11, 1), (12, 2), (13, 2)):
+        assert prod(field(n, i)[0] for i in range(primes)) > 2 * factorial(r) * 3
+        used.clear()
+        s = [[rng.randrange(2) for _ in range(r)] for _ in range(r)]
+        a = [rng.randrange(n) for _ in range(r)]
+        b = [rng.randrange(n) for _ in range(r)]
+        exps = np.array([[[half * s[i][j] + a[i] + b[j] for j in range(r)]
+                          for i in range(r)]])
+        g, _ = gaussian_det([[sign[e] for e in row] for row in s])
+        ref = ring.root_power(sum(a) + sum(b)) * g
+        assert tuple(int(c) for c in det_power_batch(ring, exps)[0]) == ref.coeffs
+        assert used == list(range(primes))
+
+
 def test_agrees_with_gaussian_oracle_beyond_r16(rng):
     unit = {2: [(1, 0), (-1, 0)], 4: [(1, 0), (0, 1), (-1, 0), (0, -1)]}
     for n in (2, 4):
@@ -175,7 +227,7 @@ def test_zero_flags_never_computes_coefficients(rng, monkeypatch):
     import fourier_minors.powerdet as pd
     calls = []
     monkeypatch.setattr(pd, "det_power_batch", lambda *a: calls.append(a))
-    monkeypatch.setattr(pd, "_interpolate", lambda *a: calls.append(a))
+    monkeypatch.setattr(pd, "_coefficients", lambda *a: calls.append(a))
     zeros = 0
     for n in (8, 12, 16, 27):
         ring = ring_new(n)

@@ -5,7 +5,7 @@ from math import comb, gcd
 import numpy as np
 import pytest
 
-from fourier_minors import (IndexSet, PreconditionError, build_witness,
+from fourier_minors import (IndexSet, PreconditionError, WorkerError, build_witness,
                             is_singular, is_square_free, ring_new, scan_all,
                             smallest_square_factor, verify_theorem1,
                             witness_sweep)
@@ -420,8 +420,9 @@ def test_ordered_map_dead_worker_raises():
     import os
     from concurrent.futures.process import BrokenProcessPool
 
-    with pytest.raises(BrokenProcessPool):
+    with pytest.raises(WorkerError) as info:
         list(theorems.ordered_map(os._exit, [3, 3], 2))
+    assert isinstance(info.value.__cause__, BrokenProcessPool)
     assert _children_joined(5.0)
 
 
