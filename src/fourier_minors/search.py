@@ -7,11 +7,19 @@ determinant of a w-power matrix.  The search assigns sigma position by
 position, deciding at each node the domain of one free position (forward
 checking; Haralick and Elliott, Artif. Intell. 14, 1980): for each unused
 value, the smallest size of a vanishing minor on the position plus
-assigned positions once it takes the value, or 0.  Each size is one engine
-batch over (values still alive x subsets), smallest first.  A vanishing
-minor vanishes under every completion, so a prune loses no good
-permutation; along a completed branch the tested families union to the
-full power set, so a surviving leaf is good (it is re-verified anyway).
+assigned positions once it takes the value, or 0.  Size 2 is the closed
+form below; each larger size is one engine batch over (values still alive
+x subsets), smallest first.  A vanishing minor vanishes under every
+completion, so a prune loses no good permutation; along a completed branch
+the tested families union to the full power set, so a surviving leaf is
+good (it is re-verified anyway).
+
+Lemma (2x2 minors).  On positions a < b, with sa = sigma(a) and
+sb = sigma(b), the minor is w^(a*sa + b*sb) - w^(a*sb + b*sa).  It
+vanishes iff the exponents agree mod N, that is iff
+(a - b)(sa - sb) = 0 (mod N).  So size 2 of a domain is one vectorised
+test over values x assigned positions, and a domain hands the engine
+sizes >= 3 only.
 
 Both order policies count alike.  `ascending` takes the first free
 position, `most-constrained` the one with the fewest zero entries (the
@@ -138,10 +146,15 @@ class _SearchState:
         each, the smallest size of a vanishing minor on `pos` plus assigned
         positions once sigma(pos) takes it, or 0 when none vanishes."""
         values = np.setdiff1d(np.arange(self.n), self.img[self.assigned])
-        fail = np.zeros(len(values), dtype=np.int64)
         if self.on_test is not None:
             self.on_test((pos,), len(self.assigned))  # w^(pos*v) never vanishes
-        for s in range(2, len(self.assigned) + 2):
+            for a in self.assigned:
+                self.on_test(tuple(sorted((a, pos))), len(self.assigned))
+        # the 2x2 lemma (module docstring), over values x assigned positions
+        a = np.array(self.assigned, dtype=np.int64)
+        pair = (a - pos) * (self.img[a] - values[:, None]) % self.n == 0
+        fail = np.where(pair.any(axis=1), 2, 0)
+        for s in range(3, len(self.assigned) + 2):
             live = np.flatnonzero(fail == 0)
             if not len(live):
                 break

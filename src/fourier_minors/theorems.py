@@ -22,8 +22,28 @@ So singularity is constant on the orbits of the affine group
 G = {k -> uk + c}, of order N * phi(N).  The scan decides one
 representative per orbit, the set with the least bitmask sum 2^k, and
 weights it by the orbit size N * phi(N) / |Stab(K)|, where
-Stab(K) = {(u, c) : uK + c = K}.  Candidates stream through the engine in
-chunks of bounded size, so memory does not grow with C(N-1, r-1).
+Stab(K) = {(u, c) : uK + c = K}.
+
+Lemma (lazy prefix groups).  The k-subsets of range(n) that extend a
+sorted prefix P with last member x split, by their next member
+y = x+1 .. n-k+|P|, into those that extend P + (y,); taking y in
+increasing order lists them in lexicographic order.  `_subtrees` applies
+the split recursively from the sentinel prefix and stops at every prefix
+with at most _CHUNK completions.  So each k-subset extends exactly one
+emitted prefix, the emitted prefixes come in lexicographic order, and
+completing each in lexicographic order (`_extend`) lists every k-subset
+exactly once, in lexicographic order.
+
+Memory contract.  The candidates stream through the engine in chunks, so
+a chunk's working set is bounded by _CHUNK, N <= 64 and the exemplar cap,
+whatever N, C(N-1, r-1) or the number of singular sets:
+- the recursion holds at most k + 1 prefixes, and a group, packed from
+  adjacent prefixes, completes to fewer than 2 * _CHUNK int8 rows;
+- the affine gap filter runs on the int8 rows, and only its survivors are
+  widened to int64;
+- the engine gets exponent products in slices of at most 16 * _CHUNK;
+- orbit keys are expanded at most max(_IMAGES, N * phi(N)) images at a
+  time, and at most 2 * cap keys per size are kept.
 """
 
 from __future__ import annotations
@@ -314,31 +334,65 @@ class ScanReport:
 # Candidate sets per chunk of the scan's stream (a chunk holds fewer than
 # twice this many), so the working set does not grow with C(N-1, r-1).
 _CHUNK = 1 << 15
+# Orbit images `_exemplar_keys` expands at once.
+_IMAGES = 1 << 12
 
 
-def _extend(rows: np.ndarray, n: int, k: int, depth: int) -> np.ndarray:
-    """Every continuation, in lexicographic order, of the prefixes `rows`
-    of k-subsets of range(n) to `depth` members.  Column 0 is a sentinel
-    one below the least member allowed; it stays in the result."""
-    for j in range(rows.shape[1] - 1, depth):
-        start = rows[:, -1] + 1
-        count = n - k + j + 1 - start  # member j lies in start .. n-k+j
-        idx = np.repeat(np.arange(len(rows)), count)
-        step = np.arange(len(idx)) - np.repeat(np.cumsum(count) - count, count)
-        rows = np.hstack([rows[idx], (start[idx] + step)[:, None]])
+def _extend(rows: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Every completion, in lexicographic order, of the prefix rows `rows`
+    to k-subsets of range(n).  A row is int8 (so N <= 64): a sentinel one
+    below the least member allowed, the members of its prefix, then -1 up
+    to width k + 1; the sentinel stays in the result.  Each level fills
+    one new array, the rows still short of member j repeated once per
+    value of it and every other row copied once."""
+    for j in range(k):
+        grow = rows[:, j + 1] < 0
+        if not grow.any():
+            continue
+        # member j lies in rows[:, j] + 1 .. n-k+j
+        count = np.where(grow, n - k + j - rows[:, j].astype(np.int64), 1)
+        src = np.repeat(np.arange(len(rows)), count)
+        step = np.arange(len(src)) - (np.cumsum(count) - count)[src]
+        rows = rows[src]
+        new = np.flatnonzero(grow[src])
+        rows[new, j + 1] = rows[new, j] + 1 + step[new]
     return rows
 
 
-def _prefix_groups(n: int, k: int, lo: int) -> list[np.ndarray]:
-    """The k-subsets of range(lo, n) as groups of prefixes, in lexicographic
-    order; `_extend(group, n, k, k)` completes a group to fewer than
-    2 * _CHUNK subsets."""
-    depth = next(d for d in range(k + 1) if comb(n - lo - d, k - d) <= _CHUNK)
-    prefixes = _extend(np.full((1, 1), lo - 1, dtype=np.int64), n, k, depth)
-    completions = np.array([comb(n - 1 - x, k - depth) for x in range(lo - 1, n)])
-    sizes = completions[prefixes[:, -1] - lo + 1]
-    group = (np.cumsum(sizes) - sizes) // _CHUNK
-    return np.split(prefixes, np.flatnonzero(np.diff(group)) + 1)
+def _subtrees(n: int, k: int, prefix: tuple[int, ...]):
+    """(prefix, completions) pairs, in lexicographic order, that split the
+    k-subsets of range(n) extending `prefix` (sentinel first) into whole
+    subtrees of at most _CHUNK completions each."""
+    depth = len(prefix) - 1
+    count = comb(n - 1 - prefix[-1], k - depth)
+    if count <= _CHUNK:
+        yield prefix, count
+        return
+    for x in range(prefix[-1] + 1, n - k + depth + 1):
+        yield from _subtrees(n, k, prefix + (x,))
+
+
+def _prefix_groups(n: int, k: int, lo: int):
+    """The k-subsets of range(lo, n) as groups of prefix rows (`_extend`),
+    in lexicographic order; `_extend(group, n, k)` completes a group to
+    fewer than 2 * _CHUNK subsets."""
+    group: list[tuple[int, ...]] = []
+    offset = end = 0  # completions so far; end of the group's window
+    for prefix, count in _subtrees(n, k, (lo - 1,)):
+        if offset >= end:
+            if group:
+                yield _prefix_rows(group, k)
+            group, end = [], (offset // _CHUNK + 1) * _CHUNK
+        group.append(prefix)
+        offset += count
+    yield _prefix_rows(group, k)
+
+
+def _prefix_rows(prefixes: list[tuple[int, ...]], k: int) -> np.ndarray:
+    rows = np.full((len(prefixes), k + 1), -1, dtype=np.int8)
+    for row, prefix in zip(rows, prefixes):
+        row[:len(prefix)] = prefix
+    return rows
 
 
 def _masks(members: np.ndarray) -> np.ndarray:
@@ -357,10 +411,12 @@ def _affine_reps(n: int, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     has largest member N - g, g the cyclic gap below x, so K can only be
     least if no gap of K is wider than its last, N - max K.  The units go
     in batches of doubling size, each batch on the rows that survived the
-    last.
+    last.  The gap filter runs on the int8 rows of `_extend`; only its
+    survivors are widened to int64.
     """
     if members.shape[1] > 1:
         members = members[np.diff(members, axis=1).max(axis=1) <= n - members[:, -1]]
+    members = members.astype(np.int64)
     masks = _masks(members)
     stab = np.zeros(len(masks), dtype=np.int64)
     full = np.uint64((1 << n) - 1)
@@ -379,15 +435,22 @@ def _affine_reps(n: int, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return members, n * len(group) // stab
 
 
-def _exemplar_keys(n: int, sets: np.ndarray, classes: bool) -> np.ndarray:
-    """The distinct keys, ascending, of `sets` or, with `classes`, of every
-    set in their affine orbits.  Member k sets bit N-1-k of a key, so among
-    sets of one size the lexicographically first have the largest keys."""
-    if classes:
-        mult = np.array(units(n))[:, None, None]
-        sets = (sets[:, None, None, :] * mult + np.arange(n)[:, None]) % n
-        sets = sets.reshape(-1, sets.shape[-1])
-    return np.unique(_masks(n - 1 - sets))
+def _exemplar_keys(n: int, sets: np.ndarray, classes: bool, cap: int) -> np.ndarray:
+    """`_ends(keys, cap)` of the distinct keys, ascending, of `sets` or,
+    with `classes`, of every set in their affine orbits.  Member k sets
+    bit N-1-k of a key, so among sets of one size the lexicographically
+    first have the largest keys.  The orbits are expanded a block of at
+    most max(_IMAGES, N * phi(N)) images at a time, and each block's keys
+    are merged into the ends kept so far: the ends of a union are the ends
+    of the union of its parts' ends."""
+    mult = np.array(units(n) if classes else [1])[:, None, None]
+    shifts = np.arange(n if classes else 1)[:, None]
+    block = max(1, _IMAGES // (len(mult) * len(shifts)))
+    keys = np.zeros(0, dtype=np.uint64)
+    for s in range(0, len(sets), block):
+        images = (sets[s:s + block, None, None, :] * mult + shifts) % n
+        keys = _ends(np.union1d(keys, _masks(n - 1 - images.reshape(-1, sets.shape[-1]))), cap)
+    return keys
 
 
 def _last(keys: np.ndarray, cap: int) -> np.ndarray:
@@ -411,12 +474,13 @@ def _scan_chunk(task: tuple) -> tuple[int, int, int, np.ndarray, int]:
     n, r, classes, cap, prefixes = task
     if classes:
         # candidates are {0} plus (r-1)-subsets of 1..N-1; 0 is the sentinel
-        members, weights = _affine_reps(n, _extend(prefixes, n, r - 1, r - 1))
+        members, weights = _affine_reps(n, _extend(prefixes, n, r - 1))
     else:
-        members = _extend(prefixes, n, r, r)[:, 1:]
+        # int64 before the products of `_judge_members`
+        members = _extend(prefixes, n, r)[:, 1:].astype(np.int64)
         weights = np.ones(len(members), dtype=np.int64)
     flags, hits = _judge_members(ring_new(n), members)
-    keys = _ends(_exemplar_keys(n, members[flags], classes), cap)
+    keys = _exemplar_keys(n, members[flags], classes, cap)
     return r, len(members), int(weights[flags].sum()), keys, hits
 
 
@@ -456,8 +520,16 @@ def ordered_map(fn, tasks, jobs: int):
 
 def _judge_members(ring: CycRing, members: np.ndarray) -> tuple[np.ndarray, int]:
     """Singularity flags for principal sets given as (B, r) member arrays,
-    and the number the one-prime screen certified nonzero."""
-    return powerdet.zero_flags(ring, members[:, :, None] * members[:, None, :])
+    and the number the one-prime screen certified nonzero, in slices of at
+    most 16 * _CHUNK exponents."""
+    step = max(1, 16 * _CHUNK // members.shape[1] ** 2)
+    flags, hits = [], 0
+    for s in range(0, max(len(members), 1), step):
+        part = members[s:s + step]
+        part_flags, part_hits = powerdet.zero_flags(ring, part[:, :, None] * part[:, None, :])
+        flags.append(part_flags)
+        hits += part_hits
+    return np.concatenate(flags), hits
 
 
 def scan_all(modulus: int, config: ScanConfig | None = None, **kwargs) -> ScanReport:

@@ -216,6 +216,40 @@ def test_domain_matches_exact_oracle(rng, monkeypatch):
     assert {0, 2, 3, 4} <= sizes  # the cases cover several failing sizes
 
 
+def test_pair_lemma_matches_leibniz_to_12(leibniz):
+    # with one assigned position a, the domain of pos is the 2x2 lemma
+    # alone: fail == 2 iff the minor on {a, pos} vanishes, by Leibniz
+    for n in range(2, 13):
+        ring = ring_new(n)
+        for a, pos in permutations(range(n), 2):
+            for sa in range(n):
+                state = _SearchState(SearchConfig(n))
+                state.img[a] = sa
+                state.assigned = [a]
+                values, fail = state._domain(pos)
+                rows = sorted((a, pos))
+                for v, f in zip(values.tolist(), fail.tolist()):
+                    sigma = {a: sa, pos: v}
+                    matrix = [[ring.root_power(k * sigma[l]) for l in rows] for k in rows]
+                    assert (f == 2) == leibniz(matrix).is_zero(), (n, a, sa, pos, v)
+                    assert f in (0, 2)
+
+
+def test_domain_hands_the_engine_sizes_3_and_up(monkeypatch):
+    sizes = []
+    engine = powerdet.zero_flags
+    monkeypatch.setattr(powerdet, "zero_flags",
+                        lambda ring, exps: sizes.append(exps.shape[1]) or engine(ring, exps))
+    image = find_good_permutation(SearchConfig(10)).found.image
+    sizes.clear()  # the leaf check decides every size, 2 included
+    state = _SearchState(SearchConfig(10))
+    for pos in range(10):
+        state._domain(pos)
+        state.img[pos] = image[pos]
+        state.assigned.append(pos)
+    assert sizes and min(sizes) == 3
+
+
 def test_budget_expiry_is_inconclusive():
     outcome = find_good_permutation(SearchConfig(16, time_budget=0.2))
     assert outcome.found is None

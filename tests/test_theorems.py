@@ -374,6 +374,87 @@ def test_scan_chunking_is_transparent(monkeypatch):
         assert chunked.classes_tested == report.classes_tested, (n, config)
 
 
+def test_prefix_groups_follow_combinations_order(monkeypatch):
+    # tiny chunks make the recursion several levels deep; the groups'
+    # completions, concatenated, are the k-subsets in lexicographic order
+    for chunk in (1, 4, 64):
+        monkeypatch.setattr(theorems, "_CHUNK", chunk)
+        for n, k, lo in ((1, 0, 0), (1, 1, 0), (5, 0, 1), (6, 3, 0), (9, 4, 1),
+                         (10, 5, 0), (12, 6, 1), (13, 3, 0), (14, 7, 1)):
+            rows = []
+            for group in theorems._prefix_groups(n, k, lo):
+                assert group.dtype == np.int8
+                done = theorems._extend(group, n, k)
+                assert 0 < len(done) < 2 * chunk, (chunk, n, k, lo)
+                assert (done[:, 0] == lo - 1).all()
+                rows += done[:, 1:].tolist()
+            assert rows == [list(c) for c in combinations(range(lo, n), k)], (chunk, n, k, lo)
+
+
+def test_extend_int8_edges_at_64():
+    # members reach 63 and the sentinel is -1 without leaving int8
+    rows = theorems._extend(np.array([[-1, -1], [-1, 62]], dtype=np.int8), 64, 1)
+    assert rows.dtype == np.int8
+    assert rows.tolist() == [[-1, m] for m in range(64)] + [[-1, 62]]
+    pairs = theorems._extend(np.array([[-1, 61, -1]], dtype=np.int8), 64, 2)
+    assert pairs.tolist() == [[-1, 61, 62], [-1, 61, 63]]
+    groups = list(theorems._prefix_groups(64, 2, 1))
+    last = theorems._extend(groups[-1], 64, 2)[-1].tolist()
+    assert last == [0, 62, 63]
+    # the gap filter on int8 rows: {0, 63} has a gap of 63 below its last
+    # gap of 1 and goes; {0, 1}, least in its orbit, stays, widened
+    members, weights = theorems._affine_reps(64, np.array([[0, 1], [0, 63]], dtype=np.int8))
+    assert members.dtype == np.int64 and members.tolist() == [[0, 1]]
+    assert weights.tolist() == [64 * 32 // 2]
+
+
+def test_scan_peak_memory_does_not_grow_with_n(monkeypatch):
+    # with a fixed chunk the traced peak grows only with the rows' width
+    # r <= N/2 from N = 20 to 24 (about 1.6x); one prefix array for all the
+    # groups of a size grows about 4.5x
+    import tracemalloc
+
+    monkeypatch.setattr(theorems, "_CHUNK", 4096)
+    peaks = {}
+    for n in (20, 24):
+        ring_new(n)
+        tracemalloc.start()
+        try:
+            scan_all(n, override=True)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[24] < 2 * peaks[20], peaks
+
+
+def test_blocked_exemplar_keys_match_one_block(rng, monkeypatch):
+    # the ends kept block by block equal the ends of every key at once,
+    # over affine images of singular witnesses
+    def unblocked(n, sets, classes, cap):
+        if classes:
+            mult = np.array(_units(n))[:, None, None]
+            sets = (sets[:, None, None, :] * mult + np.arange(n)[:, None]) % n
+        return theorems._ends(np.unique(theorems._masks(n - 1 - sets.reshape(-1, sets.shape[-1]))), cap)
+
+    blocks = (1, 100, theorems._IMAGES)
+    for n in (16, 24, 32):
+        for r in (2, 3, n // 2 - 1, n // 2):
+            base = build_witness(n, r).index_set.members
+            units = _units(n)
+            images = set()
+            for _ in range(60):
+                u, c = rng.choice(units), rng.randrange(n)
+                images.add(tuple(sorted((u * k + c) % n for k in base)))
+            sets = np.array(sorted(images), dtype=np.int64)
+            for cap in (0, 1, 16):
+                for classes in (True, False):
+                    expected = unblocked(n, sets, classes, cap)
+                    for images_per_block in blocks:
+                        monkeypatch.setattr(theorems, "_IMAGES", images_per_block)
+                        keys = theorems._exemplar_keys(n, sets, classes, cap)
+                        assert keys.tolist() == expected.tolist(), (n, r, cap, classes)
+
+
 def _children_joined(timeout):
     """True once every child process of this one has ended and been joined."""
     import multiprocessing
@@ -448,7 +529,7 @@ def _mask(members):
 
 def _class_reps(n, r):
     """The scan's class representatives of size r and their weights."""
-    parts = [theorems._affine_reps(n, theorems._extend(p, n, r - 1, r - 1))
+    parts = [theorems._affine_reps(n, theorems._extend(p, n, r - 1))
              for p in theorems._prefix_groups(n, r - 1, 1)]
     return (np.vstack([m for m, _ in parts]).tolist(),
             np.concatenate([w for _, w in parts]).tolist())
@@ -493,7 +574,7 @@ def test_orbit_exemplars_match_python_orbits(rng):
         plain = sorted({tuple(row) for row in rows.tolist()})
         for cap in (0, 1, 16, 10 ** 6):
             for classes, expected in ((True, orbits), (False, plain)):
-                keys = theorems._exemplar_keys(n, rows, classes)
+                keys = theorems._exemplar_keys(n, rows, classes, cap)
                 sets = theorems._key_sets(n, theorems._last(keys, cap))
                 assert sets == expected[:cap], (n, r, cap, classes)
 
