@@ -131,7 +131,8 @@ def is_singular(ring: CycRing, k: IndexSet) -> bool:
     """Exact singularity of the principal submatrix for index set k."""
     if len(k) == 0:
         raise PreconditionError("singularity of the empty set is not defined")
-    return bool(powerdet.zero_flags(ring, exponent_matrix(k, k)[None, :, :])[0][0])
+    members = np.array(k.members)[None]
+    return bool(powerdet.index_zero_flags(ring, members, members)[0][0])
 
 
 def minor_record(ring: CycRing, k: IndexSet) -> MinorRecord:

@@ -47,6 +47,9 @@ The evaluation primitive `_evaluate` has three uses:
   mod p by the Lagrange matrix and combined by CRT over primes whose
   product exceeds 2 * r! * h, give c exactly (`det_power_batch`).
 
+An int64 batch is used as given, each chunk reduced mod N before any
+product; `index_zero_flags` builds a batch from index sets in slices.
+
 Determinants mod p come from batched, division-free Gaussian elimination
 in numpy int64, the batch on the last axis: with p < 2^31 every product of
 two residues stays below 2^62.  References: Chebotarev's theorem by
@@ -73,6 +76,8 @@ from .cyclotomic import (CycElem, CycRing, ROOT_ERROR, _EPS, cyclotomic_polynomi
 PRIME_LIMIT = 2 ** 31
 # Working-set cap of one batched elimination; larger batches are chunked.
 _BATCH_BYTES = 16 * 2 ** 20
+# Exponent products `index_zero_flags` builds at once: 2^19 int64 values.
+_SLICE_BYTES = 4 * 2 ** 20
 # The float twin's subset expansion holds C(r, r/2) states per matrix.
 _APPROX_MAX_R = 16
 
@@ -202,7 +207,7 @@ def _evaluate(exps: np.ndarray, n: int, index: int, values: bool,
     """Determinants mod the index-th prime (`values`) or zero flags of the
     w-power matrices `exps` at w -> zeta^k: shape (B, len(ks)) over the
     multipliers `ks`, or (B,) at k = 1 alone when `ks` is None.  Runs in
-    byte-capped chunks; exps must be reduced mod n."""
+    byte-capped chunks, each reduced mod n before any product."""
     pw = _root_powers(n, index)
     p = field(n, index)[0]
     nbatch, r, _ = exps.shape
@@ -210,8 +215,8 @@ def _evaluate(exps: np.ndarray, n: int, index: int, values: bool,
     chunk = max(1, _BATCH_BYTES // (8 * r * r * count))
     parts = []
     for s in range(0, max(nbatch, 1), chunk):  # an empty batch is one chunk
-        e = exps[s:s + chunk].transpose(1, 2, 0)
-        a = pw[e] if ks is None else pw[(e[..., None] * ks) % n].reshape(r, r, -1)
+        e = exps[s:s + chunk].transpose(1, 2, 0)  # a view: no reduced copy outlives the gather
+        a = pw[e % n] if ks is None else pw[(e % n)[..., None] * ks % n].reshape(r, r, -1)
         parts.append(_eliminate(a, p, values).reshape(-1, count))
     out = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return out[:, 0] if ks is None else out
@@ -263,23 +268,22 @@ def _crt_symmetric(residues: list[np.ndarray], primes: list[int]) -> np.ndarray:
     return np.where(x > m // 2, x - m, x)
 
 
-def _as_batch(ring: CycRing, exps) -> np.ndarray:
+def _as_batch(exps) -> np.ndarray:
+    """`exps` as an int64 batch of shape (B, r, r), r >= 1; not copied."""
     exps = np.asarray(exps, dtype=np.int64)
-    if exps.ndim != 3 or exps.shape[1] != exps.shape[2]:
-        raise ValueError("expected exponent matrices of shape (B, r, r)")
-    if exps.shape[1] < 1:
-        raise ValueError("matrix dimension must be >= 1")
-    return exps % ring.modulus
+    if exps.ndim != 3 or exps.shape[1] != exps.shape[2] or exps.shape[1] < 1:
+        raise ValueError("expected exponent matrices of shape (B, r, r), r >= 1")
+    return exps
 
 
 def det_power_batch(ring: CycRing, exps) -> np.ndarray:
     """Exact determinants of a batch of w-power matrices.
 
-    exps: (B, r, r) integer exponents (any residues; reduced mod N here).
+    exps: (B, r, r) integer exponents (any int64; reduced mod N per chunk).
     Returns canonical coefficient vectors, shape (B, phi): int64 while
     r! * max|coeff(w^j)| stays below 2^62, Python ints (dtype object) past it.
     """
-    exps = _as_batch(ring, exps)
+    exps = _as_batch(exps)
     n, r = ring.modulus, exps.shape[1]
     weight = factorial(r) * ring.power_bound
     ks = np.array(units(n), dtype=np.int64)
@@ -296,7 +300,7 @@ def zero_flags(ring: CycRing, exps) -> tuple[np.ndarray, int]:
     determinants, and how many the one-prime screen certified nonzero.
     The screen's survivors are decided by their Galois conjugates mod p
     (see the module docstring), never by coefficients."""
-    exps = _as_batch(ring, exps)
+    exps = _as_batch(exps)
     n, r = ring.modulus, exps.shape[1]
     flags = _evaluate(exps, n, 0, False)
     idx = np.flatnonzero(flags)
@@ -310,6 +314,20 @@ def zero_flags(ring: CycRing, exps) -> tuple[np.ndarray, int]:
             flags[idx[~zero]] = False
             idx = idx[zero]
     return flags, screened
+
+
+def index_zero_flags(ring: CycRing, rows, cols) -> tuple[np.ndarray, int]:
+    """`zero_flags` of the minors (w^(rows[b, i] * cols[b, j]))_ij given by
+    integer index arrays of shape (B, r), one call per slice of at most
+    _SLICE_BYTES of int64 products (an empty batch is one slice), so
+    neither the products nor the engine's working set grow with B."""
+    if rows.ndim != 2 or rows.shape != cols.shape:
+        raise ValueError("expected row and column index arrays of one shape (B, r)")
+    step = max(1, _SLICE_BYTES // (8 * max(rows.shape[1], 1) ** 2))
+    parts = [zero_flags(ring, np.multiply(rows[s:s + step, :, None], cols[s:s + step, None, :],
+                                          dtype=np.int64))
+             for s in range(0, max(len(rows), 1), step)]
+    return np.concatenate([flags for flags, _ in parts]), sum(hits for _, hits in parts)
 
 
 def det_power_single(ring: CycRing, exps) -> CycElem:

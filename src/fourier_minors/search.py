@@ -50,7 +50,7 @@ import numpy as np
 
 from .cyclotomic import ring_new
 from .errors import PreconditionError
-from .theorems import ordered_map
+from .theorems import _CHUNK, ordered_map
 from . import powerdet
 
 ORDER_ASCENDING = "ascending"
@@ -119,9 +119,12 @@ def is_good_permutation(modulus: int, sigma) -> bool:
     ring = ring_new(modulus)
     image = np.array(perm.image, dtype=np.int64)
     for r in range(2, modulus + 1):  # a 1x1 minor is a power of w
-        rows = np.array(list(combinations(range(modulus), r)), dtype=np.int64).reshape(-1, r)
-        if powerdet.zero_flags(ring, rows[:, :, None] * image[rows][:, None, :])[0].any():
-            return False
+        subsets = combinations(range(modulus), r)
+        # batches of at most _CHUNK indices, so no array grows with C(N, r)
+        for batch in iter(lambda: list(islice(subsets, max(1, _CHUNK // r))), []):
+            rows = np.array(batch, dtype=np.int64)
+            if powerdet.index_zero_flags(ring, rows, image[rows])[0].any():
+                return False
     return True
 
 
@@ -145,7 +148,7 @@ class _SearchState:
         """(values, fail): the unused values in ascending order and, for
         each, the smallest size of a vanishing minor on `pos` plus assigned
         positions once sigma(pos) takes it, or 0 when none vanishes."""
-        values = np.setdiff1d(np.arange(self.n), self.img[self.assigned])
+        values = np.flatnonzero(np.bincount(self.img[self.assigned], minlength=self.n) == 0)
         if self.on_test is not None:
             self.on_test((pos,), len(self.assigned))  # w^(pos*v) never vanishes
             for a in self.assigned:
@@ -164,8 +167,8 @@ class _SearchState:
                 self.on_test(tuple(sorted(row)), len(self.assigned))
             cols = np.repeat(self.img[rows][None], len(live), axis=0)
             cols[:, :, -1] = values[live, None]
-            exps = rows[None, :, :, None] * cols[:, :, None, :]
-            zero = powerdet.zero_flags(self.ring, exps.reshape(-1, s, s))[0]
+            zero = powerdet.index_zero_flags(self.ring, np.tile(rows, (len(live), 1)),
+                                             cols.reshape(-1, s))[0]
             vanish = zero.reshape(len(live), -1).any(axis=1)
             fail[live[vanish]] = s
         return values, fail

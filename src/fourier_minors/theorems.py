@@ -41,7 +41,9 @@ whatever N, C(N-1, r-1) or the number of singular sets:
   adjacent prefixes, completes to fewer than 2 * _CHUNK int8 rows;
 - the affine gap filter runs on the int8 rows, and only its survivors are
   widened to int64;
-- the engine gets exponent products in slices of at most 16 * _CHUNK;
+- the engine gets the members as index arrays, and its entry
+  `powerdet.index_zero_flags` builds their exponent products one slice of
+  at most 2^19 (16 * _CHUNK) at a time;
 - orbit keys are expanded at most max(_IMAGES, N * phi(N)) images at a
   time, and at most 2 * cap keys per size are kept.
 """
@@ -51,11 +53,11 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
-from .cyclotomic import CycRing, divisors, ring_new, units
+from .cyclotomic import divisors, ring_new, units
 from .errors import PreconditionError, WorkerError
 from .minors import IndexSet, complement, is_singular
 from . import powerdet
@@ -65,21 +67,14 @@ def is_square_free(n: int) -> bool:
     """True when no square larger than 1 divides n."""
     if n < 1:
         raise PreconditionError("need n >= 1")
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
+    return all(n % (d * d) for d in range(2, isqrt(n) + 1))
 
 
 def smallest_square_factor(n: int) -> tuple[int, int]:
     """(p, m) with p the smallest prime whose square divides n, m = n / p^2."""
-    d = 2
-    while d * d <= n:
+    for d in range(2, isqrt(n) + 1):
         if n % (d * d) == 0:
             return d, n // (d * d)
-        d += 1
     raise PreconditionError(f"{n} is square-free")
 
 
@@ -141,7 +136,7 @@ def verify_theorem1(modulus: int) -> Theorem1Report:
     for size in sizes:
         tail = tails[size]
         members = np.hstack([np.zeros((len(tail), 1), dtype=np.int64), tail])
-        flags, _ = _judge_members(ring, members)
+        flags, _ = powerdet.index_zero_flags(ring, members, members)
         pairs += comb(modulus - 1, size - 1)
         if flags.any():
             counterexample = tuple(int(x) for x in tail[np.argmax(flags)])
@@ -449,8 +444,14 @@ def _exemplar_keys(n: int, sets: np.ndarray, classes: bool, cap: int) -> np.ndar
     keys = np.zeros(0, dtype=np.uint64)
     for s in range(0, len(sets), block):
         images = (sets[s:s + block, None, None, :] * mult + shifts) % n
-        keys = _ends(np.union1d(keys, _masks(n - 1 - images.reshape(-1, sets.shape[-1]))), cap)
+        keys = _ends(_merge(keys, _masks(n - 1 - images.reshape(-1, sets.shape[-1]))), cap)
     return keys
+
+
+def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`np.union1d(a, b)`, which imports numpy.ma, as one sort and a dedupe."""
+    keys = np.sort(np.concatenate([a, b]))
+    return keys[np.concatenate([[True], keys[1:] != keys[:-1]])] if len(keys) else keys
 
 
 def _last(keys: np.ndarray, cap: int) -> np.ndarray:
@@ -476,10 +477,9 @@ def _scan_chunk(task: tuple) -> tuple[int, int, int, np.ndarray, int]:
         # candidates are {0} plus (r-1)-subsets of 1..N-1; 0 is the sentinel
         members, weights = _affine_reps(n, _extend(prefixes, n, r - 1))
     else:
-        # int64 before the products of `_judge_members`
-        members = _extend(prefixes, n, r)[:, 1:].astype(np.int64)
+        members = _extend(prefixes, n, r)[:, 1:]
         weights = np.ones(len(members), dtype=np.int64)
-    flags, hits = _judge_members(ring_new(n), members)
+    flags, hits = powerdet.index_zero_flags(ring_new(n), members, members)
     keys = _exemplar_keys(n, members[flags], classes, cap)
     return r, len(members), int(weights[flags].sum()), keys, hits
 
@@ -518,20 +518,6 @@ def ordered_map(fn, tasks, jobs: int):
             worker.terminate()
 
 
-def _judge_members(ring: CycRing, members: np.ndarray) -> tuple[np.ndarray, int]:
-    """Singularity flags for principal sets given as (B, r) member arrays,
-    and the number the one-prime screen certified nonzero, in slices of at
-    most 16 * _CHUNK exponents."""
-    step = max(1, 16 * _CHUNK // members.shape[1] ** 2)
-    flags, hits = [], 0
-    for s in range(0, max(len(members), 1), step):
-        part = members[s:s + step]
-        part_flags, part_hits = powerdet.zero_flags(ring, part[:, :, None] * part[:, None, :])
-        flags.append(part_flags)
-        hits += part_hits
-    return np.concatenate(flags), hits
-
-
 def scan_all(modulus: int, config: ScanConfig | None = None, **kwargs) -> ScanReport:
     """Decide singularity of every nonempty principal index set of F_N."""
     if config is None:
@@ -551,10 +537,7 @@ def scan_all(modulus: int, config: ScanConfig | None = None, **kwargs) -> ScanRe
     classes_tested = 0
     prefilter_hits = 0
 
-    if config.use_complement:
-        sizes = list(range(1, n // 2 + 1))
-    else:
-        sizes = list(range(1, n + 1))
+    sizes = list(range(1, (n // 2 if config.use_complement else n) + 1))
 
     classes, cap = config.use_shift_classes, config.exemplar_cap
     tasks = (
@@ -568,7 +551,7 @@ def scan_all(modulus: int, config: ScanConfig | None = None, **kwargs) -> ScanRe
         if not config.exact:
             prefilter_hits += hits
         counts[r] += count
-        keys[r] = _ends(np.union1d(keys[r], found), cap)
+        keys[r] = _ends(_merge(keys[r], found), cap)
     full = np.uint64((1 << n) - 1)
     for r in sizes:
         exemplars[r] = _key_sets(n, _last(keys[r], cap))

@@ -105,4 +105,4 @@ def poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[i
 def nonzero_screen(ring, exps):
     """True where the determinant is nonzero at the first prime with
     w -> zeta.  Every True is an exact certificate; a False is undecided."""
-    return ~powerdet._evaluate(powerdet._as_batch(ring, exps), ring.modulus, 0, False)
+    return ~powerdet._evaluate(powerdet._as_batch(exps), ring.modulus, 0, False)

@@ -74,18 +74,24 @@ def test_parser_is_reused_across_calls(capsys):
 
 
 def test_cli_import_skips_mpmath_and_multiprocessing():
+    # neither the import nor a serial scan or search pulls in these; numpy.ma
+    # (imported by np.unique, np.union1d and np.setdiff1d) costs 15 ms
     import subprocess
     import sys
     from pathlib import Path
 
     import fourier_minors
     src = str(Path(fourier_minors.__file__).resolve().parent.parent)
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import fourier_minors.cli; "
-            "print(sorted(m for m in ('mpmath', 'multiprocessing', 'concurrent.futures') "
-            "if m in sys.modules))")
+    code = ("import contextlib, io, sys; sys.path.insert(0, sys.argv[1]); "
+            "import fourier_minors.cli as cli\n"
+            "names = ('mpmath', 'multiprocessing', 'concurrent.futures', 'numpy.ma')\n"
+            "print(sorted(m for m in names if m in sys.modules))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(['scan', '--n', '16']), cli.main(['perm-search', '--n', '9'])]\n"
+            "print(codes, sorted(m for m in names if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "[0, 0] []"]
 
 
 def test_scan_record_round_trip(tmp_path, capsys):

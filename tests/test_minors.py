@@ -117,17 +117,17 @@ def test_is_singular_rejects_empty_set():
 
 
 def test_is_singular_prefilter_agrees(rng):
-    # the scan's judge runs the same exact engine in both modes: its flags
-    # equal is_singular's, and its hits (reported under --prefilter) are the
-    # sets the one-prime screen certified
+    # the scan's engine entry runs the same exact engine in both modes: its
+    # flags equal is_singular's, and its hits (reported under --prefilter)
+    # are the sets the one-prime screen certified
     import numpy as np
-    from fourier_minors.theorems import _judge_members
+    from fourier_minors.powerdet import index_zero_flags
     for _ in range(40):
         n = rng.randrange(2, 20)
         r = rng.randrange(1, min(6, n + 1))
         members = np.array([sorted(rng.sample(range(n), r)) for _ in range(4)])
         ring = ring_new(n)
-        flags, hits = _judge_members(ring, members)
+        flags, hits = index_zero_flags(ring, members, members)
         expected = [is_singular(ring, IndexSet.of(n, row)) for row in members.tolist()]
         assert flags.tolist() == expected
         exps = (members[:, :, None] * members[:, None, :]) % n

@@ -7,7 +7,7 @@ from fourier_minors import IndexSet, det_exact, ring_new, submatrix
 from fourier_minors.cyclotomic import CycRing
 from fourier_minors.minors import exponent_matrix
 from fourier_minors.powerdet import (PRIME_LIMIT, approx_det_batch, det_power_batch,
-                                     det_power_single, field, zero_flags)
+                                     det_power_single, field, index_zero_flags, zero_flags)
 from oracles import nonzero_screen
 
 
@@ -139,6 +139,54 @@ def test_chunking_is_transparent(rng, monkeypatch):
     assert np.array_equal(whole, det_power_batch(ring, exps))
     assert np.array_equal(flags, zero_flags(ring, exps)[0])
     assert screened == zero_flags(ring, exps)[1]
+
+
+def test_index_zero_flags_match_explicit_products(rng, monkeypatch):
+    # index arrays give the flags and screen counts of their explicit
+    # products, whole or one to three rows per slice, one engine call each
+    import fourier_minors.powerdet as pd
+    calls = []
+    engine = pd.zero_flags
+    monkeypatch.setattr(pd, "zero_flags",
+                        lambda ring, exps: calls.append(len(exps)) or engine(ring, exps))
+    whole = pd._SLICE_BYTES
+    for _ in range(40):
+        n = rng.randrange(2, 40)
+        r = rng.randrange(1, min(7, n + 1))
+        batch = rng.randrange(0, 12)
+        ring = ring_new(n)
+        rows = np.array([rng.choices(range(n), k=r) for _ in range(batch)],
+                        dtype=np.int64).reshape(batch, r)
+        cols = np.array([rng.sample(range(n), r) for _ in range(batch)],
+                        dtype=np.int64).reshape(batch, r)
+        cols[:batch // 3] = rows[:batch // 3]  # principal minors, some singular
+        flags, screened = engine(ring, rows[:, :, None] * cols[:, None, :])
+        for per_slice in (None, 1, 2, 3):
+            monkeypatch.setattr(pd, "_SLICE_BYTES", 8 * r * r * per_slice if per_slice else whole)
+            calls.clear()
+            got, got_screened = index_zero_flags(ring, rows.astype(np.int8), cols)
+            assert np.array_equal(got, flags) and got_screened == screened, (n, r, per_slice)
+            step = per_slice or max(batch, 1)
+            assert calls == [len(rows[s:s + step]) for s in range(0, max(batch, 1), step)]
+    with pytest.raises(ValueError):
+        index_zero_flags(ring_new(5), np.zeros((2, 3)), np.zeros((2, 2)))
+
+
+def test_as_batch_takes_int64_without_copy(rng):
+    # exponents are reduced per chunk, so any int64 batch is decided as it
+    # stands: one near 2^40 (either sign) gets its reduced copy's verdicts
+    from fourier_minors.powerdet import _as_batch
+    exps = random_exps(rng, 12, 4, 60)
+    assert _as_batch(exps) is exps
+    ring = ring_new(12)
+    flags, screened = zero_flags(ring, exps)
+    assert flags.any() and not flags.all()
+    for offset in (2 ** 40, -(2 ** 40)):
+        big = exps + 12 * (offset // 12) + 12 * rng.randrange(1, 1000)
+        assert np.abs(big).min() > 2 ** 39
+        assert np.array_equal(zero_flags(ring, big)[0], flags)
+        assert zero_flags(ring, big)[1] == screened
+        assert np.array_equal(det_power_batch(ring, big), det_power_batch(ring, exps))
 
 
 def test_agrees_with_leibniz_for_moduli_above_64(rng, leibniz):

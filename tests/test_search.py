@@ -250,6 +250,21 @@ def test_domain_hands_the_engine_sizes_3_and_up(monkeypatch):
     assert sizes and min(sizes) == 3
 
 
+@pytest.mark.parametrize("n, order, nodes, prunes, found", [
+    (9, "ascending", 12, {2: 3}, (0, 1, 2, 4, 3, 6, 5, 8, 7)),
+    (10, "ascending", 10, {}, tuple(range(10))),
+    (10, ORDER_MOST_CONSTRAINED, 14, {2: 3, 4: 1}, (0, 2, 4, 8, 6, 1, 3, 9, 7, 5)),
+    (11, "ascending", 11, {}, tuple(range(11))),
+    (12, "ascending", 124, {2: 81, 4: 1, 6: 10}, (0, 1, 2, 3, 7, 11, 9, 10, 5, 6, 4, 8)),
+])
+def test_first_find_node_and_prune_counts(n, order, nodes, prunes, found):
+    # pinned first finds: the engine's batching must not move a count
+    outcome = find_good_permutation(SearchConfig(n, order=order))
+    assert outcome.found.image == found
+    assert outcome.nodes_expanded == nodes
+    assert outcome.prune_counts == prunes
+
+
 def test_budget_expiry_is_inconclusive():
     outcome = find_good_permutation(SearchConfig(16, time_budget=0.2))
     assert outcome.found is None

@@ -9,7 +9,7 @@ from fourier_minors import (IndexSet, PreconditionError, WorkerError, build_witn
                             is_singular, is_square_free, ring_new, scan_all,
                             smallest_square_factor, verify_theorem1,
                             witness_sweep)
-from fourier_minors import theorems
+from fourier_minors import powerdet, theorems
 from fourier_minors.cli import main
 from fourier_minors.theorems import (CASE_COMPLEMENTED, CASE_P2_EVEN,
                                      CASE_PGE3_BLOCKS, CASE_PGE3_SMALL_R,
@@ -106,13 +106,14 @@ def _unit_covered(n, decided):
 
 def test_theorem1_unit_classes_cover_every_translated_set(monkeypatch):
     decided = []
-    original = theorems._judge_members
+    original = powerdet.index_zero_flags
 
-    def recording(ring, members):
-        decided.extend(frozenset(row) for row in members.tolist())
-        return original(ring, members)
+    def recording(ring, rows, cols):
+        assert rows is cols  # principal minors
+        decided.extend(frozenset(row) for row in rows.tolist())
+        return original(ring, rows, cols)
 
-    monkeypatch.setattr(theorems, "_judge_members", recording)
+    monkeypatch.setattr(powerdet, "index_zero_flags", recording)
     for n in (6, 10, 15, 30, 42, 105):
         decided.clear()
         report = verify_theorem1(n)
@@ -127,15 +128,15 @@ def test_theorem1_unit_classes_cover_every_translated_set(monkeypatch):
 
 
 def test_theorem1_counterexample_is_a_translated_pair(monkeypatch, tmp_path):
-    original = theorems._judge_members
+    original = powerdet.index_zero_flags
 
-    def flag_one(ring, members):
-        flags, hits = original(ring, members)
-        if members.shape[1] == 3:
+    def flag_one(ring, rows, cols):
+        flags, hits = original(ring, rows, cols)
+        if rows.shape[1] == 3:
             flags[len(flags) // 2] = True  # a representative {0, g, b}
         return flags, hits
 
-    monkeypatch.setattr(theorems, "_judge_members", flag_one)
+    monkeypatch.setattr(powerdet, "index_zero_flags", flag_one)
     n = 30
     report = verify_theorem1(n)
     assert not report.passed
@@ -409,12 +410,13 @@ def test_extend_int8_edges_at_64():
 
 
 def test_scan_peak_memory_does_not_grow_with_n(monkeypatch):
-    # with a fixed chunk the traced peak grows only with the rows' width
-    # r <= N/2 from N = 20 to 24 (about 1.6x); one prefix array for all the
-    # groups of a size grows about 4.5x
+    # with a fixed chunk and engine slice the traced peak grows only with
+    # the rows' width r <= N/2 from N = 20 to 24 (about 1.6x); one prefix
+    # array for all the groups of a size grows about 4.5x
     import tracemalloc
 
     monkeypatch.setattr(theorems, "_CHUNK", 4096)
+    monkeypatch.setattr(powerdet, "_SLICE_BYTES", 8 * 16 * 4096)  # 16 * _CHUNK exponents
     peaks = {}
     for n in (20, 24):
         ring_new(n)
@@ -425,6 +427,22 @@ def test_scan_peak_memory_does_not_grow_with_n(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[24] < 2 * peaks[20], peaks
+
+
+def test_merge_matches_union1d(rng):
+    # the key merge is np.union1d without its numpy.ma import
+    top = 2 ** 64 - 1
+    empty = np.zeros(0, dtype=np.uint64)
+    cases = [(empty, empty)]
+    for size in (1, 7, 300):
+        for high in (top, 5):  # spread keys, and keys with many duplicates
+            a, b = (np.array([rng.randint(0, high) for _ in range(rng.randrange(size + 1))],
+                             dtype=np.uint64) for _ in range(2))
+            cases += [(a, b), (a, empty), (empty, b), (a, a)]
+    for a, b in cases:
+        merged = theorems._merge(a, b)
+        assert merged.dtype == np.uint64
+        assert np.array_equal(merged, np.union1d(a, b)), (a, b)
 
 
 def test_blocked_exemplar_keys_match_one_block(rng, monkeypatch):
