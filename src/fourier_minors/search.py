@@ -7,25 +7,53 @@ determinant of a w-power matrix.  The search assigns sigma position by
 position, deciding at each node the domain of one free position (forward
 checking; Haralick and Elliott, Artif. Intell. 14, 1980): for each unused
 value, the smallest size of a vanishing minor on the position plus
-assigned positions once it takes the value, or 0.  Size 2 is the closed
-form below; each larger size is one engine batch over (values still alive
-x subsets), smallest first.  A vanishing minor vanishes under every
-completion, so a prune loses no good permutation; along a completed branch
-the tested families union to the full power set, so a surviving leaf is
-good (it is re-verified anyway).
+assigned positions once it takes the value, or 0.  A vanishing minor
+vanishes under every completion, so a prune loses no good permutation;
+along a completed branch the tested families union to the full power set,
+so a surviving leaf is good (it is re-verified anyway).
 
-Lemma (2x2 minors).  On positions a < b, with sa = sigma(a) and
-sb = sigma(b), the minor is w^(a*sa + b*sb) - w^(a*sb + b*sa).  It
-vanishes iff the exponents agree mod N, that is iff
-(a - b)(sa - sb) = 0 (mod N).  So size 2 of a domain is one vectorised
-test over values x assigned positions, and a domain hands the engine
-sizes >= 3 only.
+Lemma (bordered tables).  Let p be the first prime of `powerdet.field`,
+zeta its element of order N, and M[r, v] = zeta^(r*v) mod p.  For a set S
+of assigned positions, listed in assignment order, write m_S(r, v) for the
+minor mod p on rows S + {r} and columns sigma(S) + {v}.  The search keeps,
+for every S, a table over free positions r and unused values v:
+
+    D_{}(r, v) = M[r, v],
+    D_{S+d}(r, v) = D_S(d, sigma d) * D_S(r, v) - D_S(r, sigma d) * D_S(d, v)  (mod p)
+
+for a position d assigned after S.  By the Desnanot-Jacobi identity, which
+holds over any commutative ring, D_S(r, v) = +-k_S * m_S(r, v) with k_{} = 1
+and k_{S+d} = k_S^2 * m(S), m(S) the minor of S alone.  This is bordering by
+scaled Schur complements without division (Griffin and Tsatsomeros,
+"Principal minors, Part I", Linear Algebra Appl. 419, 2006).  So k_S is a
+product of powers of the minors of the proper prefixes of S, and:
+- if none of those vanishes mod p, D_S(r, v) = 0 iff m_S(r, v) = 0;
+- otherwise D_S is 0 everywhere.
+Either way a nonzero entry proves the minor nonzero in Z[w], and a zero
+entry is a candidate that `_domain` decides as follows.
+- Sizes 1 and 2 (|S| <= 1, k_S = 1) are exact.  A 1x1 minor is a power of
+  zeta.  On positions a, b with sa = sigma(a) and sb = sigma(b), the 2x2
+  minor is zeta^(a*sa + b*sb) - zeta^(a*sb + b*sa); as zeta has order exactly
+  N, it is 0 mod p iff the exponents agree mod N, that is iff
+  (a - b)(sa - sb) = 0 (mod N), which is also when it vanishes in Z[w].
+- A zero at size >= 3, which may be a zero mod p only or an entry of a table
+  that is 0 everywhere, goes to the engine (`powerdet.index_zero_flags`):
+  one batch per size, smallest size first, for the values no smaller size
+  has failed.
+
+Assigning sigma(d) = v drops row d and column v from every table and adds
+D_{S+d} for every S.  The tables of depth k are one (N-k) x (N-k) x 2^k int64
+array, with the subsets by bitmask over assignment order on the last axis.
+A branch holds sum_k 2^k (N-k)^2 entries, about 350k (2.8 MB) at N = 16.
+`_descend` pushes them and pops them on return; a state whose assignment
+was set by hand rebuilds them by replaying `assigned`.
 
 Both order policies count alike.  `ascending` takes the first free
-position, `most-constrained` the one with the fewest zero entries (the
-first on ties).  Each value tried there is one node (`nodes_expanded`); a
-value whose entry is a size s is one prune at s (`prune_counts`), and
-every other value is assigned and searched below.
+position, `most-constrained` the one with the fewest values of fail 0 (the
+first on ties), reading every free row of the same tables.  Each value
+tried there is one node (`nodes_expanded`); a value whose entry is a size
+s is one prune at s (`prune_counts`), and every other value is assigned
+and searched below.
 
 Complementation is NOT assumed for permuted matrices; nothing here relies
 on it.  Exhaustion claims rest only on the plain depth-first tree, plus the
@@ -43,7 +71,7 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations, islice
 
 import numpy as np
@@ -113,6 +141,16 @@ class _BudgetExpired(Exception):
     pass
 
 
+@lru_cache(maxsize=None)
+def _subset_sizes(d: int) -> np.ndarray:
+    """|S| + 1 for the 2^d subsets S of d assigned positions, by bitmask."""
+    sizes = np.ones(1, dtype=np.int64)
+    for _ in range(d):
+        sizes = np.concatenate([sizes, sizes + 1])
+    sizes.flags.writeable = False  # shared by every caller through the cache
+    return sizes
+
+
 def is_good_permutation(modulus: int, sigma) -> bool:
     """Exact check that no principal minor of the permuted matrix vanishes."""
     perm = sigma if isinstance(sigma, Permutation) else Permutation(modulus, tuple(sigma))
@@ -139,47 +177,86 @@ class _SearchState:
         self.prunes: Counter[int] = Counter()
         self.img = np.full(config.modulus, -1, dtype=np.int64)
         self.assigned: list[int] = []
+        self.p = powerdet.field(self.n)[0]
+        k = np.arange(self.n)
+        # the tables D_S of each depth (module docstring), and the assignments
+        # (pos, value) they were built from
+        self.stack = [powerdet._root_powers(self.n, 0)[np.outer(k, k) % self.n][..., None]]
+        self.path: list[tuple[int, int]] = []
 
     def _check_budget(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _BudgetExpired
 
+    def _push(self, pos: int, value: int) -> None:
+        """Add sigma(pos) = value to the tables: every D_S loses row pos and
+        column value, and D_(S + pos) joins them for every S."""
+        tables = self.stack[-1]
+        i = pos - sum(a < pos for a, _ in self.path)
+        j = value - sum(v < value for _, v in self.path)
+        f, _, m = tables.shape
+        rows, cols = np.delete(np.arange(f), i), np.delete(np.arange(f), j)
+        out = np.empty((f - 1, f - 1, 2 * m), dtype=np.int64)
+        out[:, :, :m] = tables[rows[:, None], cols]
+        new = out[:, :, m:]
+        # residues below p < 2^31: each product and their difference fit int64
+        np.multiply(out[:, :, :m], tables[i, j], out=new)
+        new -= tables[rows, j][:, None] * tables[i, cols]
+        np.remainder(new, self.p, out=new)
+        self.stack.append(out)
+        self.path.append((pos, value))
+
+    def _tables(self) -> np.ndarray:
+        """The tables of the current assignment; a state whose `img` and
+        `assigned` were set by hand gets them by replaying `assigned`."""
+        path = [(a, int(self.img[a])) for a in self.assigned]
+        if path != self.path:
+            del self.stack[1:], self.path[:]
+            for a, v in path:
+                self._push(a, v)
+        return self.stack[-1]
+
     def _domain(self, pos: int) -> tuple[np.ndarray, np.ndarray]:
         """(values, fail): the unused values in ascending order and, for
         each, the smallest size of a vanishing minor on `pos` plus assigned
         positions once sigma(pos) takes it, or 0 when none vanishes."""
+        tables = self._tables()
+        d = len(self.assigned)
         values = np.flatnonzero(np.bincount(self.img[self.assigned], minlength=self.n) == 0)
         if self.on_test is not None:
-            self.on_test((pos,), len(self.assigned))  # w^(pos*v) never vanishes
-            for a in self.assigned:
-                self.on_test(tuple(sorted((a, pos))), len(self.assigned))
-        # the 2x2 lemma (module docstring), over values x assigned positions
-        a = np.array(self.assigned, dtype=np.int64)
-        pair = (a - pos) * (self.img[a] - values[:, None]) % self.n == 0
-        fail = np.where(pair.any(axis=1), 2, 0)
-        for s in range(3, len(self.assigned) + 2):
-            live = np.flatnonzero(fail == 0)
-            if not len(live):
-                break
-            rows = np.array([c + (pos,) for c in combinations(self.assigned, s - 1)],
-                            dtype=np.int64).reshape(-1, s)
-            for row in rows.tolist() if self.on_test is not None else []:
-                self.on_test(tuple(sorted(row)), len(self.assigned))
-            cols = np.repeat(self.img[rows][None], len(live), axis=0)
-            cols[:, :, -1] = values[live, None]
-            zero = powerdet.index_zero_flags(self.ring, np.tile(rows, (len(live), 1)),
-                                             cols.reshape(-1, s))[0]
-            vanish = zero.reshape(len(live), -1).any(axis=1)
-            fail[live[vanish]] = s
+            for mask in range(2 ** d):
+                rest = [a for b, a in enumerate(self.assigned) if mask >> b & 1]
+                self.on_test(tuple(sorted(rest + [pos])), d)
+        # the zero entries of row pos, by value and subset
+        cols, masks = np.nonzero(tables[pos - np.count_nonzero(self.img[:pos] >= 0)] == 0)
+        sizes = _subset_sizes(d)[masks]
+        fail = np.zeros(len(values), dtype=np.int64)
+        fail[cols[sizes == 2]] = 2  # exact at sizes 1 and 2
+        order = np.array(self.assigned, dtype=np.int64)
+        for s in sorted(set(sizes[sizes > 2].tolist())):  # np.unique imports numpy.ma
+            live = (sizes == s) & (fail[cols] == 0)
+            if not live.any():
+                continue
+            bits = masks[live, None] >> np.arange(d) & 1
+            rows = np.empty((len(bits), s), dtype=np.int64)
+            rows[:, :-1] = order[np.nonzero(bits)[1].reshape(-1, s - 1)]
+            rows[:, -1] = pos
+            image = self.img[rows]
+            image[:, -1] = values[cols[live]]
+            zero = powerdet.index_zero_flags(self.ring, rows, image)[0]
+            fail[cols[live][zero]] = s
         return values, fail
 
     def _descend(self, pos: int, value: int):
         """Leaves below the assignment sigma(pos) = value."""
+        self._push(pos, value)
         self.img[pos] = value
         self.assigned.append(pos)
         yield from self.leaves()
         self.assigned.pop()
         self.img[pos] = -1
+        self.stack.pop()
+        self.path.pop()
 
     def leaves(self):
         """Re-verified good images below the current assignment, in DFS order."""

@@ -2,6 +2,7 @@ import json
 import time
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from fourier_minors import (IndexSet, Permutation, PreconditionError, SearchConfig,
@@ -235,19 +236,163 @@ def test_pair_lemma_matches_leibniz_to_12(leibniz):
                     assert f in (0, 2)
 
 
+def _record_domain_engine_calls(monkeypatch):
+    """A list that collects (modulus, rows, cols) of every engine call made
+    from inside `_SearchState._domain`, not from the leaf check."""
+    handed, active = [], []
+    domain, engine = _SearchState._domain, powerdet.index_zero_flags
+
+    def recording_domain(self, pos):
+        active.append(pos)
+        try:
+            return domain(self, pos)
+        finally:
+            active.pop()
+
+    def recording_engine(ring, rows, cols):
+        if active:
+            handed.append((ring.modulus, rows.copy(), cols.copy()))
+        return engine(ring, rows, cols)
+
+    monkeypatch.setattr(_SearchState, "_domain", recording_domain)
+    monkeypatch.setattr(powerdet, "index_zero_flags", recording_engine)
+    return handed
+
+
+def _zero_mod_p(n, rows, cols):
+    """Whether each minor (w^(rows[b, i] * cols[b, j])) vanishes at the first
+    prime with w -> zeta, computed directly by the engine's elimination."""
+    return powerdet._evaluate(rows[:, :, None] * cols[:, None, :], n, 0, False)
+
+
 def test_domain_hands_the_engine_sizes_3_and_up(monkeypatch):
-    sizes = []
-    engine = powerdet.zero_flags
-    monkeypatch.setattr(powerdet, "zero_flags",
-                        lambda ring, exps: sizes.append(exps.shape[1]) or engine(ring, exps))
-    image = find_good_permutation(SearchConfig(10)).found.image
-    sizes.clear()  # the leaf check decides every size, 2 included
-    state = _SearchState(SearchConfig(10))
-    for pos in range(10):
-        state._domain(pos)
-        state.img[pos] = image[pos]
-        state.assigned.append(pos)
-    assert sizes and min(sizes) == 3
+    # the tables decide sizes 1 and 2 exactly; every engine call made from a
+    # domain confirms table zeros of size >= 3.  N = 12's first find prunes
+    # at sizes 4 and 6, so the engine is reached.
+    handed = _record_domain_engine_calls(monkeypatch)
+    outcome = find_good_permutation(SearchConfig(12))
+    assert outcome.prune_counts == {2: 81, 4: 1, 6: 10}
+    sizes = {rows.shape[1] for _, rows, _ in handed}
+    assert {4, 6} <= sizes and min(sizes) >= 3
+    for n, rows, cols in handed:
+        assert _zero_mod_p(n, rows, cols).all()
+
+
+@pytest.fixture
+def small_prime(monkeypatch):
+    """A call that patches powerdet.field to the smallest primes p = 1
+    (mod N), so that mod-p zeros which are not exact zeros, and tables that
+    are 0 everywhere, are frequent."""
+    from test_powerdet import _small_field
+
+    def patch():
+        powerdet._root_powers.cache_clear()
+        monkeypatch.setattr(powerdet, "field", lambda n, index=0: _small_field(n, index))
+
+    yield patch
+    monkeypatch.undo()
+    powerdet._root_powers.cache_clear()
+
+
+def test_domain_with_small_prime_matches_exact_oracle(rng, monkeypatch, small_prime):
+    pinned = {(n, order): find_good_permutation(SearchConfig(n, order=order))
+              for n, order in ((9, "ascending"), (10, "ascending"),
+                               (10, ORDER_MOST_CONSTRAINED))}
+    small_prime()
+    handed = _record_domain_engine_calls(monkeypatch)
+    for _ in range(150):
+        n = rng.randrange(2, 10)
+        ring = ring_new(n)
+        positions = list(range(n))
+        rng.shuffle(positions)
+        depth = rng.randrange(n)
+        assigned, pos = positions[:depth], positions[depth]
+        image = rng.sample(range(n), depth)
+        state = _SearchState(SearchConfig(n))
+        for k, v in zip(assigned, image):
+            state.img[k] = v
+        state.assigned = list(assigned)
+        values, fail = state._domain(pos)
+        sigma = dict(zip(assigned, image))
+        for v, f in zip(values.tolist(), fail.tolist()):
+            assert f == _oracle_fail(ring, {**sigma, pos: v}, assigned, pos), (n, sigma, pos)
+    # a handed minor nonzero mod p came from a table that is 0 everywhere; one
+    # zero mod p that the engine found nonzero was a false zero
+    degenerate = false_zero = 0
+    for n, rows, cols in handed:
+        zero = _zero_mod_p(n, rows, cols)
+        exact = powerdet.index_zero_flags(ring_new(n), rows, cols)[0]
+        degenerate += int((~zero).sum())
+        false_zero += int((zero & ~exact).sum())
+    assert degenerate and false_zero
+    for (n, order), expected in pinned.items():
+        outcome = find_good_permutation(SearchConfig(n, order=order))
+        assert outcome.found == expected.found, (n, order)
+        assert outcome.nodes_expanded == expected.nodes_expanded, (n, order)
+        assert outcome.prune_counts == expected.prune_counts, (n, order)
+
+
+@pytest.mark.parametrize("small", [False, True])
+def test_table_entries_are_bordered_minors_mod_p(rng, small, small_prime):
+    # D_S[r, v] = 0 iff the minor on S + {r} with sigma(r) = v vanishes mod
+    # p, where no proper prefix of S (in assignment order) has a minor that
+    # vanishes mod p; where one does, D_S is 0 everywhere
+    if small:
+        small_prime()
+    for _ in range(60):
+        n = rng.randrange(2, 9)
+        positions = list(range(n))
+        rng.shuffle(positions)
+        depth = rng.randrange(n)
+        assigned, image = positions[:depth], rng.sample(range(n), depth)
+        state = _SearchState(SearchConfig(n))
+        for k, v in zip(assigned, image):
+            state.img[k] = v
+        state.assigned = list(assigned)
+        tables = state._tables()
+        free = [r for r in range(n) if r not in assigned]
+        unused = [v for v in range(n) if v not in image]
+        assert tables.shape == (len(free), len(unused), 2 ** depth)
+        for mask in range(2 ** depth):
+            members = [assigned[b] for b in range(depth) if mask >> b & 1]
+            prefixes = [np.array([members[:k]]) for k in range(1, len(members))]
+            rows = np.array([members + [r] for r in free for _ in unused])
+            cols = state.img[rows]
+            cols[:, -1] = unused * len(free)
+            zero = _zero_mod_p(n, rows, cols).reshape(len(free), len(unused))
+            if any(_zero_mod_p(n, k, state.img[k])[0] for k in prefixes):
+                zero[:] = True
+            assert np.array_equal(tables[:, :, mask] == 0, zero), (n, assigned, image, mask)
+
+
+def test_tables_carried_through_the_search_equal_replayed(monkeypatch):
+    # the stack pushed in _descend, and popped on backtrack, holds the tables
+    # a replay of the assignment builds, at every domain and after every return
+    checks = []
+    domain, descend = _SearchState._domain, _SearchState._descend
+
+    def check(state):
+        assert state.path == [(a, int(state.img[a])) for a in state.assigned]
+        replay = _SearchState(state.config)  # the same assignment, set by hand
+        replay.img[:] = state.img
+        replay.assigned = list(state.assigned)
+        assert np.array_equal(state.stack[-1], replay._tables())
+        checks.append(len(state.assigned))
+
+    def checking_domain(self, pos):
+        check(self)
+        return domain(self, pos)
+
+    def checking_descend(self, pos, value):
+        yield from descend(self, pos, value)
+        check(self)
+
+    monkeypatch.setattr(_SearchState, "_domain", checking_domain)
+    monkeypatch.setattr(_SearchState, "_descend", checking_descend)
+    for n, order in ((8, "ascending"), (10, ORDER_MOST_CONSTRAINED), (12, "ascending")):
+        assert find_good_permutation(SearchConfig(n, order=order)).found is not None
+    # a check at a shallower depth than the one before it follows a backtrack
+    assert sum(b < a for a, b in zip(checks, checks[1:])) > 10
 
 
 @pytest.mark.parametrize("n, order, nodes, prunes, found", [
