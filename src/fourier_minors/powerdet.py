@@ -35,20 +35,25 @@ So, over primes whose product M satisfies M^2 > r^r, alpha = 0 iff it
 vanishes at every unit at every one of those primes.  With primes near
 2^31 that takes one prime for r <= 15 and two for 16 <= r <= 26.
 
-The evaluation primitive `_evaluate` has three uses:
+The evaluation primitive `_evaluate` has four uses:
 
 - screen: a determinant nonzero at the first prime with w -> zeta is
   nonzero in Z[w] (the first step of `zero_flags`);
 - zero flags: the screen's survivors are decided by flags-mode
   elimination at w -> zeta^u for every unit u, one prime at a time, until
-  the primes' product M has M^2 > r^r (`zero_flags`); no coefficient is
+  the primes' product M has M^2 > r^r (`_conjugate_sweep`, called by
+  `zero_flags` without u = 1 at the first prime); no coefficient is
   computed;
+- confirmations: candidates a caller already found 0 mod the first prime,
+  such as the search's table zeros, go to the same sweep with no screen
+  call, u = 1 included (`index_confirm_zeros`);
 - coefficients: the values at the phi units, turned into coefficients
   mod p by the Lagrange matrix and combined by CRT over primes whose
   product exceeds 2 * r! * h, give c exactly (`det_power_batch`).
 
 An int64 batch is used as given, each chunk reduced mod N before any
-product; `index_zero_flags` builds a batch from index sets in slices.
+product; `index_zero_flags` and `index_confirm_zeros` build batches from
+index sets in slices.
 
 Determinants mod p come from batched, division-free Gaussian elimination
 in numpy int64, the batch on the last axis: with p < 2^31 every product of
@@ -295,39 +300,66 @@ def det_power_batch(ring: CycRing, exps) -> np.ndarray:
     return coeffs.astype(np.int64 if weight < 2 ** 62 else object, copy=False)
 
 
+def _conjugate_sweep(exps: np.ndarray, n: int, idx: np.ndarray, skip_one: bool) -> np.ndarray:
+    """The members of `idx` whose determinants in the batch `exps` vanish at
+    every unit at each prime up to M^2 > r^r, that is, in Z[w] (module
+    docstring).  `skip_one` leaves out u = 1 at the first prime, which a
+    caller's screen has already taken."""
+    r = exps.shape[1]
+    ks = np.array(units(n), dtype=np.int64)
+    for index in range(_primes_for(n, isqrt(r ** r))):
+        todo = ks[1:] if skip_one and index == 0 else ks
+        if len(idx) and len(todo):
+            idx = idx[_evaluate(exps[idx], n, index, False, todo).all(axis=1)]
+    return idx
+
+
 def zero_flags(ring: CycRing, exps) -> tuple[np.ndarray, int]:
     """(flags, screened): exact vanishing flags of a batch of w-power
     determinants, and how many the one-prime screen certified nonzero.
     The screen's survivors are decided by their Galois conjugates mod p
     (see the module docstring), never by coefficients."""
     exps = _as_batch(exps)
-    n, r = ring.modulus, exps.shape[1]
-    flags = _evaluate(exps, n, 0, False)
+    flags = _evaluate(exps, ring.modulus, 0, False)
     idx = np.flatnonzero(flags)
-    screened = len(flags) - len(idx)
-    ks = np.array(units(n), dtype=np.int64)
-    for index in range(_primes_for(n, isqrt(r ** r))):
-        # the screen already took u = 1 at the first prime
-        todo = ks[1:] if index == 0 else ks
-        if len(idx) and len(todo):
-            zero = _evaluate(exps[idx], n, index, False, todo).all(axis=1)
-            flags[idx[~zero]] = False
-            idx = idx[zero]
-    return flags, screened
+    flags[idx] = False
+    flags[_conjugate_sweep(exps, ring.modulus, idx, True)] = True
+    return flags, len(flags) - len(idx)
+
+
+def _index_slices(rows, cols):
+    """The exponent products (w^(rows[b, i] * cols[b, j]))_ij of index arrays
+    of shape (B, r), one slice of at most _SLICE_BYTES at a time (an empty
+    batch is one slice)."""
+    if rows.ndim != 2 or rows.shape != cols.shape:
+        raise ValueError("expected row and column index arrays of one shape (B, r)")
+    step = max(1, _SLICE_BYTES // (8 * max(rows.shape[1], 1) ** 2))
+    for s in range(0, max(len(rows), 1), step):
+        yield np.multiply(rows[s:s + step, :, None], cols[s:s + step, None, :], dtype=np.int64)
 
 
 def index_zero_flags(ring: CycRing, rows, cols) -> tuple[np.ndarray, int]:
     """`zero_flags` of the minors (w^(rows[b, i] * cols[b, j]))_ij given by
     integer index arrays of shape (B, r), one call per slice of at most
-    _SLICE_BYTES of int64 products (an empty batch is one slice), so
-    neither the products nor the engine's working set grow with B."""
-    if rows.ndim != 2 or rows.shape != cols.shape:
-        raise ValueError("expected row and column index arrays of one shape (B, r)")
-    step = max(1, _SLICE_BYTES // (8 * max(rows.shape[1], 1) ** 2))
-    parts = [zero_flags(ring, np.multiply(rows[s:s + step, :, None], cols[s:s + step, None, :],
-                                          dtype=np.int64))
-             for s in range(0, max(len(rows), 1), step)]
+    _SLICE_BYTES of int64 products, so neither the products nor the
+    engine's working set grow with B."""
+    parts = [zero_flags(ring, exps) for exps in _index_slices(rows, cols)]
     return np.concatenate([flags for flags, _ in parts]), sum(hits for _, hits in parts)
+
+
+def index_confirm_zeros(ring: CycRing, rows, cols) -> np.ndarray:
+    """Exact vanishing flags of candidate zeros, index sets as in
+    `index_zero_flags`, decided by the conjugate sweep alone: no screen
+    call, since a caller that already found each minor 0 mod the first
+    prime would only repeat it.  The sweep still takes u = 1 at the first
+    prime, because a candidate may come from a table that is 0 everywhere
+    without its own minor being 0 there."""
+    parts = []
+    for exps in _index_slices(rows, cols):
+        flags = np.zeros(len(exps), dtype=bool)
+        flags[_conjugate_sweep(exps, ring.modulus, np.arange(len(exps)), False)] = True
+        parts.append(flags)
+    return np.concatenate(parts)
 
 
 def det_power_single(ring: CycRing, exps) -> CycElem:

@@ -10,7 +10,9 @@ value, the smallest size of a vanishing minor on the position plus
 assigned positions once it takes the value, or 0.  A vanishing minor
 vanishes under every completion, so a prune loses no good permutation;
 along a completed branch the tested families union to the full power set,
-so a surviving leaf is good (it is re-verified anyway).
+so a surviving leaf is good.  Each leaf is still checked in full by
+`is_good_permutation`, a fresh sweep that reads none of the branch's tables
+(the leaf lemma below).
 
 Lemma (bordered tables).  Let p be the first prime of `powerdet.field`,
 zeta its element of order N, and M[r, v] = zeta^(r*v) mod p.  For a set S
@@ -37,16 +39,45 @@ entry is a candidate that `_domain` decides as follows.
   N, it is 0 mod p iff the exponents agree mod N, that is iff
   (a - b)(sa - sb) = 0 (mod N), which is also when it vanishes in Z[w].
 - A zero at size >= 3, which may be a zero mod p only or an entry of a table
-  that is 0 everywhere, goes to the engine (`powerdet.index_zero_flags`):
-  one batch per size, smallest size first, for the values no smaller size
-  has failed.
+  that is 0 everywhere, goes to the engine's conjugate sweep
+  (`powerdet.index_confirm_zeros`): one batch per size, smallest size
+  first, for the values no smaller size has failed.  There is no second
+  screen at u = 1, but the sweep still takes u = 1: an entry of a table
+  that is 0 everywhere says nothing about the minor's own value there,
+  and the zeros-from-conjugates lemma of `powerdet` needs every unit.
 
 Assigning sigma(d) = v drops row d and column v from every table and adds
 D_{S+d} for every S.  The tables of depth k are one (N-k) x (N-k) x 2^k int64
 array, with the subsets by bitmask over assignment order on the last axis.
 A branch holds sum_k 2^k (N-k)^2 entries, about 350k (2.8 MB) at N = 16.
 `_descend` pushes them and pops them on return; a state whose assignment
-was set by hand rebuilds them by replaying `assigned`.
+was set by hand rebuilds them by replaying `assigned`.  One assignment is
+one `_border` step.  On tables of _LAZY_ENTRIES entries or more the step is
+left pending until they are read: a child's push or the most-constrained
+order borders them in full, while the ascending domain of a pending step
+borders only its own row, from the pivot row and that row of the tables
+below.  So a node whose values all fail (about half the domains at N = 16,
+holding 58 % of the table entries) never borders its whole tables.
+
+Lemma (leaf sweep).  For a whole permutation sigma, assign the positions
+in ascending order and write the column of value sigma(c) as position c,
+so D_{}(r, c) = zeta^(r*sigma(c)) and every step borders with row 0 and
+column 0.  Every nonempty set T is S + {t} for t = max T and S within
+0 .. t-1, so entry (0, 0) of D_S at depth t is, by the lemma above, a
+nonzero multiple of the minor on T or an entry of a table that is 0
+everywhere.  So N - 1 bordering steps cover all 2^N - 1 principal minors,
+sum_k 2^k (N-k)^2 < 6 * 2^N residue operations in all, against C(N, r)
+eliminations of O(r^3) for each size r when every minor is decided on its
+own.  Zeros are decided as in `_domain`, smallest size first at each depth,
+and the sweep stops at the first exact zero.
+
+Block independence.  D_{S+d} is computed from D_S alone, so the tables of
+S and of every S + T with T after S evolve without reading another
+subset's table.  The subset axis can therefore be cut into blocks at any
+depth, and each block swept to the end on its own: `_leaf_sweep` cuts a
+block whose bordered tables would pass _LEAF_BYTES into blocks whose
+tables stay under it to the end, so the working set is bounded for every
+N (uncut, the tables of N = 21 alone peak near 83 MB RSS).
 
 Both order policies count alike.  `ascending` takes the first free
 position, `most-constrained` the one with the fewest values of fail 0 (the
@@ -72,19 +103,24 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations, islice
+from itertools import islice
 
 import numpy as np
 
 from .cyclotomic import ring_new
 from .errors import PreconditionError
-from .theorems import _CHUNK, ordered_map
+from .theorems import ordered_map
 from . import powerdet
 
 ORDER_ASCENDING = "ascending"
 ORDER_MOST_CONSTRAINED = "most-constrained"
 
 ENUMERATE_MAX_N = 12
+# Tables of fewer entries are bordered at once: a step left pending costs
+# one extra row border, about as much as bordering 2^12 entries.
+_LAZY_ENTRIES = 2 ** 12
+# Working-set cap of one block of leaf-check tables (`_leaf_sweep`).
+_LEAF_BYTES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -151,19 +187,84 @@ def _subset_sizes(d: int) -> np.ndarray:
     return sizes
 
 
+def _border(tables: np.ndarray, i: int, j: int, p: int) -> np.ndarray:
+    """One division-free bordering step (module docstring): the tables D_S
+    of shape (f, g, m) for m subsets S become (f - 1, g - 1, 2m), every D_S
+    without row i and column j on the first half and, on the second,
+    D_(S + d) = D_S[i, j] * D_S - D_S[:, j] (x) D_S[i, :] mod p for the
+    position d of row i."""
+    f, g, m = tables.shape
+    out = np.empty((f - 1, g - 1, 2 * m), dtype=np.int64)
+    old, new = out[:, :, :m], out[:, :, m:]
+    old[:i, :j], old[:i, j:] = tables[:i, :j], tables[:i, j + 1:]
+    old[i:, :j], old[i:, j:] = tables[i + 1:, :j], tables[i + 1:, j + 1:]
+    # residues below p < 2^31: each product and their difference fit int64
+    np.multiply(old, tables[i, j], out=new)
+    col = np.concatenate((tables[:i, j], tables[i + 1:, j]))
+    row = np.concatenate((tables[i, :j], tables[i, j + 1:]))
+    new -= col[:, None] * row
+    np.remainder(new, p, out=new)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _ahead(f: int) -> int:
+    """The most entries per subset that a block of leaf tables with f rows,
+    or any block bordered from it, holds: max_t 2^t (f - t)^2."""
+    return max(2 ** t * (f - t) ** 2 for t in range(f))
+
+
+def _leaf_zero_vanishes(ring, image: np.ndarray, masks: np.ndarray, k: int) -> bool:
+    """Whether a minor on S + {k} vanishes exactly, for S by bitmask in
+    `masks`, each a zero entry of its table: sizes 1 and 2 are exact, and
+    larger ones go to the engine, smallest size first."""
+    bits = masks[:, None] >> np.arange(k) & 1
+    sizes = bits.sum(axis=1) + 1
+    if (sizes <= 2).any():
+        return True
+    for s in sorted(set(sizes.tolist())):  # np.unique imports numpy.ma
+        rows = np.empty((np.count_nonzero(sizes == s), s), dtype=np.int64)
+        rows[:, :-1] = np.nonzero(bits[sizes == s])[1].reshape(-1, s - 1)
+        rows[:, -1] = k
+        if powerdet.index_confirm_zeros(ring, rows, image[rows]).any():
+            return True
+    return False
+
+
+def _leaf_sweep(ring, image: np.ndarray, tables: np.ndarray, masks: np.ndarray) -> bool:
+    """Whether no minor on S + T vanishes, for the subsets S of positions
+    below k = N - len(tables) given by bitmask in `masks`, their tables
+    D_S (columns by position) in `tables`, and every nonempty T within
+    k .. N-1.  A block whose bordered tables would pass _LEAF_BYTES is cut
+    along the subset axis into blocks that stay under it to the end."""
+    n = len(image)
+    p = powerdet.field(n)[0]
+    while True:
+        f, _, m = tables.shape
+        k = n - f
+        if m > 1 and 16 * m * (f - 1) ** 2 > _LEAF_BYTES:
+            step = max(1, _LEAF_BYTES // (8 * _ahead(f)))
+            return all(_leaf_sweep(ring, image, tables[:, :, s:s + step], masks[s:s + step])
+                       for s in range(0, m, step))
+        if not tables[0, 0].all() and _leaf_zero_vanishes(
+                ring, image, masks[tables[0, 0] == 0], k):
+            return False
+        if f == 1:
+            return True
+        tables = _border(tables, 0, 0, p)
+        masks = np.concatenate([masks, masks | 1 << k])
+
+
 def is_good_permutation(modulus: int, sigma) -> bool:
-    """Exact check that no principal minor of the permuted matrix vanishes."""
+    """Exact check that no principal minor of the permuted matrix vanishes,
+    by one bordered sweep mod p over the positions in ascending order (the
+    leaf lemma in the module docstring)."""
     perm = sigma if isinstance(sigma, Permutation) else Permutation(modulus, tuple(sigma))
     ring = ring_new(modulus)
     image = np.array(perm.image, dtype=np.int64)
-    for r in range(2, modulus + 1):  # a 1x1 minor is a power of w
-        subsets = combinations(range(modulus), r)
-        # batches of at most _CHUNK indices, so no array grows with C(N, r)
-        for batch in iter(lambda: list(islice(subsets, max(1, _CHUNK // r))), []):
-            rows = np.array(batch, dtype=np.int64)
-            if powerdet.index_zero_flags(ring, rows, image[rows])[0].any():
-                return False
-    return True
+    k = np.arange(modulus)
+    tables = powerdet._root_powers(modulus, 0)[np.outer(k, image) % modulus][..., None]
+    return _leaf_sweep(ring, image, tables, np.zeros(1, dtype=np.int64))
 
 
 class _SearchState:
@@ -190,37 +291,43 @@ class _SearchState:
 
     def _push(self, pos: int, value: int) -> None:
         """Add sigma(pos) = value to the tables: every D_S loses row pos and
-        column value, and D_(S + pos) joins them for every S."""
-        tables = self.stack[-1]
+        column value, and D_(S + pos) joins them for every S.  On tables of
+        _LAZY_ENTRIES entries or more the step is left pending on the stack
+        as (i, j) until the tables are read."""
         i = pos - sum(a < pos for a, _ in self.path)
         j = value - sum(v < value for _, v in self.path)
-        f, _, m = tables.shape
-        rows, cols = np.delete(np.arange(f), i), np.delete(np.arange(f), j)
-        out = np.empty((f - 1, f - 1, 2 * m), dtype=np.int64)
-        out[:, :, :m] = tables[rows[:, None], cols]
-        new = out[:, :, m:]
-        # residues below p < 2^31: each product and their difference fit int64
-        np.multiply(out[:, :, :m], tables[i, j], out=new)
-        new -= tables[rows, j][:, None] * tables[i, cols]
-        np.remainder(new, self.p, out=new)
-        self.stack.append(out)
+        tables = self._bordered()
+        lazy = tables.size >= _LAZY_ENTRIES
+        self.stack.append((i, j) if lazy else _border(tables, i, j, self.p))
         self.path.append((pos, value))
 
-    def _tables(self) -> np.ndarray:
-        """The tables of the current assignment; a state whose `img` and
-        `assigned` were set by hand gets them by replaying `assigned`."""
+    def _bordered(self) -> np.ndarray:
+        """The top tables, bordering now a step that `_push` left pending."""
+        if isinstance(self.stack[-1], tuple):
+            self.stack[-1] = _border(self.stack[-2], *self.stack[-1], self.p)
+        return self.stack[-1]
+
+    def _tables(self, row: int | None = None) -> np.ndarray:
+        """The tables of the current assignment, or their row `row` alone; a
+        state whose `img` and `assigned` were set by hand gets them by
+        replaying `assigned`.  Under the ascending order a row of a pending
+        step is bordered alone, from two rows of the tables below."""
         path = [(a, int(self.img[a])) for a in self.assigned]
         if path != self.path:
             del self.stack[1:], self.path[:]
             for a, v in path:
                 self._push(a, v)
-        return self.stack[-1]
+        top = self.stack[-1]
+        if row is not None and isinstance(top, tuple) and self.config.order == ORDER_ASCENDING:
+            i, j = top
+            return _border(self.stack[-2][[i, row + (row >= i)]], 0, j, self.p)[0]
+        tables = self._bordered()
+        return tables if row is None else tables[row]
 
     def _domain(self, pos: int) -> tuple[np.ndarray, np.ndarray]:
         """(values, fail): the unused values in ascending order and, for
         each, the smallest size of a vanishing minor on `pos` plus assigned
         positions once sigma(pos) takes it, or 0 when none vanishes."""
-        tables = self._tables()
         d = len(self.assigned)
         values = np.flatnonzero(np.bincount(self.img[self.assigned], minlength=self.n) == 0)
         if self.on_test is not None:
@@ -228,7 +335,7 @@ class _SearchState:
                 rest = [a for b, a in enumerate(self.assigned) if mask >> b & 1]
                 self.on_test(tuple(sorted(rest + [pos])), d)
         # the zero entries of row pos, by value and subset
-        cols, masks = np.nonzero(tables[pos - np.count_nonzero(self.img[:pos] >= 0)] == 0)
+        cols, masks = np.nonzero(self._tables(pos - np.count_nonzero(self.img[:pos] >= 0)) == 0)
         sizes = _subset_sizes(d)[masks]
         fail = np.zeros(len(values), dtype=np.int64)
         fail[cols[sizes == 2]] = 2  # exact at sizes 1 and 2
@@ -243,7 +350,7 @@ class _SearchState:
             rows[:, -1] = pos
             image = self.img[rows]
             image[:, -1] = values[cols[live]]
-            zero = powerdet.index_zero_flags(self.ring, rows, image)[0]
+            zero = powerdet.index_confirm_zeros(self.ring, rows, image)
             fail[cols[live][zero]] = s
         return values, fail
 

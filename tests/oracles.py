@@ -4,11 +4,19 @@ The closed small-minor forms and the translation identity work through
 `CycRing.root_power` and ring arithmetic only, never through the batched
 engine, so they cross-check its verdicts.  The polynomial helpers check
 Phi_N by plain long multiplication and division, and `nonzero_screen`
-exposes the engine's one-prime screen on its own.
+exposes the engine's one-prime screen on its own.  `is_good_permutation`
+decides every principal minor of a permuted matrix as its own engine
+determinant, with none of the search's bordered tables.
 """
 
-from fourier_minors import IndexSet, PreconditionError, det_exact, submatrix
+from itertools import combinations, islice
+
+import numpy as np
+
+from fourier_minors import (IndexSet, Permutation, PreconditionError, det_exact, ring_new,
+                            submatrix)
 from fourier_minors import powerdet
+from fourier_minors.theorems import _CHUNK
 
 
 def index_reduce(k: IndexSet) -> IndexSet:
@@ -106,3 +114,18 @@ def nonzero_screen(ring, exps):
     """True where the determinant is nonzero at the first prime with
     w -> zeta.  Every True is an exact certificate; a False is undecided."""
     return ~powerdet._evaluate(powerdet._as_batch(exps), ring.modulus, 0, False)
+
+
+def is_good_permutation(modulus: int, sigma) -> bool:
+    """Exact check that no principal minor of the permuted matrix vanishes."""
+    perm = sigma if isinstance(sigma, Permutation) else Permutation(modulus, tuple(sigma))
+    ring = ring_new(modulus)
+    image = np.array(perm.image, dtype=np.int64)
+    for r in range(2, modulus + 1):  # a 1x1 minor is a power of w
+        subsets = combinations(range(modulus), r)
+        # batches of at most _CHUNK indices, so no array grows with C(N, r)
+        for batch in iter(lambda: list(islice(subsets, max(1, _CHUNK // r))), []):
+            rows = np.array(batch, dtype=np.int64)
+            if powerdet.index_zero_flags(ring, rows, image[rows])[0].any():
+                return False
+    return True

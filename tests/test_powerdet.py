@@ -7,7 +7,8 @@ from fourier_minors import IndexSet, det_exact, ring_new, submatrix
 from fourier_minors.cyclotomic import CycRing
 from fourier_minors.minors import exponent_matrix
 from fourier_minors.powerdet import (PRIME_LIMIT, approx_det_batch, det_power_batch,
-                                     det_power_single, field, index_zero_flags, zero_flags)
+                                     det_power_single, field, index_confirm_zeros,
+                                     index_zero_flags, zero_flags)
 from oracles import nonzero_screen
 
 
@@ -170,6 +171,44 @@ def test_index_zero_flags_match_explicit_products(rng, monkeypatch):
             assert calls == [len(rows[s:s + step]) for s in range(0, max(batch, 1), step)]
     with pytest.raises(ValueError):
         index_zero_flags(ring_new(5), np.zeros((2, 3)), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("small", [False, True])
+def test_index_confirm_zeros_decide_any_minor_without_a_screen(rng, monkeypatch, small):
+    # the conjugate sweep alone, u = 1 at the first prime included, decides
+    # minors whether or not they vanish at u = 1, so candidates that are
+    # only entries of an all-zero table are decided too; no screen call
+    import fourier_minors.powerdet as pd
+    if small:
+        monkeypatch.setattr(pd, "field", _small_field)
+    pd._root_powers.cache_clear()
+    screens, first = [], []
+    evaluate = pd._evaluate
+
+    def recording(exps, n, index, values, ks=None):
+        if ks is None:
+            screens.append(len(exps))
+        elif index == 0:
+            first.append(int(ks[0]))
+        return evaluate(exps, n, index, values, ks)
+
+    try:
+        nonzero_at_one = 0
+        for n in (5, 8, 9, 12, 16):
+            ring = ring_new(n)
+            for r in range(1, 7):
+                rows = np.array([sorted(rng.sample(range(n), min(r, n))) for _ in range(30)])
+                cols = np.array([rng.sample(range(n), rows.shape[1]) for _ in range(30)])
+                cols[:10] = rows[:10]  # principal minors, some singular
+                flags, _ = index_zero_flags(ring, rows, cols)
+                nonzero_at_one += int((~pd._evaluate(rows[:, :, None] * cols[:, None, :],
+                                                     n, 0, False)).sum())
+                monkeypatch.setattr(pd, "_evaluate", recording)
+                assert np.array_equal(index_confirm_zeros(ring, rows, cols), flags), (n, r)
+                monkeypatch.setattr(pd, "_evaluate", evaluate)
+    finally:
+        pd._root_powers.cache_clear()
+    assert not screens and set(first) == {1} and nonzero_at_one
 
 
 def test_as_batch_takes_int64_without_copy(rng):

@@ -1,6 +1,7 @@
 import json
 import time
-from itertools import combinations, permutations
+from functools import lru_cache
+from itertools import combinations, islice, permutations
 
 import numpy as np
 import pytest
@@ -10,6 +11,11 @@ from fourier_minors import (IndexSet, Permutation, PreconditionError, SearchConf
                             is_good_permutation, powerdet, ring_new)
 from fourier_minors.minors import det_exact, submatrix
 from fourier_minors.search import ORDER_MOST_CONSTRAINED, _SearchState
+from oracles import is_good_permutation as oracle_is_good
+
+# No 2x2 minor of this N = 12 permutation vanishes; eight of size 6 do, and
+# none smaller.
+ONLY_LARGE_ZEROS = (8, 3, 1, 5, 9, 7, 11, 0, 4, 2, 6, 10)
 
 
 def brute_force_images(n):
@@ -29,6 +35,8 @@ def test_is_good_permutation_fixtures():
     assert is_good_permutation(5, range(5))       # prime modulus
     assert not is_good_permutation(4, range(4))   # {0,2} vanishes
     assert is_good_permutation(1, [0])
+    with pytest.raises(PreconditionError):
+        is_good_permutation(0, ())
 
 
 def test_good_permutation_search_small():
@@ -81,21 +89,29 @@ def test_incremental_family_covers_power_set():
 
 
 def test_engine_never_sees_1x1_minors(monkeypatch):
-    # a 1x1 minor is a power of w; the search and the leaf check skip it
+    # a 1x1 minor is a power of w, and a 2x2 one is decided exactly by the
+    # pair lemma; the search and the leaf check hand the engine neither
     import fourier_minors.powerdet as pd
     sizes = set()
-    real = pd.zero_flags
+    real, confirm = pd.zero_flags, pd.index_confirm_zeros
 
     def recording(ring, exps):
         sizes.add(exps.shape[1])
         return real(ring, exps)
 
+    def recording_confirm(ring, rows, cols):
+        sizes.add(rows.shape[1])
+        return confirm(ring, rows, cols)
+
     monkeypatch.setattr(pd, "zero_flags", recording)
+    monkeypatch.setattr(pd, "index_confirm_zeros", recording_confirm)
     for order in ("ascending", ORDER_MOST_CONSTRAINED):
         outcome = find_good_permutation(SearchConfig(9, order=order))
         assert outcome.found is not None
+    assert find_good_permutation(SearchConfig(12)).prune_counts == {2: 81, 4: 1, 6: 10}
+    assert not is_good_permutation(12, ONLY_LARGE_ZEROS)
     assert is_good_permutation(1, (0,))
-    assert min(sizes) == 2
+    assert sizes and min(sizes) >= 3
 
 
 def test_incremental_family_identity_to_8():
@@ -188,8 +204,8 @@ def _oracle_fail(ring, sigma, assigned, pos):
 
 def test_domain_matches_exact_oracle(rng, monkeypatch):
     calls = []
-    engine = powerdet.zero_flags
-    monkeypatch.setattr(powerdet, "zero_flags",
+    engine = powerdet.index_confirm_zeros
+    monkeypatch.setattr(powerdet, "index_confirm_zeros",
                         lambda *args: calls.append(1) or engine(*args))
     sizes = set()
     for _ in range(100):
@@ -237,10 +253,10 @@ def test_pair_lemma_matches_leibniz_to_12(leibniz):
 
 
 def _record_domain_engine_calls(monkeypatch):
-    """A list that collects (modulus, rows, cols) of every engine call made
-    from inside `_SearchState._domain`, not from the leaf check."""
+    """A list that collects (modulus, rows, cols) of every confirmation call
+    made from inside `_SearchState._domain`, not from the leaf check."""
     handed, active = [], []
-    domain, engine = _SearchState._domain, powerdet.index_zero_flags
+    domain, engine = _SearchState._domain, powerdet.index_confirm_zeros
 
     def recording_domain(self, pos):
         active.append(pos)
@@ -255,7 +271,7 @@ def _record_domain_engine_calls(monkeypatch):
         return engine(ring, rows, cols)
 
     monkeypatch.setattr(_SearchState, "_domain", recording_domain)
-    monkeypatch.setattr(powerdet, "index_zero_flags", recording_engine)
+    monkeypatch.setattr(powerdet, "index_confirm_zeros", recording_engine)
     return handed
 
 
@@ -270,8 +286,18 @@ def test_domain_hands_the_engine_sizes_3_and_up(monkeypatch):
     # domain confirms table zeros of size >= 3.  N = 12's first find prunes
     # at sizes 4 and 6, so the engine is reached.
     handed = _record_domain_engine_calls(monkeypatch)
+    screens = []
+    evaluate = powerdet._evaluate
+
+    def recording_evaluate(exps, n, index, values, ks=None):
+        if ks is None:  # the one-prime screen at u = 1
+            screens.append(len(exps))
+        return evaluate(exps, n, index, values, ks)
+
+    monkeypatch.setattr(powerdet, "_evaluate", recording_evaluate)
     outcome = find_good_permutation(SearchConfig(12))
     assert outcome.prune_counts == {2: 81, 4: 1, 6: 10}
+    assert not screens  # table zeros are confirmed without a second screen
     sizes = {rows.shape[1] for _, rows, _ in handed}
     assert {4, 6} <= sizes and min(sizes) >= 3
     for n, rows, cols in handed:
@@ -284,10 +310,11 @@ def small_prime(monkeypatch):
     (mod N), so that mod-p zeros which are not exact zeros, and tables that
     are 0 everywhere, are frequent."""
     from test_powerdet import _small_field
+    small_field = lru_cache(maxsize=None)(_small_field)
 
     def patch():
         powerdet._root_powers.cache_clear()
-        monkeypatch.setattr(powerdet, "field", lambda n, index=0: _small_field(n, index))
+        monkeypatch.setattr(powerdet, "field", lambda n, index=0: small_field(n, index))
 
     yield patch
     monkeypatch.undo()
@@ -365,10 +392,134 @@ def test_table_entries_are_bordered_minors_mod_p(rng, small, small_prime):
             assert np.array_equal(tables[:, :, mask] == 0, zero), (n, assigned, image, mask)
 
 
+def test_leaf_check_matches_engine_oracle_to_7():
+    # every permutation up to N = 7: the bordered sweep against the check
+    # that decides each minor as its own engine determinant
+    for n in range(1, 8):
+        for image in permutations(range(n)):
+            assert is_good_permutation(n, image) == oracle_is_good(n, image), image
+
+
+def _leaf_cases(rng, n, count, good):
+    """`count` random permutations of N, plus `good` leaves of the search
+    (good by the sweep itself, so the oracle must confirm them) with a random
+    value shift each."""
+    cases = [tuple(rng.sample(range(n), n)) for _ in range(count)]
+    leaves = list(islice(_SearchState(SearchConfig(n)).leaves(), 4 * good))
+    for image in rng.sample(leaves, min(good, len(leaves))):
+        c = rng.randrange(n)
+        cases.append(tuple((v + c) % n for v in image))
+    return cases
+
+
+def _record_leaf_confirmations(monkeypatch):
+    """(check, handed): the leaf check, patched so that the list `handed`
+    collects (modulus, rows, cols) of every confirmation call made inside it."""
+    from fourier_minors import search
+    handed, active = [], []
+    check, engine = search.is_good_permutation, powerdet.index_confirm_zeros
+
+    def recording_check(modulus, sigma):
+        active.append(modulus)
+        try:
+            return check(modulus, sigma)
+        finally:
+            active.pop()
+
+    def recording_engine(ring, rows, cols):
+        if active:
+            handed.append((ring.modulus, rows.copy(), cols.copy()))
+        return engine(ring, rows, cols)
+
+    monkeypatch.setattr(search, "is_good_permutation", recording_check)
+    monkeypatch.setattr(powerdet, "index_confirm_zeros", recording_engine)
+    return recording_check, handed
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+def test_leaf_check_matches_engine_oracle(rng, n):
+    verdicts = []
+    for image in _leaf_cases(rng, n, 300, 40):
+        verdicts.append(is_good_permutation(n, image))
+        assert verdicts[-1] == oracle_is_good(n, image), image
+    # every square submatrix of F_p is nonsingular (Chebotarev), so at prime
+    # N = 11 every permutation is good
+    assert len(verdicts) >= 300 and any(verdicts) and all(verdicts) == (n == 11)
+
+
+def test_leaf_check_with_small_prime_matches_engine_oracle(rng, monkeypatch, small_prime):
+    cases = {n: _leaf_cases(rng, n, 300, 20) for n in range(8, 13)}
+    small_prime()
+    check, handed = _record_leaf_confirmations(monkeypatch)
+    for n, images in cases.items():
+        verdicts = [check(n, image) for image in images]
+        assert verdicts == [oracle_is_good(n, image) for image in images], n
+        assert any(verdicts) and all(verdicts) == (n == 11), n
+    # a handed minor nonzero mod p came from a table that is 0 everywhere; one
+    # zero mod p that the engine found nonzero was a false zero
+    by_shape = {}
+    for n, rows, cols in handed:
+        by_shape.setdefault((n, rows.shape[1]), []).append((rows, cols))
+    assert min(r for _, r in by_shape) >= 3
+    degenerate = false_zero = 0
+    for (n, _), parts in by_shape.items():
+        rows, cols = (np.concatenate(part) for part in zip(*parts))
+        zero = _zero_mod_p(n, rows, cols)
+        exact = powerdet.index_zero_flags(ring_new(n), rows, cols)[0]
+        degenerate += int((~zero).sum())
+        false_zero += int((zero & ~exact).sum())
+    assert degenerate and false_zero
+
+
+@pytest.mark.parametrize("n, image, smallest", [
+    (10, (2, 9, 3, 7, 0, 5, 6, 8, 4, 1), 4),
+    (12, ONLY_LARGE_ZEROS, 6),
+])
+def test_leaf_check_finds_zeros_of_size_3_and_up(monkeypatch, n, image, smallest):
+    # no 2x2 minor vanishes, so the verdict rests on the engine's
+    # confirmations; the sweep stops at the first exact zero
+    assert all((a - b) * (image[a] - image[b]) % n for a, b in combinations(range(n), 2))
+    assert not oracle_is_good(n, image)
+    check, handed = _record_leaf_confirmations(monkeypatch)
+    assert not check(n, image)
+    exact = [powerdet.index_zero_flags(ring_new(n), rows, cols)[0] for _, rows, cols in handed]
+    assert [flags.any() for flags in exact] == [False] * (len(exact) - 1) + [True]
+    assert handed[-1][1].shape[1] == smallest
+
+
+def test_leaf_check_in_tiny_blocks_matches_engine_oracle(rng, monkeypatch):
+    # cutting the subset axis into blocks changes no verdict
+    from fourier_minors import search
+    monkeypatch.setattr(search, "_LEAF_BYTES", 4096)
+    blocks = []
+    sweep = search._leaf_sweep
+    monkeypatch.setattr(search, "_leaf_sweep", lambda *args: blocks.append(1) or sweep(*args))
+    for n in range(8, 13):
+        for image in _leaf_cases(rng, n, 40, 10) + [tuple(range(n))]:
+            assert is_good_permutation(n, image) == oracle_is_good(n, image), image
+    assert not is_good_permutation(12, ONLY_LARGE_ZEROS)
+    blocks.clear()
+    assert is_good_permutation(13, tuple(range(13)))
+    assert len(blocks) > 32  # N = 13 was swept in many blocks
+
+
+@pytest.mark.parametrize("n, good, nodes, prunes", [
+    (8, 288, 2421, {2: 934, 4: 192}),
+    (9, 5184, 28252, {2: 9312}),
+])
+def test_first_value_zero_walks(n, good, nodes, prunes):
+    # the whole sigma(0) = 0 tree, each leaf checked by the bordered sweep
+    state = _SearchState(SearchConfig(n, symmetry=True))
+    leaves = list(state._descend(0, 0))
+    assert len(leaves) == good and leaves == sorted(set(leaves))
+    assert state.nodes == nodes and dict(state.prunes) == prunes
+
+
 def test_tables_carried_through_the_search_equal_replayed(monkeypatch):
     # the stack pushed in _descend, and popped on backtrack, holds the tables
-    # a replay of the assignment builds, at every domain and after every return
-    checks = []
+    # a replay of the assignment builds, at every domain and after every return;
+    # a step still pending gives the same rows bordered alone
+    checks, pending = [], []
     domain, descend = _SearchState._domain, _SearchState._descend
 
     def check(state):
@@ -376,7 +527,11 @@ def test_tables_carried_through_the_search_equal_replayed(monkeypatch):
         replay = _SearchState(state.config)  # the same assignment, set by hand
         replay.img[:] = state.img
         replay.assigned = list(state.assigned)
-        assert np.array_equal(state.stack[-1], replay._tables())
+        tables = replay._tables()
+        pending.append(isinstance(state.stack[-1], tuple))
+        for row in range(len(tables)):
+            assert np.array_equal(state._tables(row), tables[row])
+        assert np.array_equal(state._tables(), tables)
         checks.append(len(state.assigned))
 
     def checking_domain(self, pos):
@@ -393,6 +548,7 @@ def test_tables_carried_through_the_search_equal_replayed(monkeypatch):
         assert find_good_permutation(SearchConfig(n, order=order)).found is not None
     # a check at a shallower depth than the one before it follows a backtrack
     assert sum(b < a for a, b in zip(checks, checks[1:])) > 10
+    assert any(pending) and not all(pending)
 
 
 @pytest.mark.parametrize("n, order, nodes, prunes, found", [
