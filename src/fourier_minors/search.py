@@ -12,7 +12,11 @@ vanishes under every completion, so a prune loses no good permutation;
 along a completed branch the tested families union to the full power set,
 so a surviving leaf is good.  Each leaf is still checked in full by
 `is_good_permutation`, a fresh sweep that reads none of the branch's tables
-(the leaf lemma below).
+(the leaf lemma below).  That check borders by the same `_border` step and
+rests on the same Desnanot-Jacobi lemma as the search, so a fault in either
+would reach both; the check that decides every minor on its own, by the
+engine alone, is the oracle in tests/oracles.py that the tests compare
+against.
 
 Lemma (bordered tables).  Let p be the first prime of `powerdet.field`,
 zeta its element of order N, and M[r, v] = zeta^(r*v) mod p.  For a set S
@@ -52,12 +56,7 @@ array, with the subsets by bitmask over assignment order on the last axis.
 A branch holds sum_k 2^k (N-k)^2 entries, about 350k (2.8 MB) at N = 16.
 `_descend` pushes them and pops them on return; a state whose assignment
 was set by hand rebuilds them by replaying `assigned`.  One assignment is
-one `_border` step.  On tables of _LAZY_ENTRIES entries or more the step is
-left pending until they are read: a child's push or the most-constrained
-order borders them in full, while the ascending domain of a pending step
-borders only its own row, from the pivot row and that row of the tables
-below.  So a node whose values all fail (about half the domains at N = 16,
-holding 58 % of the table entries) never borders its whole tables.
+one `_border` step.
 
 Lemma (leaf sweep).  For a whole permutation sigma, assign the positions
 in ascending order and write the column of value sigma(c) as position c,
@@ -75,9 +74,16 @@ Block independence.  D_{S+d} is computed from D_S alone, so the tables of
 S and of every S + T with T after S evolve without reading another
 subset's table.  The subset axis can therefore be cut into blocks at any
 depth, and each block swept to the end on its own: `_leaf_sweep` cuts a
-block whose bordered tables would pass _LEAF_BYTES into blocks whose
-tables stay under it to the end, so the working set is bounded for every
-N (uncut, the tables of N = 21 alone peak near 83 MB RSS).
+block whose bordered tables would pass _LEAF_BYTES into blocks of as many
+subsets as keep their tables under it to the end, and at least one.  The
+tables a block is cut from hold at most about _LEAF_BYTES and stay alive
+while its blocks are swept.  While one subset's tables fit, that is for
+8 * max_t 2^t (f - t)^2 <= _LEAF_BYTES or f <= 16 rows at the cut (every
+N <= 25), a cut happens once and the peak is about 2 * _LEAF_BYTES.  Past
+that a block of one subset outgrows the cap and is cut again deeper, so
+the peak is at most about (number of cut levels) * _LEAF_BYTES, and that
+number grows with N (uncut, the tables of N = 21 alone peak near 83 MB
+RSS).
 
 Both order policies count alike.  `ascending` takes the first free
 position, `most-constrained` the one with the fewest values of fail 0 (the
@@ -116,9 +122,6 @@ ORDER_ASCENDING = "ascending"
 ORDER_MOST_CONSTRAINED = "most-constrained"
 
 ENUMERATE_MAX_N = 12
-# Tables of fewer entries are bordered at once: a step left pending costs
-# one extra row border, about as much as bordering 2^12 entries.
-_LAZY_ENTRIES = 2 ** 12
 # Working-set cap of one block of leaf-check tables (`_leaf_sweep`).
 _LEAF_BYTES = 2 ** 20
 
@@ -236,7 +239,8 @@ def _leaf_sweep(ring, image: np.ndarray, tables: np.ndarray, masks: np.ndarray) 
     below k = N - len(tables) given by bitmask in `masks`, their tables
     D_S (columns by position) in `tables`, and every nonempty T within
     k .. N-1.  A block whose bordered tables would pass _LEAF_BYTES is cut
-    along the subset axis into blocks that stay under it to the end."""
+    along the subset axis into blocks that stay under it to the end, or of
+    one subset each when one subset's tables outgrow it (module docstring)."""
     n = len(image)
     p = powerdet.field(n)[0]
     while True:
@@ -291,38 +295,21 @@ class _SearchState:
 
     def _push(self, pos: int, value: int) -> None:
         """Add sigma(pos) = value to the tables: every D_S loses row pos and
-        column value, and D_(S + pos) joins them for every S.  On tables of
-        _LAZY_ENTRIES entries or more the step is left pending on the stack
-        as (i, j) until the tables are read."""
+        column value, and D_(S + pos) joins them for every S."""
         i = pos - sum(a < pos for a, _ in self.path)
         j = value - sum(v < value for _, v in self.path)
-        tables = self._bordered()
-        lazy = tables.size >= _LAZY_ENTRIES
-        self.stack.append((i, j) if lazy else _border(tables, i, j, self.p))
+        self.stack.append(_border(self.stack[-1], i, j, self.p))
         self.path.append((pos, value))
 
-    def _bordered(self) -> np.ndarray:
-        """The top tables, bordering now a step that `_push` left pending."""
-        if isinstance(self.stack[-1], tuple):
-            self.stack[-1] = _border(self.stack[-2], *self.stack[-1], self.p)
-        return self.stack[-1]
-
-    def _tables(self, row: int | None = None) -> np.ndarray:
-        """The tables of the current assignment, or their row `row` alone; a
-        state whose `img` and `assigned` were set by hand gets them by
-        replaying `assigned`.  Under the ascending order a row of a pending
-        step is bordered alone, from two rows of the tables below."""
+    def _tables(self) -> np.ndarray:
+        """The tables of the current assignment; a state whose `img` and
+        `assigned` were set by hand gets them by replaying `assigned`."""
         path = [(a, int(self.img[a])) for a in self.assigned]
         if path != self.path:
             del self.stack[1:], self.path[:]
             for a, v in path:
                 self._push(a, v)
-        top = self.stack[-1]
-        if row is not None and isinstance(top, tuple) and self.config.order == ORDER_ASCENDING:
-            i, j = top
-            return _border(self.stack[-2][[i, row + (row >= i)]], 0, j, self.p)[0]
-        tables = self._bordered()
-        return tables if row is None else tables[row]
+        return self.stack[-1]
 
     def _domain(self, pos: int) -> tuple[np.ndarray, np.ndarray]:
         """(values, fail): the unused values in ascending order and, for
@@ -335,7 +322,7 @@ class _SearchState:
                 rest = [a for b, a in enumerate(self.assigned) if mask >> b & 1]
                 self.on_test(tuple(sorted(rest + [pos])), d)
         # the zero entries of row pos, by value and subset
-        cols, masks = np.nonzero(self._tables(pos - np.count_nonzero(self.img[:pos] >= 0)) == 0)
+        cols, masks = np.nonzero(self._tables()[pos - np.count_nonzero(self.img[:pos] >= 0)] == 0)
         sizes = _subset_sizes(d)[masks]
         fail = np.zeros(len(values), dtype=np.int64)
         fail[cols[sizes == 2]] = 2  # exact at sizes 1 and 2
