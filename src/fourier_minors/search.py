@@ -77,13 +77,13 @@ depth, and each block swept to the end on its own: `_leaf_sweep` cuts a
 block whose bordered tables would pass _LEAF_BYTES into blocks of as many
 subsets as keep their tables under it to the end, and at least one.  The
 tables a block is cut from hold at most about _LEAF_BYTES and stay alive
-while its blocks are swept.  While one subset's tables fit, that is for
-8 * max_t 2^t (f - t)^2 <= _LEAF_BYTES or f <= 16 rows at the cut (every
-N <= 25), a cut happens once and the peak is about 2 * _LEAF_BYTES.  Past
-that a block of one subset outgrows the cap and is cut again deeper, so
-the peak is at most about (number of cut levels) * _LEAF_BYTES, and that
-number grows with N (uncut, the tables of N = 21 alone peak near 83 MB
-RSS).
+while its blocks are swept.  While one subset's tables fit, that is while
+8 * max_t 2^t (f - t)^2 <= _LEAF_BYTES, i.e. f <= 16 rows at the cut
+(every N <= 25), a cut happens once and the peak is a few _LEAF_BYTES.
+Past that a block of one subset outgrows the cap and is cut again deeper,
+each cut level keeping up to about _LEAF_BYTES alive, so the peak grows
+with the number of cut levels and so with N (uncut, the tables of N = 21
+alone peak near 83 MB RSS).
 
 Both order policies count alike.  `ascending` takes the first free
 position, `most-constrained` the one with the fewest values of fail 0 (the
