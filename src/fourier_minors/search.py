@@ -36,7 +36,7 @@ product of powers of the minors of the proper prefixes of S, and:
 - if none of those vanishes mod p, D_S(r, v) = 0 iff m_S(r, v) = 0;
 - otherwise D_S is 0 everywhere.
 Either way a nonzero entry proves the minor nonzero in Z[w], and a zero
-entry is a candidate that `_domain` decides as follows.
+entry is a candidate that `_vanishing_sizes` decides as follows.
 - Sizes 1 and 2 (|S| <= 1, k_S = 1) are exact.  A 1x1 minor is a power of
   zeta.  On positions a, b with sa = sigma(a) and sb = sigma(b), the 2x2
   minor is zeta^(a*sa + b*sb) - zeta^(a*sb + b*sa); as zeta has order exactly
@@ -45,7 +45,8 @@ entry is a candidate that `_domain` decides as follows.
 - A zero at size >= 3, which may be a zero mod p only or an entry of a table
   that is 0 everywhere, goes to the engine's conjugate sweep
   (`powerdet.index_confirm_zeros`): one batch per size, smallest size
-  first, for the values no smaller size has failed.  There is no second
+  first, for the (position, value) cells no smaller size has failed.
+  The search and the leaf sweep share this decoder.  There is no second
   screen at u = 1, but the sweep still takes u = 1: an entry of a table
   that is 0 everywhere says nothing about the minor's own value there,
   and the zeros-from-conjugates lemma of `powerdet` needs every unit.
@@ -54,9 +55,8 @@ Assigning sigma(d) = v drops row d and column v from every table and adds
 D_{S+d} for every S.  The tables of depth k are one (N-k) x (N-k) x 2^k int64
 array, with the subsets by bitmask over assignment order on the last axis.
 A branch holds sum_k 2^k (N-k)^2 entries, about 350k (2.8 MB) at N = 16.
-`_descend` pushes them and pops them on return; a state whose assignment
-was set by hand rebuilds them by replaying `assigned`.  One assignment is
-one `_border` step.
+`_descend` pushes them and pops them on return.  One assignment is one
+`_border` step.
 
 Lemma (leaf sweep).  For a whole permutation sigma, assign the positions
 in ascending order and write the column of value sigma(c) as position c,
@@ -67,8 +67,9 @@ nonzero multiple of the minor on T or an entry of a table that is 0
 everywhere.  So N - 1 bordering steps cover all 2^N - 1 principal minors,
 sum_k 2^k (N-k)^2 < 6 * 2^N residue operations in all, against C(N, r)
 eliminations of O(r^3) for each size r when every minor is decided on its
-own.  Zeros are decided as in `_domain`, smallest size first at each depth,
-and the sweep stops at the first exact zero.
+own.  The sweep and the search share one decoder (`_vanishing_sizes`): at
+each depth the zeros of entry (0, 0) are one cell, decided smallest size
+first, and the sweep stops at the first exact zero.
 
 Block independence.  D_{S+d} is computed from D_S alone, so the tables of
 S and of every S + T with T after S evolve without reading another
@@ -85,12 +86,14 @@ each cut level keeping up to about _LEAF_BYTES alive, so the peak grows
 with the number of cut levels and so with N (uncut, the tables of N = 21
 alone peak near 83 MB RSS).
 
-Both order policies count alike.  `ascending` takes the first free
-position, `most-constrained` the one with the fewest values of fail 0 (the
-first on ties), reading every free row of the same tables.  Each value
-tried there is one node (`nodes_expanded`); a value whose entry is a size
-s is one prune at s (`prune_counts`), and every other value is assigned
-and searched below.
+Both order policies count alike and make one `_domain` call per node.
+`ascending` decides the first free position, the first row of the top
+tables; `most-constrained` decides every free row at once, with one
+comparison and one engine batch per size across all of them, and takes
+the position with the fewest values of fail 0 (the first on ties).  Each
+value tried there is one node (`nodes_expanded`); a value whose entry is
+a size s is one prune at s (`prune_counts`), and every other value is
+assigned and searched below.
 
 Complementation is NOT assumed for permuted matrices; nothing here relies
 on it.  Exhaustion claims rest only on the plain depth-first tree, plus the
@@ -217,30 +220,42 @@ def _ahead(f: int) -> int:
     return max(2 ** t * (f - t) ** 2 for t in range(f))
 
 
-def _leaf_zero_vanishes(ring, image: np.ndarray, masks: np.ndarray, k: int) -> bool:
-    """Whether a minor on S + {k} vanishes exactly, for S by bitmask in
-    `masks`, each a zero entry of its table: sizes 1 and 2 are exact, and
-    larger ones go to the engine, smallest size first."""
-    bits = masks[:, None] >> np.arange(k) & 1
-    sizes = bits.sum(axis=1) + 1
-    if (sizes <= 2).any():
-        return True
-    for s in sorted(set(sizes.tolist())):  # np.unique imports numpy.ma
-        rows = np.empty((np.count_nonzero(sizes == s), s), dtype=np.int64)
-        rows[:, :-1] = np.nonzero(bits[sizes == s])[1].reshape(-1, s - 1)
-        rows[:, -1] = k
-        if powerdet.index_confirm_zeros(ring, rows, image[rows]).any():
-            return True
-    return False
+def _vanishing_sizes(ring, by_bit, image, masks, sizes, rows, cols, pos, value) -> np.ndarray:
+    """For each cell (a, b) of a grid of new rows pos[a] and their values
+    value[b], the smallest size of an exactly vanishing minor among the zero
+    table entries of that cell, or 0.  Entry e lies in cell (rows[e],
+    cols[e]) and is the minor on positions S + {pos[rows[e]]} and values
+    image[S] + {value[cols[e]]}, for S the positions by_bit[i] of the bits i
+    of masks[e]; sizes[e] = |S| + 1.  Sizes 1 and 2 are exact (module
+    docstring); larger sizes go to the engine in one batch per size across
+    all cells, smallest size first, for the cells no smaller size has
+    failed."""
+    fail = np.zeros(len(pos) * len(value), dtype=np.int64)
+    cell = rows * len(value) + cols
+    fail[cell[sizes == 2]] = 2  # a 1x1 minor is a power of zeta, never 0 mod p
+    for s in sorted(set(sizes[sizes > 2].tolist())):  # np.unique imports numpy.ma
+        live = (sizes == s) & (fail[cell] == 0)
+        if not live.any():
+            continue
+        bits = masks[live, None] >> np.arange(len(by_bit)) & 1
+        minors = np.empty((len(bits), s), dtype=np.int64)
+        minors[:, :-1] = by_bit[np.nonzero(bits)[1].reshape(-1, s - 1)]
+        minors[:, -1] = pos[rows[live]]
+        columns = image[minors]
+        columns[:, -1] = value[cols[live]]
+        fail[cell[live][powerdet.index_confirm_zeros(ring, minors, columns)]] = s
+    return fail.reshape(len(pos), len(value))
 
 
-def _leaf_sweep(ring, image: np.ndarray, tables: np.ndarray, masks: np.ndarray) -> bool:
+def _leaf_sweep(ring, image: np.ndarray, tables: np.ndarray, masks: np.ndarray,
+                sizes: np.ndarray) -> bool:
     """Whether no minor on S + T vanishes, for the subsets S of positions
-    below k = N - len(tables) given by bitmask in `masks`, their tables
-    D_S (columns by position) in `tables`, and every nonempty T within
-    k .. N-1.  A block whose bordered tables would pass _LEAF_BYTES is cut
-    along the subset axis into blocks that stay under it to the end, or of
-    one subset each when one subset's tables outgrow it (module docstring)."""
+    below k = N - len(tables) given by bitmask in `masks` and by |S| + 1 in
+    `sizes`, their tables D_S (columns by position) in `tables`, and every
+    nonempty T within k .. N-1.  A block whose bordered tables would pass
+    _LEAF_BYTES is cut along the subset axis into blocks that stay under it
+    to the end, or of one subset each when one subset's tables outgrow it
+    (module docstring)."""
     n = len(image)
     p = powerdet.field(n)[0]
     while True:
@@ -248,15 +263,19 @@ def _leaf_sweep(ring, image: np.ndarray, tables: np.ndarray, masks: np.ndarray) 
         k = n - f
         if m > 1 and 16 * m * (f - 1) ** 2 > _LEAF_BYTES:
             step = max(1, _LEAF_BYTES // (8 * _ahead(f)))
-            return all(_leaf_sweep(ring, image, tables[:, :, s:s + step], masks[s:s + step])
-                       for s in range(0, m, step))
-        if not tables[0, 0].all() and _leaf_zero_vanishes(
-                ring, image, masks[tables[0, 0] == 0], k):
-            return False
+            return all(_leaf_sweep(ring, image, tables[:, :, s:s + step], masks[s:s + step],
+                                   sizes[s:s + step]) for s in range(0, m, step))
+        zero = tables[0, 0] == 0
+        if zero.any():
+            cell = np.zeros(np.count_nonzero(zero), dtype=np.int64)
+            if _vanishing_sizes(ring, np.arange(k), image, masks[zero], sizes[zero], cell,
+                                cell, np.array([k]), image[k:k + 1])[0, 0]:
+                return False
         if f == 1:
             return True
         tables = _border(tables, 0, 0, p)
         masks = np.concatenate([masks, masks | 1 << k])
+        sizes = np.concatenate([sizes, sizes + 1])
 
 
 def is_good_permutation(modulus: int, sigma) -> bool:
@@ -264,19 +283,22 @@ def is_good_permutation(modulus: int, sigma) -> bool:
     by one bordered sweep mod p over the positions in ascending order (the
     leaf lemma in the module docstring)."""
     perm = sigma if isinstance(sigma, Permutation) else Permutation(modulus, tuple(sigma))
+    if perm.modulus != modulus:
+        raise PreconditionError(f"a permutation of {perm.modulus} elements checked "
+                                f"at modulus {modulus}")
     ring = ring_new(modulus)
     image = np.array(perm.image, dtype=np.int64)
     k = np.arange(modulus)
     tables = powerdet._root_powers(modulus, 0)[np.outer(k, image) % modulus][..., None]
-    return _leaf_sweep(ring, image, tables, np.zeros(1, dtype=np.int64))
+    return _leaf_sweep(ring, image, tables, np.zeros(1, dtype=np.int64),
+                       np.ones(1, dtype=np.int64))
 
 
 class _SearchState:
-    def __init__(self, config: SearchConfig, on_test=None, deadline: float | None = None):
+    def __init__(self, config: SearchConfig, deadline: float | None = None):
         self.config = config
         self.n = config.modulus
         self.ring = ring_new(config.modulus)
-        self.on_test = on_test
         self.deadline = deadline
         self.nodes = 0
         self.prunes: Counter[int] = Counter()
@@ -284,94 +306,62 @@ class _SearchState:
         self.assigned: list[int] = []
         self.p = powerdet.field(self.n)[0]
         k = np.arange(self.n)
-        # the tables D_S of each depth (module docstring), and the assignments
-        # (pos, value) they were built from
+        # the tables D_S of each depth (module docstring)
         self.stack = [powerdet._root_powers(self.n, 0)[np.outer(k, k) % self.n][..., None]]
-        self.path: list[tuple[int, int]] = []
 
     def _check_budget(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _BudgetExpired
 
     def _push(self, pos: int, value: int) -> None:
-        """Add sigma(pos) = value to the tables: every D_S loses row pos and
-        column value, and D_(S + pos) joins them for every S."""
-        i = pos - sum(a < pos for a, _ in self.path)
-        j = value - sum(v < value for _, v in self.path)
+        """Assign sigma(pos) = value: every D_S loses row pos and column
+        value, and D_(S + pos) joins them for every S."""
+        img = self.img.tolist()
+        i = sum(x < 0 for x in img[:pos])
+        j = value - sum(0 <= x < value for x in img)
         self.stack.append(_border(self.stack[-1], i, j, self.p))
-        self.path.append((pos, value))
+        self.img[pos] = value
+        self.assigned.append(pos)
 
-    def _tables(self) -> np.ndarray:
-        """The tables of the current assignment; a state whose `img` and
-        `assigned` were set by hand gets them by replaying `assigned`."""
-        path = [(a, int(self.img[a])) for a in self.assigned]
-        if path != self.path:
-            del self.stack[1:], self.path[:]
-            for a, v in path:
-                self._push(a, v)
-        return self.stack[-1]
-
-    def _domain(self, pos: int) -> tuple[np.ndarray, np.ndarray]:
+    def _domain(self, positions) -> tuple[np.ndarray, np.ndarray]:
         """(values, fail): the unused values in ascending order and, for
-        each, the smallest size of a vanishing minor on `pos` plus assigned
-        positions once sigma(pos) takes it, or 0 when none vanishes."""
-        d = len(self.assigned)
+        each of `positions` (the first free positions, ascending, so the
+        first rows of the top tables) and each value, the smallest size of
+        a vanishing minor on the position plus assigned positions once it
+        takes the value, or 0 when none vanishes.  One comparison with 0
+        reads the rows of every position, and one decoder call decides all
+        their zeros."""
         values = np.flatnonzero(np.bincount(self.img[self.assigned], minlength=self.n) == 0)
-        if self.on_test is not None:
-            for mask in range(2 ** d):
-                rest = [a for b, a in enumerate(self.assigned) if mask >> b & 1]
-                self.on_test(tuple(sorted(rest + [pos])), d)
-        # the zero entries of row pos, by value and subset
-        cols, masks = np.nonzero(self._tables()[pos - np.count_nonzero(self.img[:pos] >= 0)] == 0)
-        sizes = _subset_sizes(d)[masks]
-        fail = np.zeros(len(values), dtype=np.int64)
-        fail[cols[sizes == 2]] = 2  # exact at sizes 1 and 2
-        order = np.array(self.assigned, dtype=np.int64)
-        for s in sorted(set(sizes[sizes > 2].tolist())):  # np.unique imports numpy.ma
-            live = (sizes == s) & (fail[cols] == 0)
-            if not live.any():
-                continue
-            bits = masks[live, None] >> np.arange(d) & 1
-            rows = np.empty((len(bits), s), dtype=np.int64)
-            rows[:, :-1] = order[np.nonzero(bits)[1].reshape(-1, s - 1)]
-            rows[:, -1] = pos
-            image = self.img[rows]
-            image[:, -1] = values[cols[live]]
-            zero = powerdet.index_confirm_zeros(self.ring, rows, image)
-            fail[cols[live][zero]] = s
+        rows, cols, masks = np.nonzero(self.stack[-1][:len(positions)] == 0)
+        fail = _vanishing_sizes(self.ring, np.array(self.assigned, dtype=np.int64), self.img,
+                                masks, _subset_sizes(len(self.assigned))[masks], rows, cols,
+                                np.array(positions, dtype=np.int64), values)
         return values, fail
 
     def _descend(self, pos: int, value: int):
         """Leaves below the assignment sigma(pos) = value."""
         self._push(pos, value)
-        self.img[pos] = value
-        self.assigned.append(pos)
         yield from self.leaves()
-        self.assigned.pop()
-        self.img[pos] = -1
+        self.img[self.assigned.pop()] = -1
         self.stack.pop()
-        self.path.pop()
 
     def leaves(self):
         """Re-verified good images below the current assignment, in DFS order."""
         self._check_budget()
-        free = [p for p in range(self.n) if self.img[p] < 0]
+        img = self.img.tolist()
+        free = [p for p, x in enumerate(img) if x < 0]
         if not free:
-            image = tuple(int(x) for x in self.img)
-            if is_good_permutation(self.n, image):
-                yield image
+            if is_good_permutation(self.n, img):
+                yield tuple(img)
             return
         if self.config.order == ORDER_ASCENDING:
             free = free[:1]
-        best = None
-        for p in free:
-            values, fail = self._domain(p)
-            if best is None or np.count_nonzero(fail == 0) < np.count_nonzero(best[2] == 0):
-                best = p, values, fail
-                if fail.all():
-                    break
-        pos, values, fail = best
-        for v, f in zip(values.tolist(), fail.tolist()):
+        values, fail = self._domain(free)
+        fail = fail.tolist()
+        passing = [row.count(0) for row in fail]
+        best = passing.index(min(passing))  # the fewest passing values, the first on ties
+        pos = free[best]
+        for v, f in zip(values.tolist(), fail[best]):
             self.nodes += 1
             if f:
                 self.prunes[f] += 1
@@ -380,17 +370,15 @@ class _SearchState:
 
 
 def _run_branch(
-    config: SearchConfig, first_value: int, deadline: float | None, on_test=None
+    config: SearchConfig, first_value: int, deadline: float | None
 ) -> tuple[tuple[int, ...] | None, int, dict[int, int], bool]:
     """(image or None, nodes, prune counts, completed) of the DFS below
     sigma(0) = first_value, up to its first leaf.  A branch started after
     the deadline does no work."""
-    state = _SearchState(config, on_test=on_test, deadline=deadline)
+    state = _SearchState(config, deadline=deadline)
     try:
         state._check_budget()
         state.nodes += 1
-        if on_test is not None:
-            on_test((0,), 0)  # F[0, sigma(0)] = w^0 = 1 needs no engine call
         image = next(state._descend(0, first_value), None)
         return image, state.nodes, dict(state.prunes), True
     except _BudgetExpired:
@@ -460,7 +448,7 @@ def _load_checkpoint(path: str, config: SearchConfig):
     return done, found, nodes, prunes
 
 
-def find_good_permutation(config: SearchConfig, on_test=None) -> SearchOutcome:
+def find_good_permutation(config: SearchConfig) -> SearchOutcome:
     """Depth-first search over all column permutations of the given modulus.
 
     Branches (first values) are taken in ascending order; each gets its
@@ -473,8 +461,7 @@ def find_good_permutation(config: SearchConfig, on_test=None) -> SearchOutcome:
     honours one absolute deadline (time.monotonic is system-wide) and a
     branch started after it does no work.  An expiry yields found=None, exhausted=False
     (inconclusive), distinct from a completed empty search, unless with
-    jobs > 1 a later branch finished with a find in time.  on_test is
-    honoured by serial runs only.
+    jobs > 1 a later branch finished with a find in time.
     """
     start = time.monotonic()
     n = config.modulus
@@ -501,8 +488,7 @@ def find_good_permutation(config: SearchConfig, on_test=None) -> SearchOutcome:
         pending = [v for v in branches if v not in done]
         deadline = start + config.time_budget if config.time_budget else None
         jobs = min(config.jobs, len(pending))
-        branch = partial(_run_branch, config, deadline=deadline,
-                         on_test=on_test if jobs <= 1 else None)
+        branch = partial(_run_branch, config, deadline=deadline)
         results = ordered_map(branch, pending, jobs)
         all_completed = True
         for v, (image, bn, bp, completed) in zip(pending, results):

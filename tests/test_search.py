@@ -37,6 +37,11 @@ def test_is_good_permutation_fixtures():
     assert is_good_permutation(1, [0])
     with pytest.raises(PreconditionError):
         is_good_permutation(0, ())
+    # the check reads a Permutation's own image, so its modulus must agree
+    assert is_good_permutation(7, Permutation.identity(7))
+    for modulus, size in ((5, 7), (4, 8), (8, 4)):
+        with pytest.raises(PreconditionError):
+            is_good_permutation(modulus, Permutation.identity(size))
 
 
 def test_good_permutation_search_small():
@@ -71,21 +76,6 @@ def test_enumerate_limit_and_ceiling():
     assert len(enumerate_good_permutations(5, limit=3)) == 3
     with pytest.raises(PreconditionError):
         enumerate_good_permutations(13)
-
-
-def test_incremental_family_covers_power_set():
-    # On moduli where the first branch completes without backtracking the
-    # tested subsets along that branch must be the whole power set.
-    for n in (5, 6, 7):
-        seen = set()
-        outcome = find_good_permutation(
-            SearchConfig(n), on_test=lambda subset, depth: seen.add(subset)
-        )
-        assert outcome.nodes_expanded == n  # no backtracking happened
-        expected = set()
-        for r in range(1, n + 1):
-            expected.update(combinations(range(n), r))
-        assert seen == expected, n
 
 
 def test_engine_never_sees_1x1_minors(monkeypatch):
@@ -197,35 +187,52 @@ def _oracle_fail(ring, sigma, assigned, pos):
     return 0
 
 
+def _random_domain(rng, n, config):
+    """(assigned, image, positions, values, fail): a random assignment,
+    pushed in random order, and the domains of a random number of the first
+    free positions, all decided in one `_domain` call."""
+    order = rng.sample(range(n), n)
+    depth = rng.randrange(n)  # any set of assigned positions, at least one free
+    assigned, image = order[:depth], rng.sample(range(n), depth)
+    state = _SearchState(config)
+    for k, v in zip(assigned, image):
+        state._push(k, v)
+    free = sorted(order[depth:])
+    positions = free[:rng.randrange(1, len(free) + 1)]
+    values, fail = state._domain(positions)
+    assert fail.shape == (len(positions), len(values))
+    assert values.tolist() == sorted(set(range(n)) - set(image))
+    return assigned, image, positions, values, fail
+
+
+def _check_domain_rows(ring, assigned, image, positions, values, fail):
+    """Every row of a domain against `_oracle_fail`; the failing sizes seen."""
+    sizes = set()
+    for pos, row in zip(positions, fail.tolist()):
+        for v, f in zip(values.tolist(), row):
+            sigma = {**dict(zip(assigned, image)), pos: v}
+            assert f == _oracle_fail(ring, sigma, assigned, pos), (ring.modulus, sigma, pos)
+            sizes.add(f)
+    return sizes
+
+
 def test_domain_matches_exact_oracle(rng, monkeypatch):
     calls = []
     engine = powerdet.index_confirm_zeros
     monkeypatch.setattr(powerdet, "index_confirm_zeros",
                         lambda *args: calls.append(1) or engine(*args))
-    sizes = set()
+    sizes, widths = set(), set()
     for _ in range(100):
         n = rng.randrange(2, 10)
-        ring = ring_new(n)
-        positions = list(range(n))
-        rng.shuffle(positions)
-        depth = rng.randrange(n)  # any set of assigned positions, any free pos
-        assigned, pos = positions[:depth], positions[depth]
-        image = rng.sample(range(n), depth)
-        state = _SearchState(SearchConfig(n, order=ORDER_MOST_CONSTRAINED))
-        for k, v in zip(assigned, image):
-            state.img[k] = v
-        state.assigned = list(assigned)
         calls.clear()
-        values, fail = state._domain(pos)
-        # one engine call per size, however many values are free
-        assert len(calls) <= depth + 1, (n, assigned, pos)
-        assert values.tolist() == sorted(set(range(n)) - set(image))
-        for v, f in zip(values.tolist(), fail.tolist()):
-            sigma = dict(zip(assigned, image))
-            sigma[pos] = v
-            assert f == _oracle_fail(ring, sigma, assigned, pos), (n, sigma, pos)
-            sizes.add(f)
+        assigned, image, positions, values, fail = _random_domain(
+            rng, n, SearchConfig(n, order=ORDER_MOST_CONSTRAINED))
+        # one engine call per size, however many positions and values are free
+        assert len(calls) <= len(assigned) + 1, (n, assigned, positions)
+        sizes |= _check_domain_rows(ring_new(n), assigned, image, positions, values, fail)
+        widths.add(len(positions))
     assert {0, 2, 3, 4} <= sizes  # the cases cover several failing sizes
+    assert max(widths) >= 5  # and domains of several positions at once
 
 
 def test_pair_lemma_matches_leibniz_to_12(leibniz):
@@ -233,18 +240,19 @@ def test_pair_lemma_matches_leibniz_to_12(leibniz):
     # alone: fail == 2 iff the minor on {a, pos} vanishes, by Leibniz
     for n in range(2, 13):
         ring = ring_new(n)
-        for a, pos in permutations(range(n), 2):
+        for a in range(n):
             for sa in range(n):
                 state = _SearchState(SearchConfig(n))
-                state.img[a] = sa
-                state.assigned = [a]
-                values, fail = state._domain(pos)
-                rows = sorted((a, pos))
-                for v, f in zip(values.tolist(), fail.tolist()):
-                    sigma = {a: sa, pos: v}
-                    matrix = [[ring.root_power(k * sigma[l]) for l in rows] for k in rows]
-                    assert (f == 2) == leibniz(matrix).is_zero(), (n, a, sa, pos, v)
-                    assert f in (0, 2)
+                state._push(a, sa)
+                free = [pos for pos in range(n) if pos != a]
+                values, fail = state._domain(free)
+                for pos, row in zip(free, fail.tolist()):
+                    rows = sorted((a, pos))
+                    for v, f in zip(values.tolist(), row):
+                        sigma = {a: sa, pos: v}
+                        matrix = [[ring.root_power(k * sigma[l]) for l in rows] for k in rows]
+                        assert (f == 2) == leibniz(matrix).is_zero(), (n, a, sa, pos, v)
+                        assert f in (0, 2)
 
 
 def _record_domain_engine_calls(monkeypatch):
@@ -253,10 +261,10 @@ def _record_domain_engine_calls(monkeypatch):
     handed, active = [], []
     domain, engine = _SearchState._domain, powerdet.index_confirm_zeros
 
-    def recording_domain(self, pos):
-        active.append(pos)
+    def recording_domain(self, positions):
+        active.append(positions)
         try:
-            return domain(self, pos)
+            return domain(self, positions)
         finally:
             active.pop()
 
@@ -322,22 +330,13 @@ def test_domain_with_small_prime_matches_exact_oracle(rng, monkeypatch, small_pr
                                (10, ORDER_MOST_CONSTRAINED))}
     small_prime()
     handed = _record_domain_engine_calls(monkeypatch)
+    calls = len(handed)
     for _ in range(150):
         n = rng.randrange(2, 10)
-        ring = ring_new(n)
-        positions = list(range(n))
-        rng.shuffle(positions)
-        depth = rng.randrange(n)
-        assigned, pos = positions[:depth], positions[depth]
-        image = rng.sample(range(n), depth)
-        state = _SearchState(SearchConfig(n))
-        for k, v in zip(assigned, image):
-            state.img[k] = v
-        state.assigned = list(assigned)
-        values, fail = state._domain(pos)
-        sigma = dict(zip(assigned, image))
-        for v, f in zip(values.tolist(), fail.tolist()):
-            assert f == _oracle_fail(ring, {**sigma, pos: v}, assigned, pos), (n, sigma, pos)
+        assigned, image, positions, values, fail = _random_domain(rng, n, SearchConfig(n))
+        assert len(handed) - calls <= len(assigned) + 1, (n, assigned, positions)
+        calls = len(handed)
+        _check_domain_rows(ring_new(n), assigned, image, positions, values, fail)
     # a handed minor nonzero mod p came from a table that is 0 everywhere; one
     # zero mod p that the engine found nonzero was a false zero
     degenerate = false_zero = 0
@@ -369,9 +368,8 @@ def test_table_entries_are_bordered_minors_mod_p(rng, small, small_prime):
         assigned, image = positions[:depth], rng.sample(range(n), depth)
         state = _SearchState(SearchConfig(n))
         for k, v in zip(assigned, image):
-            state.img[k] = v
-        state.assigned = list(assigned)
-        tables = state._tables()
+            state._push(k, v)
+        tables = state.stack[-1]
         free = [r for r in range(n) if r not in assigned]
         unused = [v for v in range(n) if v not in image]
         assert tables.shape == (len(free), len(unused), 2 ** depth)
@@ -508,25 +506,33 @@ def test_first_value_zero_walks(n, good, nodes, prunes):
     leaves = list(state._descend(0, 0))
     assert len(leaves) == good and leaves == sorted(set(leaves))
     assert state.nodes == nodes and dict(state.prunes) == prunes
+    if n == 8:
+        # the most-constrained tree of N = 8 reaches the same leaves by
+        # another route, choosing among every free row at each node
+        state = _SearchState(SearchConfig(n, order=ORDER_MOST_CONSTRAINED, symmetry=True))
+        assert set(state._descend(0, 0)) == set(leaves)
+        assert state.nodes == 1231 and dict(state.prunes) == {2: 187, 4: 128}
 
 
 def test_tables_carried_through_the_search_equal_replayed(monkeypatch):
     # the stack pushed in _descend, and popped on backtrack, holds the tables
-    # a replay of the assignment builds, at every domain and after every return
+    # a fresh replay of the assignment builds, at every domain and after
+    # every return
     checks = []
     domain, descend = _SearchState._domain, _SearchState._descend
 
     def check(state):
-        assert state.path == [(a, int(state.img[a])) for a in state.assigned]
-        replay = _SearchState(state.config)  # the same assignment, set by hand
-        replay.img[:] = state.img
-        replay.assigned = list(state.assigned)
-        assert np.array_equal(state.stack[-1], replay._tables())
+        assert len(state.stack) == len(state.assigned) + 1
+        assert (state.img >= 0).sum() == len(state.assigned)
+        replay = _SearchState(state.config)
+        for a in state.assigned:
+            replay._push(a, int(state.img[a]))
+        assert np.array_equal(state.stack[-1], replay.stack[-1])
         checks.append(len(state.assigned))
 
-    def checking_domain(self, pos):
+    def checking_domain(self, positions):
         check(self)
-        return domain(self, pos)
+        return domain(self, positions)
 
     def checking_descend(self, pos, value):
         yield from descend(self, pos, value)
@@ -546,6 +552,12 @@ def test_tables_carried_through_the_search_equal_replayed(monkeypatch):
     (10, ORDER_MOST_CONSTRAINED, 14, {2: 3, 4: 1}, (0, 2, 4, 8, 6, 1, 3, 9, 7, 5)),
     (11, "ascending", 11, {}, tuple(range(11))),
     (12, "ascending", 124, {2: 81, 4: 1, 6: 10}, (0, 1, 2, 3, 7, 11, 9, 10, 5, 6, 4, 8)),
+    (12, ORDER_MOST_CONSTRAINED, 21, {2: 8, 4: 1}, (0, 6, 2, 10, 4, 7, 1, 9, 5, 11, 3, 8)),
+    # one node per position: the first branch completes without backtracking,
+    # so the domains along it decided every principal minor
+    (5, "ascending", 5, {}, tuple(range(5))),
+    (6, "ascending", 6, {}, tuple(range(6))),
+    (7, "ascending", 7, {}, tuple(range(7))),
 ])
 def test_first_find_node_and_prune_counts(n, order, nodes, prunes, found):
     # pinned first finds: the engine's batching must not move a count
