@@ -181,8 +181,8 @@ def cmd_det(args) -> int:
     if len(k) == 0:
         print("error: empty index set", file=sys.stderr)
         return 1
-    ring = ring_new(args.n)
-    rec = minor_record(ring, k)
+    rec = minor_record(k)
+    ring = rec.determinant.ring
     verdict = "singular" if rec.singular else "nonsingular"
     print(f"F_{args.n}[{list(k.members)}] is {verdict}")
     print(f"modulus={args.n} totient={ring.totient}")

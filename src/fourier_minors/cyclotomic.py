@@ -45,6 +45,15 @@ def divisors(n: int) -> list[int]:
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
+def check_modulus(modulus: int) -> None:
+    """Refuse a modulus outside 1 .. DEFAULT_MAX_MODULUS (rings, prime fields)."""
+    if modulus < 1:
+        raise PreconditionError("modulus must be >= 1")
+    if modulus > DEFAULT_MAX_MODULUS:
+        raise PreconditionError(f"modulus {modulus} exceeds the precomputation bound "
+                                f"{DEFAULT_MAX_MODULUS}")
+
+
 @lru_cache(maxsize=None)
 def units(n: int) -> tuple[int, ...]:
     """The units mod n as 1 .. n, ascending (so 1 comes first)."""
@@ -101,12 +110,7 @@ class CycRing:
     """
 
     def __init__(self, modulus: int) -> None:
-        if modulus < 1:
-            raise PreconditionError("modulus must be >= 1")
-        if modulus > DEFAULT_MAX_MODULUS:
-            raise PreconditionError(
-                f"modulus {modulus} exceeds the precomputation bound {DEFAULT_MAX_MODULUS}"
-            )
+        check_modulus(modulus)
         self.modulus = modulus
         self.phi_poly: tuple[int, ...] = cyclotomic_polynomial(modulus)
         self.totient: int = len(self.phi_poly) - 1

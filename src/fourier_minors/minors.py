@@ -3,7 +3,7 @@
 `det_exact` works over arbitrary ring elements (memoized Laplace expansion,
 no division); it is kept as an independent oracle.  Singularity tests and
 minor records on w-power submatrices use the exact multimodular engine of
-`powerdet`.
+`powerdet` at the modulus of their index set.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cyclotomic import CycElem, CycRing
+from .cyclotomic import CycElem, CycRing, ring_new
 from .errors import PreconditionError
 from . import powerdet
 
@@ -83,6 +83,9 @@ def complement(k: IndexSet) -> IndexSet:
 
 
 def exponent_matrix(rows: IndexSet, cols: IndexSet) -> np.ndarray:
+    """The exponents (k*l mod N) for k in rows, l in cols."""
+    if rows.modulus != cols.modulus:
+        raise ValueError(f"row and column sets of moduli {rows.modulus} and {cols.modulus}")
     r = np.array(rows.members, dtype=np.int64)
     c = np.array(cols.members, dtype=np.int64)
     return (r[:, None] * c[None, :]) % rows.modulus
@@ -127,14 +130,14 @@ def det_exact(matrix: list[list[CycElem]]) -> CycElem:
     return prev[tuple(range(r))]
 
 
-def is_singular(ring: CycRing, k: IndexSet) -> bool:
+def is_singular(k: IndexSet) -> bool:
     """Exact singularity of the principal submatrix for index set k."""
     if len(k) == 0:
         raise PreconditionError("singularity of the empty set is not defined")
     members = np.array(k.members)[None]
-    return bool(powerdet.index_zero_flags(ring, members, members)[0][0])
+    return bool(powerdet.index_zero_flags(k.modulus, members, members)[0][0])
 
 
-def minor_record(ring: CycRing, k: IndexSet) -> MinorRecord:
-    det = powerdet.det_power_single(ring, exponent_matrix(k, k))
+def minor_record(k: IndexSet) -> MinorRecord:
+    det = powerdet.det_power_single(ring_new(k.modulus), exponent_matrix(k, k))
     return MinorRecord(index_set=k, size=len(k), singular=det.is_zero(), determinant=det)

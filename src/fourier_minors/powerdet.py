@@ -51,6 +51,9 @@ The evaluation primitive `_evaluate` has four uses:
   mod p by the Lagrange matrix and combined by CRT over primes whose
   product exceeds 2 * r! * h, give c exactly (`det_power_batch`).
 
+Zero decisions need N alone (prime fields, elements of order N, units), so
+their entries take the modulus; only coefficients take a `CycRing`.
+
 An int64 batch is used as given, each chunk reduced mod N before any
 product; `index_zero_flags` and `index_confirm_zeros` build batches from
 index sets in slices.
@@ -75,8 +78,8 @@ from math import factorial, isqrt
 
 import numpy as np
 
-from .cyclotomic import (CycElem, CycRing, ROOT_ERROR, _EPS, cyclotomic_polynomial,
-                         divisors, units)
+from .cyclotomic import (CycElem, CycRing, ROOT_ERROR, _EPS, check_modulus,
+                         cyclotomic_polynomial, divisors, units)
 
 PRIME_LIMIT = 2 ** 31
 # Working-set cap of one batched elimination; larger batches are chunked.
@@ -113,7 +116,8 @@ def _is_prime(n: int) -> bool:
 @lru_cache(maxsize=None)
 def field(n: int, index: int = 0) -> tuple[int, int]:
     """(p, zeta): the index-th largest prime p < 2^31 with p = 1 (mod n),
-    and an element zeta of order exactly n modulo p."""
+    and an element zeta of order exactly n modulo p (n as `check_modulus`)."""
+    check_modulus(n)
     top = PRIME_LIMIT - 1 if index == 0 else field(n, index - 1)[0] - 1
     p = top - (top - 1) % n
     while not _is_prime(p):
@@ -314,16 +318,16 @@ def _conjugate_sweep(exps: np.ndarray, n: int, idx: np.ndarray, skip_one: bool) 
     return idx
 
 
-def zero_flags(ring: CycRing, exps) -> tuple[np.ndarray, int]:
+def zero_flags(n: int, exps) -> tuple[np.ndarray, int]:
     """(flags, screened): exact vanishing flags of a batch of w-power
-    determinants, and how many the one-prime screen certified nonzero.
-    The screen's survivors are decided by their Galois conjugates mod p
-    (see the module docstring), never by coefficients."""
+    determinants at modulus n, and how many the one-prime screen certified
+    nonzero.  The screen's survivors are decided by their Galois conjugates
+    mod p (see the module docstring), never by coefficients."""
     exps = _as_batch(exps)
-    flags = _evaluate(exps, ring.modulus, 0, False)
+    flags = _evaluate(exps, n, 0, False)
     idx = np.flatnonzero(flags)
     flags[idx] = False
-    flags[_conjugate_sweep(exps, ring.modulus, idx, True)] = True
+    flags[_conjugate_sweep(exps, n, idx, True)] = True
     return flags, len(flags) - len(idx)
 
 
@@ -338,16 +342,16 @@ def _index_slices(rows, cols):
         yield np.multiply(rows[s:s + step, :, None], cols[s:s + step, None, :], dtype=np.int64)
 
 
-def index_zero_flags(ring: CycRing, rows, cols) -> tuple[np.ndarray, int]:
+def index_zero_flags(n: int, rows, cols) -> tuple[np.ndarray, int]:
     """`zero_flags` of the minors (w^(rows[b, i] * cols[b, j]))_ij given by
     integer index arrays of shape (B, r), one call per slice of at most
     _SLICE_BYTES of int64 products, so neither the products nor the
     engine's working set grow with B."""
-    parts = [zero_flags(ring, exps) for exps in _index_slices(rows, cols)]
+    parts = [zero_flags(n, exps) for exps in _index_slices(rows, cols)]
     return np.concatenate([flags for flags, _ in parts]), sum(hits for _, hits in parts)
 
 
-def index_confirm_zeros(ring: CycRing, rows, cols) -> np.ndarray:
+def index_confirm_zeros(n: int, rows, cols) -> np.ndarray:
     """Exact vanishing flags of candidate zeros, index sets as in
     `index_zero_flags`, decided by the conjugate sweep alone: no screen
     call, since a caller that already found each minor 0 mod the first
@@ -357,7 +361,7 @@ def index_confirm_zeros(ring: CycRing, rows, cols) -> np.ndarray:
     parts = []
     for exps in _index_slices(rows, cols):
         flags = np.zeros(len(exps), dtype=bool)
-        flags[_conjugate_sweep(exps, ring.modulus, np.arange(len(exps)), False)] = True
+        flags[_conjugate_sweep(exps, n, np.arange(len(exps)), False)] = True
         parts.append(flags)
     return np.concatenate(parts)
 

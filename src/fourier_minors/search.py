@@ -50,6 +50,7 @@ entry is a candidate that `_vanishing_sizes` decides as follows.
   screen at u = 1, but the sweep still takes u = 1: an entry of a table
   that is 0 everywhere says nothing about the minor's own value there,
   and the zeros-from-conjugates lemma of `powerdet` needs every unit.
+These decisions need N alone, never a ring; |S| is the bit count of S's mask.
 
 Assigning sigma(d) = v drops row d and column v from every table and adds
 D_{S+d} for every S.  The tables of depth k are one (N-k) x (N-k) x 2^k int64
@@ -90,9 +91,10 @@ Both order policies count alike and make one `_domain` call per node.
 `ascending` decides the first free position, the first row of the top
 tables; `most-constrained` decides every free row at once, with one
 comparison and one engine batch per size across all of them, and takes
-the position with the fewest values of fail 0 (the first on ties).  Each
-value tried there is one node (`nodes_expanded`); a value whose entry is
-a size s is one prune at s (`prune_counts`), and every other value is
+the position with the fewest values of fail 0 (the first on ties), so the
+rows after one that fails every value are not confirmed at larger sizes.
+Each value tried there is one node (`nodes_expanded`); a value whose entry
+is a size s is one prune at s (`prune_counts`), and every other value is
 assigned and searched below.
 
 Complementation is NOT assumed for permuted matrices; nothing here relies
@@ -116,7 +118,6 @@ from itertools import islice
 
 import numpy as np
 
-from .cyclotomic import ring_new
 from .errors import PreconditionError
 from .theorems import ordered_map
 from . import powerdet
@@ -183,16 +184,6 @@ class _BudgetExpired(Exception):
     pass
 
 
-@lru_cache(maxsize=None)
-def _subset_sizes(d: int) -> np.ndarray:
-    """|S| + 1 for the 2^d subsets S of d assigned positions, by bitmask."""
-    sizes = np.ones(1, dtype=np.int64)
-    for _ in range(d):
-        sizes = np.concatenate([sizes, sizes + 1])
-    sizes.flags.writeable = False  # shared by every caller through the cache
-    return sizes
-
-
 def _border(tables: np.ndarray, i: int, j: int, p: int) -> np.ndarray:
     """One division-free bordering step (module docstring): the tables D_S
     of shape (f, g, m) for m subsets S become (f - 1, g - 1, 2m), every D_S
@@ -220,21 +211,24 @@ def _ahead(f: int) -> int:
     return max(2 ** t * (f - t) ** 2 for t in range(f))
 
 
-def _vanishing_sizes(ring, by_bit, image, masks, sizes, rows, cols, pos, value) -> np.ndarray:
+def _vanishing_sizes(by_bit, image, masks, rows, cols, pos, value) -> np.ndarray:
     """For each cell (a, b) of a grid of new rows pos[a] and their values
     value[b], the smallest size of an exactly vanishing minor among the zero
     table entries of that cell, or 0.  Entry e lies in cell (rows[e],
     cols[e]) and is the minor on positions S + {pos[rows[e]]} and values
     image[S] + {value[cols[e]]}, for S the positions by_bit[i] of the bits i
-    of masks[e]; sizes[e] = |S| + 1.  Sizes 1 and 2 are exact (module
+    of masks[e]; len(image) = N.  Sizes 1 and 2 are exact (module
     docstring); larger sizes go to the engine in one batch per size across
-    all cells, smallest size first, for the cells no smaller size has
-    failed."""
-    fail = np.zeros(len(pos) * len(value), dtype=np.int64)
-    cell = rows * len(value) + cols
-    fail[cell[sizes == 2]] = 2  # a 1x1 minor is a power of zeta, never 0 mod p
+    all cells, smallest size first, for the cells no smaller size has failed
+    and rows before any that fails every value: `leaves()` takes the first
+    row with the fewest passing values, so no later row."""
+    fail = np.zeros((len(pos), len(value)), dtype=np.int64)
+    sizes = np.bitwise_count(masks) + 1
+    # a 1x1 minor is a power of zeta, never 0 mod p
+    fail[rows[sizes == 2], cols[sizes == 2]] = 2
     for s in sorted(set(sizes[sizes > 2].tolist())):  # np.unique imports numpy.ma
-        live = (sizes == s) & (fail[cell] == 0)
+        after = np.logical_or.accumulate(fail.all(axis=1))  # from the first all-fail row on
+        live = (sizes == s) & (fail[rows, cols] == 0) & ~after[rows]
         if not live.any():
             continue
         bits = masks[live, None] >> np.arange(len(by_bit)) & 1
@@ -243,19 +237,18 @@ def _vanishing_sizes(ring, by_bit, image, masks, sizes, rows, cols, pos, value) 
         minors[:, -1] = pos[rows[live]]
         columns = image[minors]
         columns[:, -1] = value[cols[live]]
-        fail[cell[live][powerdet.index_confirm_zeros(ring, minors, columns)]] = s
-    return fail.reshape(len(pos), len(value))
+        vanish = powerdet.index_confirm_zeros(len(image), minors, columns)
+        fail[rows[live][vanish], cols[live][vanish]] = s
+    return fail
 
 
-def _leaf_sweep(ring, image: np.ndarray, tables: np.ndarray, masks: np.ndarray,
-                sizes: np.ndarray) -> bool:
+def _leaf_sweep(image: np.ndarray, tables: np.ndarray, masks: np.ndarray) -> bool:
     """Whether no minor on S + T vanishes, for the subsets S of positions
-    below k = N - len(tables) given by bitmask in `masks` and by |S| + 1 in
-    `sizes`, their tables D_S (columns by position) in `tables`, and every
-    nonempty T within k .. N-1.  A block whose bordered tables would pass
-    _LEAF_BYTES is cut along the subset axis into blocks that stay under it
-    to the end, or of one subset each when one subset's tables outgrow it
-    (module docstring)."""
+    below k = N - len(tables) given by bitmask in `masks`, their tables D_S
+    (columns by position) in `tables`, and every nonempty T within k .. N-1.
+    A block whose bordered tables would pass _LEAF_BYTES is cut along the
+    subset axis into blocks that stay under it to the end, or of one subset
+    each when one subset's tables outgrow it (module docstring)."""
     n = len(image)
     p = powerdet.field(n)[0]
     while True:
@@ -263,19 +256,18 @@ def _leaf_sweep(ring, image: np.ndarray, tables: np.ndarray, masks: np.ndarray,
         k = n - f
         if m > 1 and 16 * m * (f - 1) ** 2 > _LEAF_BYTES:
             step = max(1, _LEAF_BYTES // (8 * _ahead(f)))
-            return all(_leaf_sweep(ring, image, tables[:, :, s:s + step], masks[s:s + step],
-                                   sizes[s:s + step]) for s in range(0, m, step))
+            return all(_leaf_sweep(image, tables[:, :, s:s + step], masks[s:s + step])
+                       for s in range(0, m, step))
         zero = tables[0, 0] == 0
         if zero.any():
             cell = np.zeros(np.count_nonzero(zero), dtype=np.int64)
-            if _vanishing_sizes(ring, np.arange(k), image, masks[zero], sizes[zero], cell,
-                                cell, np.array([k]), image[k:k + 1])[0, 0]:
+            if _vanishing_sizes(np.arange(k), image, masks[zero], cell, cell,
+                                np.array([k]), image[k:k + 1])[0, 0]:
                 return False
         if f == 1:
             return True
         tables = _border(tables, 0, 0, p)
         masks = np.concatenate([masks, masks | 1 << k])
-        sizes = np.concatenate([sizes, sizes + 1])
 
 
 def is_good_permutation(modulus: int, sigma) -> bool:
@@ -286,25 +278,22 @@ def is_good_permutation(modulus: int, sigma) -> bool:
     if perm.modulus != modulus:
         raise PreconditionError(f"a permutation of {perm.modulus} elements checked "
                                 f"at modulus {modulus}")
-    ring = ring_new(modulus)
     image = np.array(perm.image, dtype=np.int64)
     k = np.arange(modulus)
     tables = powerdet._root_powers(modulus, 0)[np.outer(k, image) % modulus][..., None]
-    return _leaf_sweep(ring, image, tables, np.zeros(1, dtype=np.int64),
-                       np.ones(1, dtype=np.int64))
+    return _leaf_sweep(image, tables, np.zeros(1, dtype=np.int64))
 
 
 class _SearchState:
     def __init__(self, config: SearchConfig, deadline: float | None = None):
         self.config = config
         self.n = config.modulus
-        self.ring = ring_new(config.modulus)
+        self.p = powerdet.field(self.n)[0]
         self.deadline = deadline
         self.nodes = 0
         self.prunes: Counter[int] = Counter()
         self.img = np.full(config.modulus, -1, dtype=np.int64)
         self.assigned: list[int] = []
-        self.p = powerdet.field(self.n)[0]
         k = np.arange(self.n)
         # the tables D_S of each depth (module docstring)
         self.stack = [powerdet._root_powers(self.n, 0)[np.outer(k, k) % self.n][..., None]]
@@ -328,14 +317,14 @@ class _SearchState:
         each of `positions` (the first free positions, ascending, so the
         first rows of the top tables) and each value, the smallest size of
         a vanishing minor on the position plus assigned positions once it
-        takes the value, or 0 when none vanishes.  One comparison with 0
-        reads the rows of every position, and one decoder call decides all
-        their zeros."""
+        takes the value, or 0 when none vanishes; rows after one that fails
+        every value are left unconfirmed at larger sizes (`_vanishing_sizes`).
+        One comparison with 0 reads the rows of every position, and one
+        decoder call decides all their zeros."""
         values = np.flatnonzero(np.bincount(self.img[self.assigned], minlength=self.n) == 0)
         rows, cols, masks = np.nonzero(self.stack[-1][:len(positions)] == 0)
-        fail = _vanishing_sizes(self.ring, np.array(self.assigned, dtype=np.int64), self.img,
-                                masks, _subset_sizes(len(self.assigned))[masks], rows, cols,
-                                np.array(positions, dtype=np.int64), values)
+        fail = _vanishing_sizes(np.array(self.assigned, dtype=np.int64), self.img, masks,
+                                rows, cols, np.array(positions, dtype=np.int64), values)
         return values, fail
 
     def _descend(self, pos: int, value: int):

@@ -57,7 +57,7 @@ from math import comb, isqrt
 
 import numpy as np
 
-from .cyclotomic import divisors, ring_new, units
+from .cyclotomic import check_modulus, divisors, units
 from .errors import PreconditionError, WorkerError
 from .minors import IndexSet, complement, is_singular
 from . import powerdet
@@ -123,9 +123,8 @@ def verify_theorem1(modulus: int) -> Theorem1Report:
         raise PreconditionError("need modulus >= 4")
     if not is_square_free(modulus):
         raise PreconditionError(f"{modulus} is not square-free")
+    check_modulus(modulus)
     sizes = (2, 3)
-
-    ring = ring_new(modulus)
     proper = np.array(divisors(modulus)[:-1], dtype=np.int64)
     g = np.repeat(proper, modulus - 1)
     b = np.tile(np.arange(1, modulus, dtype=np.int64), len(proper))
@@ -136,7 +135,7 @@ def verify_theorem1(modulus: int) -> Theorem1Report:
     for size in sizes:
         tail = tails[size]
         members = np.hstack([np.zeros((len(tail), 1), dtype=np.int64), tail])
-        flags, _ = powerdet.index_zero_flags(ring, members, members)
+        flags, _ = powerdet.index_zero_flags(modulus, members, members)
         pairs += comb(modulus - 1, size - 1)
         if flags.any():
             counterexample = tuple(int(x) for x in tail[np.argmax(flags)])
@@ -198,12 +197,11 @@ def build_witness(modulus: int, size: int) -> WitnessPlan:
     if not 2 <= r <= n - 2:
         raise PreconditionError(f"size must lie in [2, {n - 2}]")
     p, m = smallest_square_factor(n)
-    ring = ring_new(n)
 
     if 2 * r > n:
         base = build_witness(n, n - r)
         members = complement(base.index_set)
-        if not is_singular(ring, members):
+        if not is_singular(members):
             raise AssertionError(f"witness verification failed: N={n}, set={members.members}")
         return WitnessPlan(
             modulus=n, size=r, prime=p, cofactor=m, case=CASE_COMPLEMENTED,
@@ -267,7 +265,7 @@ def build_witness(modulus: int, size: int) -> WitnessPlan:
     if len(set(chosen)) != r:
         raise AssertionError(f"construction produced {len(set(chosen))} indices, wanted {r}")
     members = IndexSet.of(n, chosen)
-    if not is_singular(ring, members):
+    if not is_singular(members):
         raise AssertionError(f"witness verification failed: N={n}, set={members.members}")
     return WitnessPlan(
         modulus=n, size=r, prime=p, cofactor=m, case=case,
@@ -479,7 +477,7 @@ def _scan_chunk(task: tuple) -> tuple[int, int, int, np.ndarray, int]:
     else:
         members = _extend(prefixes, n, r)[:, 1:]
         weights = np.ones(len(members), dtype=np.int64)
-    flags, hits = powerdet.index_zero_flags(ring_new(n), members, members)
+    flags, hits = powerdet.index_zero_flags(n, members, members)
     keys = _exemplar_keys(n, members[flags], classes, cap)
     return r, len(members), int(weights[flags].sum()), keys, hits
 

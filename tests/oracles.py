@@ -13,8 +13,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from fourier_minors import (IndexSet, Permutation, PreconditionError, det_exact, ring_new,
-                            submatrix)
+from fourier_minors import IndexSet, Permutation, PreconditionError, det_exact, submatrix
 from fourier_minors import powerdet
 from fourier_minors.theorems import _CHUNK
 
@@ -119,13 +118,12 @@ def nonzero_screen(ring, exps):
 def is_good_permutation(modulus: int, sigma) -> bool:
     """Exact check that no principal minor of the permuted matrix vanishes."""
     perm = sigma if isinstance(sigma, Permutation) else Permutation(modulus, tuple(sigma))
-    ring = ring_new(modulus)
     image = np.array(perm.image, dtype=np.int64)
     for r in range(2, modulus + 1):  # a 1x1 minor is a power of w
         subsets = combinations(range(modulus), r)
         # batches of at most _CHUNK indices, so no array grows with C(N, r)
         for batch in iter(lambda: list(islice(subsets, max(1, _CHUNK // r))), []):
             rows = np.array(batch, dtype=np.int64)
-            if powerdet.index_zero_flags(ring, rows, image[rows])[0].any():
+            if powerdet.index_zero_flags(modulus, rows, image[rows])[0].any():
                 return False
     return True

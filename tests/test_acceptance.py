@@ -96,7 +96,7 @@ def test_criterion_5_witnesses_agree_with_scans():
         plans = witness_sweep(n)
         for plan in plans:
             ok = ok and rep.counts[plan.size] >= 1
-            ok = ok and is_singular(ring_new(n), plan.index_set)
+            ok = ok and is_singular(plan.index_set)
         ok = ok and all(rep.counts[r] >= 1 for r in range(2, n - 1))
     elapsed = time.perf_counter() - start
     report(5, ok, "scan counts cover every size 2..N-2 and agree with witnesses",

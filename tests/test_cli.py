@@ -43,7 +43,7 @@ def test_det_singular_and_record(tmp_path, capsys):
     assert record.payload["modulus"] == 4
     rec = decode(MinorRecord, record.payload)
     assert rec.singular and rec.index_set.members == (0, 2)
-    direct = minor_record(ring_new(4), IndexSet.of(4, [0, 2]))
+    direct = minor_record(IndexSet.of(4, [0, 2]))
     assert rec == direct
 
 
@@ -199,6 +199,21 @@ def test_theorem1_non_square_free_precondition(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["theorem1", "--n", "10010"],
+    ["witness", "--n", "10004", "--r", "2"],
+    ["perm-search", "--n", "10001", "--budget", "1"],
+    ["det", "--n", "10010", "--set", "0,1"],
+])
+def test_moduli_past_the_bound_are_refused(argv, tmp_path, capsys):
+    # no command builds a ring for its zero decisions; the prime field
+    # refuses the same moduli a ring does, and no record is written
+    out = tmp_path / "r.jsonl"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert "exceeds the precomputation bound 10000" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_perm_search_found(tmp_path, capsys):
     out = tmp_path / "s.jsonl"
     assert run(["perm-search", "--n", "4", "--out", str(out)]) == 0
@@ -247,7 +262,7 @@ def test_payload_kind_mismatch_rejected():
 
 
 def test_payload_builders_invert():
-    rec = minor_record(ring_new(9), IndexSet.of(9, [0, 3, 6]))
+    rec = minor_record(IndexSet.of(9, [0, 3, 6]))
     assert decode(MinorRecord, encode(rec), 9) == rec
     rep = scan_all(6)
     assert decode(ScanReport, encode(rep)) == rep

@@ -106,14 +106,25 @@ def test_kernel_matches_det_exact_on_random_sets(rng):
 
 
 def test_is_singular_fixtures():
-    assert is_singular(ring_new(4), IndexSet.of(4, [0, 2]))
-    assert not is_singular(ring_new(4), IndexSet.of(4, [0, 1, 3]))
-    assert is_singular(ring_new(9), IndexSet.of(9, [0, 3, 6]))
+    assert is_singular(IndexSet.of(4, [0, 2]))
+    assert not is_singular(IndexSet.of(4, [0, 1, 3]))
+    assert is_singular(IndexSet.of(9, [0, 3, 6]))
+    # rows 0 and 6 of F_12 agree on {0, 6}: w^36 = 1
+    assert is_singular(IndexSet.of(12, [0, 6]))
 
 
 def test_is_singular_rejects_empty_set():
     with pytest.raises(PreconditionError):
-        is_singular(ring_new(4), IndexSet.of(4, []))
+        is_singular(IndexSet.of(4, []))
+
+
+def test_exponent_matrix_refuses_mixed_moduli():
+    assert exponent_matrix(IndexSet.of(12, [0, 6]), IndexSet.of(12, [2, 6])).tolist() == [
+        [0, 0], [0, 0]]
+    with pytest.raises(ValueError):
+        exponent_matrix(IndexSet.of(12, [0, 6]), IndexSet.of(8, [0, 6]))
+    with pytest.raises(ValueError):
+        exponent_matrix(IndexSet.of(8, [0, 6]), IndexSet.of(12, [0, 6]))
 
 
 def test_is_singular_prefilter_agrees(rng):
@@ -127,8 +138,8 @@ def test_is_singular_prefilter_agrees(rng):
         r = rng.randrange(1, min(6, n + 1))
         members = np.array([sorted(rng.sample(range(n), r)) for _ in range(4)])
         ring = ring_new(n)
-        flags, hits = index_zero_flags(ring, members, members)
-        expected = [is_singular(ring, IndexSet.of(n, row)) for row in members.tolist()]
+        flags, hits = index_zero_flags(n, members, members)
+        expected = [is_singular(IndexSet.of(n, row)) for row in members.tolist()]
         assert flags.tolist() == expected
         exps = (members[:, :, None] * members[:, None, :]) % n
         assert hits == int(nonzero_screen(ring, exps).sum())
@@ -259,10 +270,9 @@ def test_index_reduce_preserves_singularity(rng):
         n = rng.randrange(2, 15)
         r = rng.randrange(1, n + 1)
         k = IndexSet.of(n, rng.sample(range(n), r))
-        ring = ring_new(n)
-        assert is_singular(ring, k) == is_singular(ring, index_reduce(k))
+        assert is_singular(k) == is_singular(index_reduce(k))
         c = rng.randrange(n)
-        assert is_singular(ring, k) == is_singular(ring, shift(k, c))
+        assert is_singular(k) == is_singular(shift(k, c))
 
 
 def test_conjugation_symmetry_exhaustive_to_12():
@@ -280,11 +290,10 @@ def test_conjugation_symmetry_exhaustive_to_12():
 def test_pair_singularity_matches_arithmetic_oracle():
     # det on {a, b} vanishes exactly when N divides (a - b)^2
     for n in (6, 9, 12, 16, 18):
-        ring = ring_new(n)
         for a in range(n):
             for b in range(a + 1, n):
                 expected = ((a - b) ** 2) % n == 0
-                assert is_singular(ring, IndexSet.of(n, [a, b])) == expected, (n, a, b)
+                assert is_singular(IndexSet.of(n, [a, b])) == expected, (n, a, b)
 
 
 def test_minor_record_consistency(rng):
@@ -292,6 +301,6 @@ def test_minor_record_consistency(rng):
         n = rng.randrange(2, 16)
         r = rng.randrange(1, min(7, n + 1))
         k = IndexSet.of(n, rng.sample(range(n), r))
-        rec = minor_record(ring_new(n), k)
+        rec = minor_record(k)
         assert rec.size == len(k)
         assert rec.singular == rec.determinant.is_zero()

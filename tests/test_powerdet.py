@@ -3,8 +3,8 @@ from math import factorial, isqrt, prod
 import numpy as np
 import pytest
 
-from fourier_minors import IndexSet, det_exact, ring_new, submatrix
-from fourier_minors.cyclotomic import CycRing
+from fourier_minors import IndexSet, PreconditionError, det_exact, ring_new, submatrix
+from fourier_minors.cyclotomic import DEFAULT_MAX_MODULUS, CycRing
 from fourier_minors.minors import exponent_matrix
 from fourier_minors.powerdet import (PRIME_LIMIT, approx_det_batch, det_power_batch,
                                      det_power_single, field, index_confirm_zeros,
@@ -61,7 +61,7 @@ def gaussian_det(rows):
 def assert_matches(ring, exps, reference):
     """Coefficients and zero flags of the engine equal the reference's."""
     canon = det_power_batch(ring, exps)
-    flags, _ = zero_flags(ring, exps)
+    flags, _ = zero_flags(ring.modulus, exps)
     for b in range(len(exps)):
         ref = reference([[ring.root_power(int(e)) for e in row] for row in exps[b]])
         assert tuple(int(c) for c in canon[b]) == ref.coeffs
@@ -86,7 +86,7 @@ def test_zero_flags_agree_with_leibniz_on_forced_zeros(rng, leibniz):
         r = rng.randrange(1, 7)
         exps = random_exps(rng, n, r, 4, force_zero=0.5)
         assert_matches(ring_new(n), exps, leibniz)
-        zeros += int(zero_flags(ring_new(n), exps)[0].sum())
+        zeros += int(zero_flags(n, exps)[0].sum())
     assert zeros > 20
 
 
@@ -112,9 +112,9 @@ def test_rejects_bad_shapes():
 def test_zero_flags_shapes():
     ring = ring_new(7)
     with pytest.raises(ValueError):
-        zero_flags(ring, np.zeros((3, 3), dtype=np.int64))
+        zero_flags(7, np.zeros((3, 3), dtype=np.int64))
     assert det_power_batch(ring, np.zeros((0, 3, 3))).shape == (0, 6)
-    flags, screened = zero_flags(ring, np.zeros((0, 3, 3)))
+    flags, screened = zero_flags(7, np.zeros((0, 3, 3)))
     assert flags.shape == (0,) and screened == 0
 
 
@@ -122,11 +122,11 @@ def test_engine_limits():
     # r = 17 and N = 67 lay beyond the old int64 subset kernel; the engine
     # has no size or modulus limit.
     ones = np.zeros((1, 17, 17), dtype=np.int64)
-    assert zero_flags(ring_new(6), ones)[0].tolist() == [True]
+    assert zero_flags(6, ones)[0].tolist() == [True]
     assert not det_power_batch(ring_new(6), ones).any()
     big = ring_new(67)
     exps = np.array([[[0, 0], [0, 0]], [[0, 0], [0, 1]]])
-    assert zero_flags(big, exps)[0].tolist() == [True, False]
+    assert zero_flags(67, exps)[0].tolist() == [True, False]
     assert det_power_single(big, exps[1]) == big.root_power(1) - big.one()
 
 
@@ -135,11 +135,11 @@ def test_chunking_is_transparent(rng, monkeypatch):
     ring = ring_new(10)
     exps = random_exps(rng, 10, 5, 40)
     whole = det_power_batch(ring, exps)
-    flags, screened = zero_flags(ring, exps)
+    flags, screened = zero_flags(10, exps)
     monkeypatch.setattr(pd, "_BATCH_BYTES", 4096)
     assert np.array_equal(whole, det_power_batch(ring, exps))
-    assert np.array_equal(flags, zero_flags(ring, exps)[0])
-    assert screened == zero_flags(ring, exps)[1]
+    assert np.array_equal(flags, zero_flags(10, exps)[0])
+    assert screened == zero_flags(10, exps)[1]
 
 
 def test_index_zero_flags_match_explicit_products(rng, monkeypatch):
@@ -149,28 +149,27 @@ def test_index_zero_flags_match_explicit_products(rng, monkeypatch):
     calls = []
     engine = pd.zero_flags
     monkeypatch.setattr(pd, "zero_flags",
-                        lambda ring, exps: calls.append(len(exps)) or engine(ring, exps))
+                        lambda n, exps: calls.append(len(exps)) or engine(n, exps))
     whole = pd._SLICE_BYTES
     for _ in range(40):
         n = rng.randrange(2, 40)
         r = rng.randrange(1, min(7, n + 1))
         batch = rng.randrange(0, 12)
-        ring = ring_new(n)
         rows = np.array([rng.choices(range(n), k=r) for _ in range(batch)],
                         dtype=np.int64).reshape(batch, r)
         cols = np.array([rng.sample(range(n), r) for _ in range(batch)],
                         dtype=np.int64).reshape(batch, r)
         cols[:batch // 3] = rows[:batch // 3]  # principal minors, some singular
-        flags, screened = engine(ring, rows[:, :, None] * cols[:, None, :])
+        flags, screened = engine(n, rows[:, :, None] * cols[:, None, :])
         for per_slice in (None, 1, 2, 3):
             monkeypatch.setattr(pd, "_SLICE_BYTES", 8 * r * r * per_slice if per_slice else whole)
             calls.clear()
-            got, got_screened = index_zero_flags(ring, rows.astype(np.int8), cols)
+            got, got_screened = index_zero_flags(n, rows.astype(np.int8), cols)
             assert np.array_equal(got, flags) and got_screened == screened, (n, r, per_slice)
             step = per_slice or max(batch, 1)
             assert calls == [len(rows[s:s + step]) for s in range(0, max(batch, 1), step)]
     with pytest.raises(ValueError):
-        index_zero_flags(ring_new(5), np.zeros((2, 3)), np.zeros((2, 2)))
+        index_zero_flags(5, np.zeros((2, 3)), np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("small", [False, True])
@@ -195,16 +194,15 @@ def test_index_confirm_zeros_decide_any_minor_without_a_screen(rng, monkeypatch,
     try:
         nonzero_at_one = 0
         for n in (5, 8, 9, 12, 16):
-            ring = ring_new(n)
             for r in range(1, 7):
                 rows = np.array([sorted(rng.sample(range(n), min(r, n))) for _ in range(30)])
                 cols = np.array([rng.sample(range(n), rows.shape[1]) for _ in range(30)])
                 cols[:10] = rows[:10]  # principal minors, some singular
-                flags, _ = index_zero_flags(ring, rows, cols)
+                flags, _ = index_zero_flags(n, rows, cols)
                 nonzero_at_one += int((~pd._evaluate(rows[:, :, None] * cols[:, None, :],
                                                      n, 0, False)).sum())
                 monkeypatch.setattr(pd, "_evaluate", recording)
-                assert np.array_equal(index_confirm_zeros(ring, rows, cols), flags), (n, r)
+                assert np.array_equal(index_confirm_zeros(n, rows, cols), flags), (n, r)
                 monkeypatch.setattr(pd, "_evaluate", evaluate)
     finally:
         pd._root_powers.cache_clear()
@@ -218,13 +216,13 @@ def test_as_batch_takes_int64_without_copy(rng):
     exps = random_exps(rng, 12, 4, 60)
     assert _as_batch(exps) is exps
     ring = ring_new(12)
-    flags, screened = zero_flags(ring, exps)
+    flags, screened = zero_flags(12, exps)
     assert flags.any() and not flags.all()
     for offset in (2 ** 40, -(2 ** 40)):
         big = exps + 12 * (offset // 12) + 12 * rng.randrange(1, 1000)
         assert np.abs(big).min() > 2 ** 39
-        assert np.array_equal(zero_flags(ring, big)[0], flags)
-        assert zero_flags(ring, big)[1] == screened
+        assert np.array_equal(zero_flags(12, big)[0], flags)
+        assert zero_flags(12, big)[1] == screened
         assert np.array_equal(det_power_batch(ring, big), det_power_batch(ring, exps))
 
 
@@ -303,7 +301,7 @@ def test_agrees_with_gaussian_oracle_beyond_r16(rng):
             exps = random_exps(rng, n, r, 4)
             canon = det_power_batch(ring, exps)
             assert canon.dtype == (object if r == 21 else np.int64)
-            flags, _ = zero_flags(ring, exps)
+            flags, _ = zero_flags(n, exps)
             for b in range(4):
                 ref = gaussian_det([[unit[n][e] for e in row] for row in exps[b].tolist()])
                 assert tuple(int(c) for c in canon[b]) == ref[:ring.totient]
@@ -317,10 +315,9 @@ def test_zero_flags_never_computes_coefficients(rng, monkeypatch):
     monkeypatch.setattr(pd, "_coefficients", lambda *a: calls.append(a))
     zeros = 0
     for n in (8, 12, 16, 27):
-        ring = ring_new(n)
         for r in (2, 3, 5, 8, 13, 16, 20):
             exps = random_exps(rng, n, r, 6, force_zero=1.0)
-            flags, _ = zero_flags(ring, exps)
+            flags, _ = zero_flags(n, exps)
             assert flags.all()  # a repeated row or column
             zeros += len(flags)
     assert not calls and zeros == 4 * 7 * 6
@@ -344,7 +341,7 @@ def test_conjugate_primes_pass_hadamard_bound(monkeypatch):
             assert prod(primes[:-1]) ** 2 <= r ** r  # no prime more than needed
             if r > 1 and n in (16, 27):
                 used.clear()
-                assert zero_flags(ring_new(n), np.zeros((1, r, r), dtype=np.int64))[0][0]
+                assert zero_flags(n, np.zeros((1, r, r), dtype=np.int64))[0][0]
                 assert used == [0, *range(count)]  # the screen, then the sweep
     assert [pd._primes_for(16, isqrt(r ** r)) for r in (15, 16, 26, 27)] == [1, 2, 2, 3]
 
@@ -372,7 +369,7 @@ def test_zero_flags_exact_with_small_primes(rng, monkeypatch, leibniz):
             ring = ring_new(n)
             for r in range(1, 6):
                 exps = random_exps(rng, n, r, 40, force_zero=0.3)
-                flags, _ = zero_flags(ring, exps)
+                flags, _ = zero_flags(n, exps)
                 screen = ~nonzero_screen(ring, exps)
                 for b in range(len(exps)):
                     ref = leibniz([[ring.root_power(int(e)) for e in row] for row in exps[b]])
@@ -392,7 +389,7 @@ def test_large_modulus_coefficients_match_det_exact(rng, n):
         assert det_power_single(ring, exponent_matrix(k, k)) == exact
     # three equal rows give a zero
     exps = np.array([[[5, 7, 11]] * 3])
-    assert zero_flags(ring, exps)[0].tolist() == [True]
+    assert zero_flags(n, exps)[0].tolist() == [True]
 
 
 def test_field_selection():
@@ -405,6 +402,10 @@ def test_field_selection():
             assert pow(zeta, n, p) == 1
             assert all(pow(zeta, k, p) != 1 for k in range(1, n) if n % k == 0)
             previous = p
+    # the bound every ring has
+    for n in (0, DEFAULT_MAX_MODULUS + 1):
+        with pytest.raises(PreconditionError):
+            field(n)
 
 
 def test_screen_never_certifies_a_zero(rng):
@@ -424,7 +425,7 @@ def test_screen_never_certifies_a_zero(rng):
             exps = np.array([exponent_matrix(IndexSet.of(n, k), IndexSet.of(n, k))
                              for k in sets])
             assert nonzero_screen(ring, exps).all()
-            flags, screened = zero_flags(ring, exps)
+            flags, screened = zero_flags(n, exps)
             assert not flags.any() and screened == len(sets)
 
 

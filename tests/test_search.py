@@ -85,9 +85,9 @@ def test_engine_never_sees_1x1_minors(monkeypatch):
     sizes = set()
     confirm = pd.index_confirm_zeros
 
-    def recording_confirm(ring, rows, cols):
+    def recording_confirm(n, rows, cols):
         sizes.add(rows.shape[1])
-        return confirm(ring, rows, cols)
+        return confirm(n, rows, cols)
 
     monkeypatch.setattr(pd, "index_confirm_zeros", recording_confirm)
     for order in ("ascending", ORDER_MOST_CONSTRAINED):
@@ -206,14 +206,28 @@ def _random_domain(rng, n, config):
 
 
 def _check_domain_rows(ring, assigned, image, positions, values, fail):
-    """Every row of a domain against `_oracle_fail`; the failing sizes seen."""
-    sizes = set()
-    for pos, row in zip(positions, fail.tolist()):
+    """(sizes, skipped): every cell of a domain against `_oracle_fail`, and
+    the failing sizes seen.  Rows after the first row that fails every value
+    may hold 0 for an oracle size of 3 or more, which `skipped` counts; every
+    other cell is exact, and the row `leaves()` takes, the first with the
+    fewest passing values, is the oracle's."""
+    sizes, skipped, oracle = set(), 0, []
+    first = next((a for a, row in enumerate(fail.tolist()) if all(row)), len(positions))
+    for a, (pos, row) in enumerate(zip(positions, fail.tolist())):
+        want = []
         for v, f in zip(values.tolist(), row):
             sigma = {**dict(zip(assigned, image)), pos: v}
-            assert f == _oracle_fail(ring, sigma, assigned, pos), (ring.modulus, sigma, pos)
+            want.append(_oracle_fail(ring, sigma, assigned, pos))
+            if a > first and f == 0 and want[-1]:
+                assert want[-1] >= 3, (ring.modulus, sigma, pos)
+                skipped += 1
+            else:
+                assert f == want[-1], (ring.modulus, sigma, pos)
             sizes.add(f)
-    return sizes
+        oracle.append(want)
+    passing, got = [row.count(0) for row in oracle], [row.count(0) for row in fail.tolist()]
+    assert got.index(min(got)) == passing.index(min(passing))
+    return sizes, skipped
 
 
 def test_domain_matches_exact_oracle(rng, monkeypatch):
@@ -229,10 +243,33 @@ def test_domain_matches_exact_oracle(rng, monkeypatch):
             rng, n, SearchConfig(n, order=ORDER_MOST_CONSTRAINED))
         # one engine call per size, however many positions and values are free
         assert len(calls) <= len(assigned) + 1, (n, assigned, positions)
-        sizes |= _check_domain_rows(ring_new(n), assigned, image, positions, values, fail)
+        sizes |= _check_domain_rows(ring_new(n), assigned, image, positions, values, fail)[0]
         widths.add(len(positions))
     assert {0, 2, 3, 4} <= sizes  # the cases cover several failing sizes
     assert max(widths) >= 5  # and domains of several positions at once
+
+
+@pytest.mark.parametrize("n, assigned, image", [
+    (9, (3, 1, 5, 0, 6, 7), (2, 8, 4, 1, 7, 6)),  # row 1 fails every value at size 2
+    (8, (7, 6, 1, 0, 2), (1, 4, 5, 7, 6)),
+    (9, (4, 6, 1, 7, 3), (4, 6, 5, 7, 0)),  # row 0 at sizes 2 and 3
+])
+def test_domain_confirms_no_row_after_an_all_fail_row(monkeypatch, n, assigned, image):
+    # `leaves()` takes the first row with the fewest passing values, so once
+    # a row fails every value no later row can be taken: the engine is handed
+    # no minor of size s for a row after one that fails every value below s
+    handed = _record_domain_engine_calls(monkeypatch)
+    state = _SearchState(SearchConfig(n, order=ORDER_MOST_CONSTRAINED))
+    for k, v in zip(assigned, image):
+        state._push(k, v)
+    free = [p for p in range(n) if p not in assigned]
+    values, fail = state._domain(free)
+    assert _check_domain_rows(ring_new(n), assigned, image, free, values, fail)[1]
+    assert handed
+    for _, rows, _ in handed:
+        for pos in set(rows[:, -1].tolist()):
+            earlier = fail[:free.index(pos)]
+            assert not ((earlier > 0) & (earlier < rows.shape[1])).all(axis=1).any()
 
 
 def test_pair_lemma_matches_leibniz_to_12(leibniz):
@@ -268,10 +305,10 @@ def _record_domain_engine_calls(monkeypatch):
         finally:
             active.pop()
 
-    def recording_engine(ring, rows, cols):
+    def recording_engine(n, rows, cols):
         if active:
-            handed.append((ring.modulus, rows.copy(), cols.copy()))
-        return engine(ring, rows, cols)
+            handed.append((n, rows.copy(), cols.copy()))
+        return engine(n, rows, cols)
 
     monkeypatch.setattr(_SearchState, "_domain", recording_domain)
     monkeypatch.setattr(powerdet, "index_confirm_zeros", recording_engine)
@@ -342,7 +379,7 @@ def test_domain_with_small_prime_matches_exact_oracle(rng, monkeypatch, small_pr
     degenerate = false_zero = 0
     for n, rows, cols in handed:
         zero = _zero_mod_p(n, rows, cols)
-        exact = powerdet.index_zero_flags(ring_new(n), rows, cols)[0]
+        exact = powerdet.index_zero_flags(n, rows, cols)[0]
         degenerate += int((~zero).sum())
         false_zero += int((zero & ~exact).sum())
     assert degenerate and false_zero
@@ -419,10 +456,10 @@ def _record_leaf_confirmations(monkeypatch):
         finally:
             active.pop()
 
-    def recording_engine(ring, rows, cols):
+    def recording_engine(n, rows, cols):
         if active:
-            handed.append((ring.modulus, rows.copy(), cols.copy()))
-        return engine(ring, rows, cols)
+            handed.append((n, rows.copy(), cols.copy()))
+        return engine(n, rows, cols)
 
     monkeypatch.setattr(search, "is_good_permutation", recording_check)
     monkeypatch.setattr(powerdet, "index_confirm_zeros", recording_engine)
@@ -458,7 +495,7 @@ def test_leaf_check_with_small_prime_matches_engine_oracle(rng, monkeypatch, sma
     for (n, _), parts in by_shape.items():
         rows, cols = (np.concatenate(part) for part in zip(*parts))
         zero = _zero_mod_p(n, rows, cols)
-        exact = powerdet.index_zero_flags(ring_new(n), rows, cols)[0]
+        exact = powerdet.index_zero_flags(n, rows, cols)[0]
         degenerate += int((~zero).sum())
         false_zero += int((zero & ~exact).sum())
     assert degenerate and false_zero
@@ -475,7 +512,7 @@ def test_leaf_check_finds_zeros_of_size_3_and_up(monkeypatch, n, image, smallest
     assert not oracle_is_good(n, image)
     check, handed = _record_leaf_confirmations(monkeypatch)
     assert not check(n, image)
-    exact = [powerdet.index_zero_flags(ring_new(n), rows, cols)[0] for _, rows, cols in handed]
+    exact = [powerdet.index_zero_flags(n, rows, cols)[0] for _, rows, cols in handed]
     assert [flags.any() for flags in exact] == [False] * (len(exact) - 1) + [True]
     assert handed[-1][1].shape[1] == smallest
 

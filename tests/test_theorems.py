@@ -82,7 +82,7 @@ def test_theorem1_verdict_matches_elementwise_formula(rng):
             )
             direct = det_3x3_formula(ring, a, b)
             assert tuple(int(c) for c in vec) == direct.coeffs
-            assert is_singular(ring, IndexSet.of(n, (0, a, b))) == direct.is_zero()
+            assert is_singular(IndexSet.of(n, (0, a, b))) == direct.is_zero()
 
 
 def _theorem1_listing(n, proper):
@@ -108,10 +108,10 @@ def test_theorem1_unit_classes_cover_every_translated_set(monkeypatch):
     decided = []
     original = powerdet.index_zero_flags
 
-    def recording(ring, rows, cols):
+    def recording(n, rows, cols):
         assert rows is cols  # principal minors
         decided.extend(frozenset(row) for row in rows.tolist())
-        return original(ring, rows, cols)
+        return original(n, rows, cols)
 
     monkeypatch.setattr(powerdet, "index_zero_flags", recording)
     for n in (6, 10, 15, 30, 42, 105):
@@ -130,8 +130,8 @@ def test_theorem1_unit_classes_cover_every_translated_set(monkeypatch):
 def test_theorem1_counterexample_is_a_translated_pair(monkeypatch, tmp_path):
     original = powerdet.index_zero_flags
 
-    def flag_one(ring, rows, cols):
-        flags, hits = original(ring, rows, cols)
+    def flag_one(n, rows, cols):
+        flags, hits = original(n, rows, cols)
         if rows.shape[1] == 3:
             flags[len(flags) // 2] = True  # a representative {0, g, b}
         return flags, hits
@@ -209,9 +209,8 @@ def test_witness_sweep_sizes():
 
 def test_witness_sweep_all_exactly_singular():
     for n in (8, 9, 12, 16):
-        ring = ring_new(n)
         for plan in witness_sweep(n):
-            assert is_singular(ring, plan.index_set), (n, plan.size)
+            assert is_singular(plan.index_set), (n, plan.size)
             assert plan.directly_verified
 
 
@@ -220,7 +219,31 @@ def test_large_complemented_witness_verifies_directly():
     for r in (15, 25):
         plan = build_witness(27, r)
         assert plan.case == CASE_COMPLEMENTED and plan.directly_verified
-        assert is_singular(ring_new(27), plan.index_set)
+        assert is_singular(plan.index_set)
+
+
+def test_zero_decisions_build_no_ring(monkeypatch):
+    # every zero decision takes the modulus alone: with ring construction
+    # refused, the theorem, witness, scan and search paths keep their verdicts
+    from fourier_minors import cyclotomic
+    from fourier_minors.search import SearchConfig, find_good_permutation, is_good_permutation
+    witnesses, counts = witness_sweep(12), cached_scan(12).counts
+
+    def refused(self, modulus):
+        raise AssertionError(f"a ring was built for N = {modulus}")
+
+    monkeypatch.setattr(cyclotomic.CycRing, "__init__", refused)
+    cyclotomic.ring_new.cache_clear()
+    with pytest.raises(AssertionError, match="a ring was built"):
+        ring_new(12)
+    assert verify_theorem1(30).passed
+    assert scan_all(12).counts == counts
+    assert witness_sweep(12) == witnesses
+    assert find_good_permutation(SearchConfig(9)).found.image == (0, 1, 2, 4, 3, 6, 5, 8, 7)
+    assert is_good_permutation(10, tuple(range(10)))
+    assert not is_good_permutation(10, (2, 9, 3, 7, 0, 5, 6, 8, 4, 1))
+    assert is_singular(IndexSet.of(12, [0, 6]))
+    assert not is_singular(IndexSet.of(12, [0, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +342,9 @@ def test_scan_contains_witness_classes():
 def test_scan_exemplars_are_singular_sets(rng):
     for n in (9, 12, 16):
         report = cached_scan(n)
-        ring = ring_new(n)
         for r, sets in report.exemplars.items():
             for members in sets[:3]:
-                assert is_singular(ring, IndexSet.of(n, members)), (n, r, members)
+                assert is_singular(IndexSet.of(n, members)), (n, r, members)
 
 
 def test_scan_ceiling_guard():
