@@ -45,7 +45,7 @@ entry is a candidate that `_vanishing_sizes` decides as follows.
 - A zero at size >= 3, which may be a zero mod p only or an entry of a table
   that is 0 everywhere, goes to the engine's conjugate sweep
   (`powerdet.index_confirm_zeros`): one batch per size, smallest size
-  first, for the (position, value) cells no smaller size has failed.
+  first, for the values of the row decided that no smaller size has failed.
   The search and the leaf sweep share this decoder.  There is no second
   screen at u = 1, but the sweep still takes u = 1: an entry of a table
   that is 0 everywhere says nothing about the minor's own value there,
@@ -68,8 +68,7 @@ nonzero multiple of the minor on T or an entry of a table that is 0
 everywhere.  So N - 1 bordering steps cover all 2^N - 1 principal minors,
 sum_k 2^k (N-k)^2 < 6 * 2^N residue operations in all, against C(N, r)
 eliminations of O(r^3) for each size r when every minor is decided on its
-own.  The sweep and the search share one decoder (`_vanishing_sizes`): at
-each depth the zeros of entry (0, 0) are one cell, decided smallest size
+own.  The shared decoder decides the zeros of entry (0, 0), smallest size
 first, and the sweep stops at the first exact zero.
 
 Block independence.  D_{S+d} is computed from D_S alone, so the tables of
@@ -87,15 +86,15 @@ each cut level keeping up to about _LEAF_BYTES alive, so the peak grows
 with the number of cut levels and so with N (uncut, the tables of N = 21
 alone peak near 83 MB RSS).
 
-Both order policies count alike and make one `_domain` call per node.
-`ascending` decides the first free position, the first row of the top
-tables; `most-constrained` decides every free row at once, with one
-comparison and one engine batch per size across all of them, and takes
-the position with the fewest values of fail 0 (the first on ties), so the
-rows after one that fails every value are not confirmed at larger sizes.
-Each value tried there is one node (`nodes_expanded`); a value whose entry
-is a size s is one prune at s (`prune_counts`), and every other value is
-assigned and searched below.
+Each node decides one row with one `_domain` call, in both orders.
+`ascending` decides the first free position.  `most-constrained`
+(fail-first) compares every free row of the top tables with 0 and decides
+the first with the fewest values whose entries are all nonzero.  By the
+bordered-tables lemma that is the first with the fewest passing values,
+unless a zero is one mod p only or lies in a table 0 everywhere; every
+value of the row taken is confirmed, so the choice moves no verdict.  Each
+value tried is one node (`nodes_expanded`); a value whose entry is a size
+s is one prune at s (`prune_counts`); every other is searched below.
 
 Complementation is NOT assumed for permuted matrices; nothing here relies
 on it.  Exhaustion claims rest only on the plain depth-first tree, plus the
@@ -211,34 +210,29 @@ def _ahead(f: int) -> int:
     return max(2 ** t * (f - t) ** 2 for t in range(f))
 
 
-def _vanishing_sizes(by_bit, image, masks, rows, cols, pos, value) -> np.ndarray:
-    """For each cell (a, b) of a grid of new rows pos[a] and their values
-    value[b], the smallest size of an exactly vanishing minor among the zero
-    table entries of that cell, or 0.  Entry e lies in cell (rows[e],
-    cols[e]) and is the minor on positions S + {pos[rows[e]]} and values
-    image[S] + {value[cols[e]]}, for S the positions by_bit[i] of the bits i
-    of masks[e]; len(image) = N.  Sizes 1 and 2 are exact (module
-    docstring); larger sizes go to the engine in one batch per size across
-    all cells, smallest size first, for the cells no smaller size has failed
-    and rows before any that fails every value: `leaves()` takes the first
-    row with the fewest passing values, so no later row."""
-    fail = np.zeros((len(pos), len(value)), dtype=np.int64)
+def _vanishing_sizes(by_bit, image, masks, cols, pos, value) -> np.ndarray:
+    """fail[b]: the smallest size of an exactly vanishing minor among the
+    zero entries of value[b] in the new row pos, or 0.  Entry e is the minor
+    on positions S + {pos} and values image[S] + {value[cols[e]]}, S the
+    positions by_bit[i] of the bits i of masks[e]; len(image) = N.  Sizes 1
+    and 2 are exact (module docstring); the engine takes the rest in one
+    batch per size, smallest first, for values no smaller size has failed."""
+    fail = np.zeros(len(value), dtype=np.int64)
     sizes = np.bitwise_count(masks) + 1
     # a 1x1 minor is a power of zeta, never 0 mod p
-    fail[rows[sizes == 2], cols[sizes == 2]] = 2
+    fail[cols[sizes == 2]] = 2
     for s in sorted(set(sizes[sizes > 2].tolist())):  # np.unique imports numpy.ma
-        after = np.logical_or.accumulate(fail.all(axis=1))  # from the first all-fail row on
-        live = (sizes == s) & (fail[rows, cols] == 0) & ~after[rows]
+        live = (sizes == s) & (fail[cols] == 0)
         if not live.any():
             continue
         bits = masks[live, None] >> np.arange(len(by_bit)) & 1
         minors = np.empty((len(bits), s), dtype=np.int64)
         minors[:, :-1] = by_bit[np.nonzero(bits)[1].reshape(-1, s - 1)]
-        minors[:, -1] = pos[rows[live]]
+        minors[:, -1] = pos
         columns = image[minors]
         columns[:, -1] = value[cols[live]]
         vanish = powerdet.index_confirm_zeros(len(image), minors, columns)
-        fail[rows[live][vanish], cols[live][vanish]] = s
+        fail[cols[live][vanish]] = s
     return fail
 
 
@@ -261,8 +255,7 @@ def _leaf_sweep(image: np.ndarray, tables: np.ndarray, masks: np.ndarray) -> boo
         zero = tables[0, 0] == 0
         if zero.any():
             cell = np.zeros(np.count_nonzero(zero), dtype=np.int64)
-            if _vanishing_sizes(np.arange(k), image, masks[zero], cell, cell,
-                                np.array([k]), image[k:k + 1])[0, 0]:
+            if _vanishing_sizes(np.arange(k), image, masks[zero], cell, k, image[k:k + 1])[0]:
                 return False
         if f == 1:
             return True
@@ -312,20 +305,19 @@ class _SearchState:
         self.img[pos] = value
         self.assigned.append(pos)
 
-    def _domain(self, positions) -> tuple[np.ndarray, np.ndarray]:
-        """(values, fail): the unused values in ascending order and, for
-        each of `positions` (the first free positions, ascending, so the
-        first rows of the top tables) and each value, the smallest size of
-        a vanishing minor on the position plus assigned positions once it
-        takes the value, or 0 when none vanishes; rows after one that fails
-        every value are left unconfirmed at larger sizes (`_vanishing_sizes`).
-        One comparison with 0 reads the rows of every position, and one
-        decoder call decides all their zeros."""
+    def _domain(self, positions) -> tuple[int, np.ndarray, np.ndarray]:
+        """(pos, values, fail): pos is the first of `positions` (free,
+        ascending) with the fewest unused values whose table entries are all
+        nonzero; values are the unused values, ascending; fail[b] is the
+        smallest size of a vanishing minor on pos plus assigned positions
+        once pos takes values[b], or 0.  One decoder call reads pos alone."""
         values = np.flatnonzero(np.bincount(self.img[self.assigned], minlength=self.n) == 0)
-        rows, cols, masks = np.nonzero(self.stack[-1][:len(positions)] == 0)
+        zero = self.stack[-1][np.cumsum(self.img < 0)[positions] - 1] == 0  # their rows
+        row = int(np.argmin(np.count_nonzero(~zero.any(axis=2), axis=1)))
+        cols, masks = np.nonzero(zero[row])
         fail = _vanishing_sizes(np.array(self.assigned, dtype=np.int64), self.img, masks,
-                                rows, cols, np.array(positions, dtype=np.int64), values)
-        return values, fail
+                                cols, positions[row], values)
+        return positions[row], values, fail
 
     def _descend(self, pos: int, value: int):
         """Leaves below the assignment sigma(pos) = value."""
@@ -345,12 +337,8 @@ class _SearchState:
             return
         if self.config.order == ORDER_ASCENDING:
             free = free[:1]
-        values, fail = self._domain(free)
-        fail = fail.tolist()
-        passing = [row.count(0) for row in fail]
-        best = passing.index(min(passing))  # the fewest passing values, the first on ties
-        pos = free[best]
-        for v, f in zip(values.tolist(), fail[best]):
+        pos, values, fail = self._domain(free)
+        for v, f in zip(values.tolist(), fail.tolist()):
             self.nodes += 1
             if f:
                 self.prunes[f] += 1

@@ -5,9 +5,9 @@ principal minors of F_N.
 
 The scanner decides every nonempty index set.  Two independently toggleable
 reductions accelerate it without changing reported totals: complementary
-sizes mirror each other (r and N-r agree), and affine classes are scanned
-once per orbit and weighted by orbit size.  Counts are always full-orbit
-totals over all subsets.
+sizes mirror each other (the complement lemma), and affine classes are
+scanned once per orbit and weighted by orbit size.  Counts are always
+full-orbit totals over all subsets.
 
 Lemma (affine invariance).  For a unit u mod N and any c, F[uK + c] is
 singular iff F[K] is.
@@ -23,6 +23,17 @@ G = {k -> uk + c}, of order N * phi(N).  The scan decides one
 representative per orbit, the set with the least bitmask sum 2^k, and
 weights it by the orbit size N * phi(N) / |Stab(K)|, where
 Stab(K) = {(u, c) : uK + c = K}.
+
+Lemma (complement).  F[K] is singular iff F[K^c] is, for K^c = range(N) - K,
+so sizes r and N - r are singular together.  F * conj(F) = N * I, so
+F^-1 = conj(F) / N, and Jacobi's complementary-minor identity
+det (A^-1)[K] = det A[K^c] / det A, applied to F and K^c, gives
+    det F[K] = det F * conj(det F[K^c]) / N^(N - |K|),
+where det F != 0 (|det F|^2 = N^N).  Conjugation is the Galois map
+w -> w^-1, which sends only 0 to 0.  The scan's mirror, `build_witness`'s
+complements and `verify_theorem1`'s sizes N-3 and N-2 rest on this;
+tests/test_theorems.py::test_scan_reduction_equivalence_to_12 compares
+scans with `use_complement` on and off.
 
 Lemma (lazy prefix groups).  The k-subsets of range(n) that extend a
 sorted prefix P with last member x split, by their next member
@@ -115,8 +126,8 @@ def verify_theorem1(modulus: int) -> Theorem1Report:
     it passes), not the number of sets the engine decides.  A
     counterexample is reported as its failing representative, sorted: a
     translated pair (a, b) with a < b, or (g,) for size 2.  A pass
-    certifies sizes 2, 3, N-3 and N-2 outright (complementary sizes
-    mirror each other).
+    certifies sizes 2, 3, N-3 and N-2 outright (the complement lemma in
+    the module docstring).
     """
     start = time.perf_counter()
     if modulus < 4:
@@ -187,7 +198,7 @@ def build_witness(modulus: int, size: int) -> WitnessPlan:
 
     Defined for non-square-free moduli >= 4 and 2 <= size <= N-2.  Sets of
     size at most N/2 are built directly, larger sizes complement a smaller
-    witness; every set is verified by exact determinant.
+    witness (complement lemma); every set is verified by exact determinant.
     """
     n, r = modulus, size
     if n < 4:
@@ -308,7 +319,7 @@ class ScanConfig:
 class ScanReport:
     """Full-orbit singular counts per size, with capped exemplar sets.
 
-    counts[r] == counts[N-r] always (complementary sizes mirror); for a
+    counts[r] == counts[N-r] always (the complement lemma); for a
     square-free modulus with no vanishing minors all counts are zero.
     """
 

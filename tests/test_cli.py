@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -221,6 +222,27 @@ def test_perm_search_found(tmp_path, capsys):
     direct = find_good_permutation(SearchConfig(4))
     assert outcome.found == direct.found
     capsys.readouterr()
+
+
+def test_committed_n16_exhaustion_matches_its_checkpoint():
+    # the most-constrained sigma(0) = 0 tree of N = 16, searched to the end
+    # (census/README.md); the checkpoint's one branch line carries its work
+    census = Path(__file__).resolve().parent.parent / "census"
+    record = read_record(census / "perm-search-n16.json")
+    outcome = decode(SearchOutcome, record.payload)
+    assert record.command == "perm-search" and record.params == {"n": 16}
+    assert outcome.modulus == 16 and outcome.exhausted and outcome.found is None
+    assert outcome.nodes_expanded == 4258592
+    assert outcome.prune_counts == {2: 1319319, 4: 1221760, 6: 888960, 7: 45536,
+                                    8: 130912, 9: 960, 10: 1216}
+    assert record.config["order"] == "most-constrained" and record.config["symmetry"]
+    lines = (census / "perm-search-n16.ckpt").read_text().splitlines()
+    header, *branches = map(json.loads, lines)
+    assert header == {"kind": "config", "modulus": 16, "order": "most-constrained",
+                      "symmetry": True}
+    assert branches == [{"kind": "prefix_done", "prefix": [0],
+                         "nodes": outcome.nodes_expanded,
+                         "prunes": {str(k): c for k, c in outcome.prune_counts.items()}}]
 
 
 def test_perm_search_budget_inconclusive(tmp_path, capsys):

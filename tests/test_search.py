@@ -188,46 +188,46 @@ def _oracle_fail(ring, sigma, assigned, pos):
 
 
 def _random_domain(rng, n, config):
-    """(assigned, image, positions, values, fail): a random assignment,
-    pushed in random order, and the domains of a random number of the first
-    free positions, all decided in one `_domain` call."""
+    """(state, positions, pos, values, fail): a random assignment, pushed in
+    random order, and one `_domain` call on a random set of free positions."""
     order = rng.sample(range(n), n)
     depth = rng.randrange(n)  # any set of assigned positions, at least one free
     assigned, image = order[:depth], rng.sample(range(n), depth)
     state = _SearchState(config)
     for k, v in zip(assigned, image):
         state._push(k, v)
-    free = sorted(order[depth:])
-    positions = free[:rng.randrange(1, len(free) + 1)]
-    values, fail = state._domain(positions)
-    assert fail.shape == (len(positions), len(values))
+    free = order[depth:]
+    positions = sorted(rng.sample(free, rng.randrange(1, len(free) + 1)))
+    pos, values, fail = state._domain(positions)
+    assert pos in positions and fail.shape == values.shape
     assert values.tolist() == sorted(set(range(n)) - set(image))
-    return assigned, image, positions, values, fail
+    return state, positions, pos, values, fail
 
 
-def _check_domain_rows(ring, assigned, image, positions, values, fail):
-    """(sizes, skipped): every cell of a domain against `_oracle_fail`, and
-    the failing sizes seen.  Rows after the first row that fails every value
-    may hold 0 for an oracle size of 3 or more, which `skipped` counts; every
-    other cell is exact, and the row `leaves()` takes, the first with the
-    fewest passing values, is the oracle's."""
-    sizes, skipped, oracle = set(), 0, []
-    first = next((a for a, row in enumerate(fail.tolist()) if all(row)), len(positions))
-    for a, (pos, row) in enumerate(zip(positions, fail.tolist())):
-        want = []
-        for v, f in zip(values.tolist(), row):
-            sigma = {**dict(zip(assigned, image)), pos: v}
-            want.append(_oracle_fail(ring, sigma, assigned, pos))
-            if a > first and f == 0 and want[-1]:
-                assert want[-1] >= 3, (ring.modulus, sigma, pos)
-                skipped += 1
-            else:
-                assert f == want[-1], (ring.modulus, sigma, pos)
-            sizes.add(f)
-        oracle.append(want)
-    passing, got = [row.count(0) for row in oracle], [row.count(0) for row in fail.tolist()]
-    assert got.index(min(got)) == passing.index(min(passing))
-    return sizes, skipped
+def _check_domain(state, positions, pos, values, fail, real_prime=True):
+    """The failing sizes of a domain, whose every cell must equal
+    `_oracle_fail`, and whose position must be the first of `positions`
+    with the fewest values free of table zeros.  With `real_prime`, and
+    when no minor on the assigned positions vanishes (as along every
+    branch of the search), it must also be the first with the fewest
+    values that no minor fails, by the oracle."""
+    ring, assigned = ring_new(state.n), list(state.assigned)
+    given = {a: int(state.img[a]) for a in assigned}
+
+    def oracle(p):
+        return [_oracle_fail(ring, {**given, p: v}, assigned, p) for v in values.tolist()]
+
+    want = oracle(pos)
+    assert fail.tolist() == want, (state.n, given, pos)
+    free = [p for p in range(state.n) if p not in given]  # the rows of the top tables
+    tables = state.stack[-1][[free.index(p) for p in positions]]
+    clear = (tables != 0).all(axis=2).sum(axis=1).tolist()
+    assert positions.index(pos) == clear.index(min(clear)), (state.n, given, positions)
+    if real_prime and not any(_oracle_fail(ring, given, assigned[:i], a)
+                              for i, a in enumerate(assigned)):
+        passing = [oracle(p).count(0) for p in positions]
+        assert positions.index(pos) == passing.index(min(passing)), (state.n, given)
+    return set(want)
 
 
 def test_domain_matches_exact_oracle(rng, monkeypatch):
@@ -239,11 +239,11 @@ def test_domain_matches_exact_oracle(rng, monkeypatch):
     for _ in range(100):
         n = rng.randrange(2, 10)
         calls.clear()
-        assigned, image, positions, values, fail = _random_domain(
+        state, positions, pos, values, fail = _random_domain(
             rng, n, SearchConfig(n, order=ORDER_MOST_CONSTRAINED))
         # one engine call per size, however many positions and values are free
-        assert len(calls) <= len(assigned) + 1, (n, assigned, positions)
-        sizes |= _check_domain_rows(ring_new(n), assigned, image, positions, values, fail)[0]
+        assert len(calls) <= len(state.assigned) + 1, (n, state.assigned, positions)
+        sizes |= _check_domain(state, positions, pos, values, fail)
         widths.add(len(positions))
     assert {0, 2, 3, 4} <= sizes  # the cases cover several failing sizes
     assert max(widths) >= 5  # and domains of several positions at once
@@ -254,22 +254,19 @@ def test_domain_matches_exact_oracle(rng, monkeypatch):
     (8, (7, 6, 1, 0, 2), (1, 4, 5, 7, 6)),
     (9, (4, 6, 1, 7, 3), (4, 6, 5, 7, 0)),  # row 0 at sizes 2 and 3
 ])
-def test_domain_confirms_no_row_after_an_all_fail_row(monkeypatch, n, assigned, image):
-    # `leaves()` takes the first row with the fewest passing values, so once
-    # a row fails every value no later row can be taken: the engine is handed
-    # no minor of size s for a row after one that fails every value below s
+def test_domain_confirms_only_the_row_it_returns(monkeypatch, n, assigned, image):
+    # each node decides one row: the engine is handed minors on the position
+    # `_domain` returns and assigned positions, and no other free position
     handed = _record_domain_engine_calls(monkeypatch)
     state = _SearchState(SearchConfig(n, order=ORDER_MOST_CONSTRAINED))
     for k, v in zip(assigned, image):
         state._push(k, v)
     free = [p for p in range(n) if p not in assigned]
-    values, fail = state._domain(free)
-    assert _check_domain_rows(ring_new(n), assigned, image, free, values, fail)[1]
+    pos, values, fail = state._domain(free)
+    _check_domain(state, free, pos, values, fail)
     assert handed
     for _, rows, _ in handed:
-        for pos in set(rows[:, -1].tolist()):
-            earlier = fail[:free.index(pos)]
-            assert not ((earlier > 0) & (earlier < rows.shape[1])).all(axis=1).any()
+        assert all(set(minor) - set(assigned) == {pos} for minor in rows.tolist())
 
 
 def test_pair_lemma_matches_leibniz_to_12(leibniz):
@@ -281,11 +278,11 @@ def test_pair_lemma_matches_leibniz_to_12(leibniz):
             for sa in range(n):
                 state = _SearchState(SearchConfig(n))
                 state._push(a, sa)
-                free = [pos for pos in range(n) if pos != a]
-                values, fail = state._domain(free)
-                for pos, row in zip(free, fail.tolist()):
+                for pos in (pos for pos in range(n) if pos != a):
+                    got, values, fail = state._domain([pos])
+                    assert got == pos
                     rows = sorted((a, pos))
-                    for v, f in zip(values.tolist(), row):
+                    for v, f in zip(values.tolist(), fail.tolist()):
                         sigma = {a: sa, pos: v}
                         matrix = [[ring.root_power(k * sigma[l]) for l in rows] for k in rows]
                         assert (f == 2) == leibniz(matrix).is_zero(), (n, a, sa, pos, v)
@@ -362,18 +359,20 @@ def small_prime(monkeypatch):
 
 
 def test_domain_with_small_prime_matches_exact_oracle(rng, monkeypatch, small_prime):
-    pinned = {(n, order): find_good_permutation(SearchConfig(n, order=order))
-              for n, order in ((9, "ascending"), (10, "ascending"),
-                               (10, ORDER_MOST_CONSTRAINED))}
+    pinned = {n: find_good_permutation(SearchConfig(n)) for n in (9, 10)}
+    walk = _SearchState(SearchConfig(8, order=ORDER_MOST_CONSTRAINED, symmetry=True))
+    leaves = set(walk._descend(0, 0))
     small_prime()
     handed = _record_domain_engine_calls(monkeypatch)
     calls = len(handed)
     for _ in range(150):
         n = rng.randrange(2, 10)
-        assigned, image, positions, values, fail = _random_domain(rng, n, SearchConfig(n))
-        assert len(handed) - calls <= len(assigned) + 1, (n, assigned, positions)
+        state, positions, pos, values, fail = _random_domain(rng, n, SearchConfig(n))
+        assert len(handed) - calls <= len(state.assigned) + 1, (n, state.assigned, positions)
         calls = len(handed)
-        _check_domain_rows(ring_new(n), assigned, image, positions, values, fail)
+        # false zeros are frequent here, so the position taken may differ
+        # from the oracle's fewest-passing row; its cells are still exact
+        _check_domain(state, positions, pos, values, fail, real_prime=False)
     # a handed minor nonzero mod p came from a table that is 0 everywhere; one
     # zero mod p that the engine found nonzero was a false zero
     degenerate = false_zero = 0
@@ -383,11 +382,18 @@ def test_domain_with_small_prime_matches_exact_oracle(rng, monkeypatch, small_pr
         degenerate += int((~zero).sum())
         false_zero += int((zero & ~exact).sum())
     assert degenerate and false_zero
-    for (n, order), expected in pinned.items():
-        outcome = find_good_permutation(SearchConfig(n, order=order))
-        assert outcome.found == expected.found, (n, order)
-        assert outcome.nodes_expanded == expected.nodes_expanded, (n, order)
-        assert outcome.prune_counts == expected.prune_counts, (n, order)
+    # ascending decides the same positions, so its search is unchanged
+    for n, expected in pinned.items():
+        outcome = find_good_permutation(SearchConfig(n))
+        assert outcome.found == expected.found, n
+        assert outcome.nodes_expanded == expected.nodes_expanded, n
+        assert outcome.prune_counts == expected.prune_counts, n
+    # most-constrained may take another position where a table zero is
+    # false, but its verdicts are exact: the same leaves, a good first find
+    walk = _SearchState(SearchConfig(8, order=ORDER_MOST_CONSTRAINED, symmetry=True))
+    assert set(walk._descend(0, 0)) == leaves
+    outcome = find_good_permutation(SearchConfig(10, order=ORDER_MOST_CONSTRAINED))
+    assert oracle_is_good(10, outcome.found.image)
 
 
 @pytest.mark.parametrize("small", [False, True])
@@ -533,22 +539,43 @@ def test_leaf_check_in_tiny_blocks_matches_engine_oracle(rng, monkeypatch):
     assert len(blocks) > 32  # N = 13 was swept in many blocks
 
 
+@lru_cache(maxsize=None)
+def _zero_walk(n, order):
+    """(leaves, nodes, prunes) of the whole sigma(0) = 0 tree, each leaf
+    checked by the bordered sweep."""
+    state = _SearchState(SearchConfig(n, order=order, symmetry=True))
+    leaves = list(state._descend(0, 0))
+    return leaves, state.nodes, dict(state.prunes)
+
+
 @pytest.mark.parametrize("n, good, nodes, prunes", [
     (8, 288, 2421, {2: 934, 4: 192}),
     (9, 5184, 28252, {2: 9312}),
 ])
 def test_first_value_zero_walks(n, good, nodes, prunes):
-    # the whole sigma(0) = 0 tree, each leaf checked by the bordered sweep
-    state = _SearchState(SearchConfig(n, symmetry=True))
-    leaves = list(state._descend(0, 0))
+    leaves, walked, pruned = _zero_walk(n, "ascending")
     assert len(leaves) == good and leaves == sorted(set(leaves))
-    assert state.nodes == nodes and dict(state.prunes) == prunes
+    assert walked == nodes and pruned == prunes
     if n == 8:
         # the most-constrained tree of N = 8 reaches the same leaves by
         # another route, choosing among every free row at each node
-        state = _SearchState(SearchConfig(n, order=ORDER_MOST_CONSTRAINED, symmetry=True))
-        assert set(state._descend(0, 0)) == set(leaves)
-        assert state.nodes == 1231 and dict(state.prunes) == {2: 187, 4: 128}
+        leaves, walked, pruned = _zero_walk(n, ORDER_MOST_CONSTRAINED)
+        assert set(leaves) == set(_zero_walk(n, "ascending")[0])
+        assert walked == 1231 and pruned == {2: 187, 4: 128}
+
+
+@pytest.mark.parametrize("n, good, nodes, prunes", [
+    (9, 5184, 15386, {2: 998}),
+    (10, 4340, 23577, {2: 6028, 4: 1752, 6: 768}),
+])
+def test_most_constrained_first_value_zero_walks(n, good, nodes, prunes):
+    # every node decides one row, the first with the fewest values free of
+    # table zeros, and reaches the good permutations the bordered sweep keeps
+    leaves, walked, pruned = _zero_walk(n, ORDER_MOST_CONSTRAINED)
+    assert len(leaves) == len(set(leaves)) == good
+    if n == 9:
+        assert set(leaves) == set(_zero_walk(n, "ascending")[0])
+    assert walked == nodes and pruned == prunes
 
 
 def test_tables_carried_through_the_search_equal_replayed(monkeypatch):
