@@ -3,7 +3,9 @@
 Every command can write a single self-describing RunRecord as one JSON line
 (`--out`): schema version, command, full parameter/configuration echo, and
 the result payload.  Identical command plus configuration reproduces the
-payload byte for byte (wall-time fields excepted).
+payload byte for byte (wall-time fields excepted).  `perm-search --resume`
+checkpoint lines are not run records: they list prune counts in Counter
+order and fall outside this byte contract.
 
 Payloads are result dataclasses written by one codec, `encode`, and read
 back by its inverse, `decode`:
@@ -12,7 +14,9 @@ back by its inverse, `decode`:
 - an IndexSet is written as its members and a Permutation as its image,
   both read back with the `modulus` of the enclosing payload; a CycElem
   is `{modulus, totient, coeffs}`;
-- int dict keys become strings in ascending order; tuples become lists;
+- int dict keys become strings, and the record lists them in string order
+  ("10" before "2": `RunRecord.to_json_line` sorts every key); tuples
+  become lists;
 - None is written as null, and a field typed `X | None` reads null as None.
 A payload adds its `kind` (a minor record also its `modulus`) to the
 encoded fields.  The `scan` and `perm-search` config echoes are their
@@ -109,7 +113,7 @@ def encode(value):
         return {_KEYS.get(f.name, f.name): encode(getattr(value, f.name))
                 for f in fields(value)}
     if isinstance(value, dict):
-        return {str(k): encode(v) for k, v in sorted(value.items())}
+        return {str(k): encode(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [encode(v) for v in value]
     return value
@@ -219,16 +223,9 @@ def cmd_scan(args) -> int:
 
 def cmd_witness(args) -> int:
     start = time.perf_counter()
-    if args.all:
-        plans = witness_sweep(args.n)
-    elif args.r is not None:
-        plans = [build_witness(args.n, args.r)]
-    else:
-        print("error: pass --r SIZE or --all", file=sys.stderr)
-        return 1
+    plans = witness_sweep(args.n) if args.all else [build_witness(args.n, args.r)]
     for p in plans:
-        tag = "verified" if p.directly_verified else "verified via complement base"
-        print(f"N={p.modulus} r={p.size} [{p.case}] {list(p.index_set.members)} ({tag})")
+        print(f"N={p.modulus} r={p.size} [{p.case}] {list(p.index_set.members)} (verified)")
         print(f"  {p.certificate}")
     _write_record(args, start, {"n": args.n, "r": args.r, "all": args.all},
                   {"plans": plans})
@@ -237,7 +234,7 @@ def cmd_witness(args) -> int:
 
 def cmd_theorem1(args) -> int:
     start = time.perf_counter()
-    if args.range:
+    if args.range is not None:
         try:
             lo, hi = args.range.split("..")
             lo, hi = int(lo), int(hi)
@@ -245,14 +242,14 @@ def cmd_theorem1(args) -> int:
             print(f"error: bad range {args.range!r}, expected A..B", file=sys.stderr)
             return 1
         moduli = list(range(max(4, lo), hi + 1))
-    elif args.n is not None:
-        moduli = [args.n]
+        if not moduli:
+            print(f"error: range {args.range!r} holds no modulus >= 4", file=sys.stderr)
+            return 1
     else:
-        print("error: pass --n N or --range A..B", file=sys.stderr)
-        return 1
+        moduli = [args.n]
     reports, skipped = [], []
     for n in moduli:
-        if args.range and not is_square_free(n):
+        if args.range is not None and not is_square_free(n):
             skipped.append(n)
             print(f"N={n}: skipped (not square-free)")
             continue
@@ -322,14 +319,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="construct singular principal index sets")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--all", action="store_true", help="every size 2..N-2")
+    size = p.add_mutually_exclusive_group(required=True)
+    size.add_argument("--r", type=int, default=None)
+    size.add_argument("--all", action="store_true", help="every size 2..N-2")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("theorem1", help="2x2/3x3 nonvanishing sweep (square-free N)")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--range", type=str, default=None, help="A..B inclusive")
+    moduli = p.add_mutually_exclusive_group(required=True)
+    moduli.add_argument("--n", type=int, default=None)
+    moduli.add_argument("--range", type=str, default=None, help="A..B inclusive")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_theorem1)
 

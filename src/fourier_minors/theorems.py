@@ -35,6 +35,13 @@ complements and `verify_theorem1`'s sizes N-3 and N-2 rest on this;
 tests/test_theorems.py::test_scan_reduction_equivalence_to_12 compares
 scans with `use_complement` on and off.
 
+Lemma (anchor rows).  Let N = p^2 m, p the least prime with p^2 | N.  Row
+k*pm of F_N is (w^(k*pm*l))_l, and w^(pm) has order p, so the row depends
+only on l mod p.  If K holds a >= 2 of these anchor rows and its members
+meet fewer than a residue classes mod p, the a anchor rows of F[K] lie in
+the space of vectors constant on each class, of dimension less than a, so
+det F[K] = 0.  `build_witness` builds its sets to this condition.
+
 Lemma (lazy prefix groups).  The k-subsets of range(n) that extend a
 sorted prefix P with last member x split, by their next member
 y = x+1 .. n-k+|P|, into those that extend P + (y,); taking y in
@@ -173,9 +180,7 @@ def verify_theorem1(modulus: int) -> Theorem1Report:
 # ---------------------------------------------------------------------------
 # Constructive singular witnesses
 
-CASE_P2_EVEN = "P2_EVEN"
-CASE_PGE3_SMALL_R = "PGE3_SMALL_R"
-CASE_PGE3_BLOCKS = "PGE3_BLOCKS"
+CASE_ANCHOR_ROWS = "ANCHOR_ROWS"
 CASE_COMPLEMENTED = "COMPLEMENTED"
 
 
@@ -186,19 +191,30 @@ class WitnessPlan:
     prime: int
     cofactor: int
     case: str
-    s: int | None
-    t: int | None
     index_set: IndexSet
     certificate: str
-    directly_verified: bool
+
+
+def _anchor_set(n: int, r: int) -> IndexSet:
+    """The first r of: the anchors k*pm for k < p, then the other members
+    of the residue classes 0, 1, .., p-2 mod p, class by class, each class
+    ascending (N = p^2 m, p the least prime with p^2 | N).  The list holds
+    (p-1) N / p >= N/2 members."""
+    p, m = smallest_square_factor(n)
+    rest = [x for c in range(p - 1) for x in range(c, n, p) if x % (p * m)]
+    return IndexSet.of(n, ([*range(0, n, p * m)] + rest)[:r])
 
 
 def build_witness(modulus: int, size: int) -> WitnessPlan:
     """An index set of the requested size with a vanishing principal minor.
 
-    Defined for non-square-free moduli >= 4 and 2 <= size <= N-2.  Sets of
-    size at most N/2 are built directly, larger sizes complement a smaller
-    witness (complement lemma); every set is verified by exact determinant.
+    Defined for non-square-free moduli >= 4 and 2 <= size <= N-2.  A size
+    r <= N/2 takes `_anchor_set(N, r)` (case ANCHOR_ROWS): for r <= p it
+    is r anchors, all in class 0; for r > p it holds all p anchors and
+    meets at most p-1 classes.  Either way the anchor-row lemma (module
+    docstring) applies.  A size r > N/2 takes the complement of
+    `_anchor_set(N, N - r)` (case COMPLEMENTED; complement lemma).  Every
+    returned set is checked once by the exact engine.
     """
     n, r = modulus, size
     if n < 4:
@@ -208,81 +224,25 @@ def build_witness(modulus: int, size: int) -> WitnessPlan:
     if not 2 <= r <= n - 2:
         raise PreconditionError(f"size must lie in [2, {n - 2}]")
     p, m = smallest_square_factor(n)
-
-    if 2 * r > n:
-        base = build_witness(n, n - r)
-        members = complement(base.index_set)
-        if not is_singular(members):
-            raise AssertionError(f"witness verification failed: N={n}, set={members.members}")
-        return WitnessPlan(
-            modulus=n, size=r, prime=p, cofactor=m, case=CASE_COMPLEMENTED,
-            s=None, t=None, index_set=members,
-            certificate=(
-                f"complement of the exactly verified size-{n - r} witness "
-                f"{base.index_set.members} ({base.case}); complementary sizes "
-                f"are singular together"
-            ),
-            directly_verified=True,
-        )
-
-    s_param: int | None = None
-    t_param: int | None = None
-    if p == 2:
-        two_m = 2 * m
-        chosen = [0, two_m]
-        for x in range(0, n, 2):
-            if len(chosen) == r:
-                break
-            if x not in (0, two_m):
-                chosen.append(x)
-        case = CASE_P2_EVEN
+    base = _anchor_set(n, min(r, n - r))
+    if 2 * r <= n:
+        members, case = base, CASE_ANCHOR_ROWS
+        anchors = [k for k in base if k % (p * m) == 0]
         certificate = (
-            f"rows 0 and {two_m} restricted to even columns are both all-ones"
-        )
-    elif r <= p:
-        pm = p * m
-        chosen = [k * pm for k in range(r)]
-        case = CASE_PGE3_SMALL_R
-        certificate = (
-            f"every entry is 1: products of multiples of {pm} vanish mod {n}"
+            f"anchor rows {anchors} depend only on the column mod {p}, and the "
+            f"set meets {len({k % p for k in base})} of the {p} classes mod {p}, "
+            f"fewer than {len(anchors)}"
         )
     else:
-        pm = p * m
-        s_param, t_param = divmod(r, pm)
-        anchors = [k * pm for k in range(p)]
-        if s_param == 0:
-            chosen = list(anchors)
-            for x in range(0, n, p):
-                if len(chosen) == r:
-                    break
-                if x not in chosen:
-                    chosen.append(x)
-            certificate = (
-                f"the {p} rows at multiples of {pm} are all-ones over columns "
-                f"that are multiples of {p}"
-            )
-        else:
-            chosen = []
-            for j in range(s_param):
-                chosen.extend(k * p + j for k in range(pm))
-            chosen.extend(k * p + s_param for k in range(t_param))
-            certificate = (
-                f"the {p} rows at multiples of {pm} take at most {s_param + 1} "
-                f"distinct column-block values, fewer than {p} rows"
-            )
-        case = CASE_PGE3_BLOCKS
-        if not set(anchors) <= set(chosen):
-            raise AssertionError("block construction lost its anchor rows")
-    if len(set(chosen)) != r:
-        raise AssertionError(f"construction produced {len(set(chosen))} indices, wanted {r}")
-    members = IndexSet.of(n, chosen)
+        members, case = complement(base), CASE_COMPLEMENTED
+        certificate = (
+            f"complement of the size-{n - r} anchor-row set {list(base.members)}; "
+            f"complementary sizes are singular together"
+        )
     if not is_singular(members):
         raise AssertionError(f"witness verification failed: N={n}, set={members.members}")
-    return WitnessPlan(
-        modulus=n, size=r, prime=p, cofactor=m, case=case,
-        s=s_param, t=t_param, index_set=members,
-        certificate=certificate, directly_verified=True,
-    )
+    return WitnessPlan(modulus=n, size=r, prime=p, cofactor=m, case=case,
+                       index_set=members, certificate=certificate)
 
 
 def witness_sweep(modulus: int) -> list[WitnessPlan]:

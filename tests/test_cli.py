@@ -4,8 +4,8 @@ from pathlib import Path
 import pytest
 
 from fourier_minors import (IndexSet, MinorRecord, ScanReport, SearchOutcome,
-                            Theorem1Report, WitnessPlan, WorkerError, minor_record,
-                            ring_new, scan_all, witness_sweep)
+                            Theorem1Report, WitnessPlan, WorkerError, build_witness,
+                            minor_record, ring_new, scan_all, witness_sweep)
 from fourier_minors.cli import decode, encode, main, parse_run_record
 from fourier_minors.search import SearchConfig, find_good_permutation
 from fourier_minors.theorems import verify_theorem1
@@ -175,6 +175,28 @@ def test_witness_requires_r_or_all(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["witness", "--n", "8", "--r", "3", "--all"],
+    ["theorem1", "--n", "10", "--range", "4..6"],
+    ["theorem1"],
+    ["theorem1", "--range", "9..5"],
+    ["theorem1", "--range", "1..3"],
+    ["theorem1", "--range", ""],
+])
+def test_conflicting_or_empty_flags_are_usage_errors(argv, tmp_path, capsys):
+    out = tmp_path / "r.jsonl"
+    assert run([*argv, "--out", str(out)]) == 1
+    assert not out.exists()
+    capsys.readouterr()
+
+
+def test_witness_records_with_dropped_fields_decode():
+    # older witness records carry block parameters the plans no longer
+    # have; decode reads only the fields that exist
+    plan = build_witness(18, 7)
+    assert decode(list[WitnessPlan], [{**encode(plan), "s": 1, "t": 1}]) == [plan]
+
+
 def test_witness_square_free_precondition(capsys):
     assert run(["witness", "--n", "10", "--r", "2"]) == 2
     capsys.readouterr()
@@ -298,11 +320,15 @@ def test_codec_round_trips_edge_shapes():
     def through_json(payload):
         return json.loads(json.dumps(payload, sort_keys=True))
 
-    outcome = SearchOutcome(16, None, False, 5654, {10: 1, 2: 3659}, 0.5)
+    outcome = SearchOutcome(16, None, False, 5654, {2: 3659, 10: 1}, 0.5)
     payload = encode(outcome)
     assert payload["found"] is None
-    assert list(payload["prune_counts"]) == ["2", "10"]  # ascending int keys
     assert decode(SearchOutcome, through_json(payload)) == outcome
+    # the record sorts every key, so int keys come out in string order
+    from fourier_minors.cli import RunRecord
+    line = RunRecord("perm-search", "0", {}, {}, {"kind": "search_outcome", **payload},
+                     True, 0.0).to_json_line()
+    assert list(json.loads(line)["payload"]["prune_counts"]) == ["10", "2"]
 
     report = Theorem1Report(12, (2, 3), False, (3, 6), 66, (2, 3, 9, 10), "note", 0.1)
     payload = encode({"reports": [report], "skipped_not_square_free": [8, 9]})

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from fourier_minors import (IndexSet, PreconditionError, WorkerError, build_witness,
-                            is_singular, is_square_free, ring_new, scan_all,
-                            smallest_square_factor, verify_theorem1,
-                            witness_sweep)
+                            complement, det_exact, is_singular, is_square_free,
+                            ring_new, scan_all, smallest_square_factor, submatrix,
+                            verify_theorem1, witness_sweep)
 from fourier_minors import powerdet, theorems
 from fourier_minors.cli import main
-from fourier_minors.theorems import (CASE_COMPLEMENTED, CASE_P2_EVEN,
-                                     CASE_PGE3_BLOCKS, CASE_PGE3_SMALL_R,
+from fourier_minors.theorems import (CASE_ANCHOR_ROWS, CASE_COMPLEMENTED,
                                      ScanConfig)
 
 from conftest import cached_scan, full_singularity_map
@@ -153,41 +152,81 @@ def test_theorem1_counterexample_is_a_translated_pair(monkeypatch, tmp_path):
 def test_witness_n4_r2():
     plan = build_witness(4, 2)
     assert plan.index_set.members == (0, 2)
-    assert plan.case == CASE_P2_EVEN
+    assert plan.case == CASE_ANCHOR_ROWS
     assert plan.prime == 2 and plan.cofactor == 1
 
 
 def test_witness_n9_r3_is_all_ones_block():
     plan = build_witness(9, 3)
     assert plan.index_set.members == (0, 3, 6)
-    assert plan.case == CASE_PGE3_SMALL_R
+    assert plan.case == CASE_ANCHOR_ROWS
 
 
 def test_witness_n12_r10_by_complement():
     plan = build_witness(12, 10)
     assert plan.case == CASE_COMPLEMENTED
     assert plan.index_set.members == (1, 2, 3, 4, 5, 7, 8, 9, 10, 11)
-    assert plan.directly_verified
 
 
 def test_witness_n18_r7_block_parameters():
+    # the three anchors 0, 6, 12, class 0 mod 3 whole, then 1 of class 1
     plan = build_witness(18, 7)
-    assert plan.case == CASE_PGE3_BLOCKS
-    assert (plan.s, plan.t) == (1, 1)
+    assert plan.case == CASE_ANCHOR_ROWS
     assert plan.index_set.members == (0, 1, 3, 6, 9, 12, 15)
 
 
+@pytest.mark.parametrize("n, r, members", [
+    (8, 3, (0, 2, 4)),
+    (9, 4, (0, 1, 3, 6)),
+    (27, 5, (0, 3, 6, 9, 18)),
+    (27, 11, (0, 1, 3, 4, 6, 9, 12, 15, 18, 21, 24)),
+    (98, 20, (0, 1, 7, 8, 14, 15, 21, 22, 28, 29, 35, 36, 42, 49, 56, 63, 70,
+              77, 84, 91)),
+])
+def test_witness_pinned_sets(n, r, members):
+    plan = build_witness(n, r)
+    assert plan.index_set.members == members
+    assert plan.case == CASE_ANCHOR_ROWS
+
+
+def test_witness_sets_digest():
+    # the sets of every non-square-free N <= 200 and size 2..N-2, built
+    # from the anchor list and its complement alone, no engine call; the
+    # digest is that of the three hand-built cases the list replaced
+    import hashlib
+    lines = []
+    for n in range(4, 201):
+        if is_square_free(n):
+            continue
+        for r in range(2, n - 1):
+            base = theorems._anchor_set(n, min(r, n - r))
+            k = base if 2 * r <= n else complement(base)
+            lines.append(f"{n} {r} " + " ".join(map(str, k.members)))
+    assert len(lines) == 7787
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "d3f2e5e7ebf3fd84099ecff5364c92b3435d0bfa9fd0b0a6c5fd3d26773e68e4"
+
+
 def test_witness_block_invariants():
+    # the anchor-row lemma's condition: min(r, p) anchors, fewer classes mod p
     for n, r in ((18, 7), (18, 9), (25, 8), (25, 12), (27, 5), (27, 11), (48, 13)):
         plan = build_witness(n, r)
         p, m = plan.prime, plan.cofactor
         assert p * p * m == n
         assert len(plan.index_set) == r
-        if plan.case == CASE_PGE3_BLOCKS:
-            anchors = {k * p * m for k in range(p)}
-            assert anchors <= set(plan.index_set.members)
-            assert plan.s is not None and 0 <= plan.s <= p // 2
-            assert 0 <= plan.t < p * m or plan.s == 0
+        members = plan.index_set.members
+        anchors = [k for k in members if k % (p * m) == 0]
+        assert len(anchors) == min(r, p)
+        assert len({k % p for k in members}) < len(anchors)
+
+
+def test_witnesses_agree_with_det_exact():
+    # the Laplace oracle shares no code with the engine
+    for n in (4, 8, 9, 12):
+        ring = ring_new(n)
+        for r in range(2, min(6, n - 2) + 1):
+            k = build_witness(n, r).index_set
+            assert det_exact(submatrix(ring, k, k)).is_zero(), (n, r)
 
 
 def test_witness_preconditions():
@@ -208,17 +247,16 @@ def test_witness_sweep_sizes():
 
 
 def test_witness_sweep_all_exactly_singular():
-    for n in (8, 9, 12, 16):
+    for n in (8, 9, 12, 16, 18, 25):
         for plan in witness_sweep(n):
             assert is_singular(plan.index_set), (n, plan.size)
-            assert plan.directly_verified
 
 
 def test_large_complemented_witness_verifies_directly():
     # every plan is verified by exact determinant, large complements too
     for r in (15, 25):
         plan = build_witness(27, r)
-        assert plan.case == CASE_COMPLEMENTED and plan.directly_verified
+        assert plan.case == CASE_COMPLEMENTED
         assert is_singular(plan.index_set)
 
 
