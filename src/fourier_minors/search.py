@@ -96,14 +96,19 @@ value of the row taken is confirmed, so the choice moves no verdict.  Each
 value tried is one node (`nodes_expanded`); a value whose entry is a size
 s is one prune at s (`prune_counts`); every other is searched below.
 
-Complementation is NOT assumed for permuted matrices; nothing here relies
-on it.  Exhaustion claims rest only on the plain depth-first tree, plus the
-optional first-value symmetry reduction: adding a constant to every value
-of sigma rescales each row of the permuted matrix by a root of unity and
-preserves every minor's vanishing, so searching sigma(first position) = 0
-covers all permutations up to that equivalence.  The reduction defaults to
-off; the test suite validates it against brute force for small moduli and
-as a shift-invariance property.
+Lemma (shift).  Adding c to every value of sigma multiplies row k of the
+permuted matrix by w^(k*c), and the minor on K by w^(c * sum K), so sigma
+is good iff sigma - sigma(0) is.  The search walks only the tree of
+sigma(0) = 0, and exhausting it shows that N has no good permutation;
+`enumerate_good_permutations` still walks every first value, and the tests
+compare it with brute force.  Complementation is NOT assumed for permuted
+matrices.
+
+Lemma (units).  The subtrees below the root sigma(0) = 0 in which the first
+decided position (1 for `ascending`) takes the value v = 1..N-1 partition
+the tree, so the root plus their counts are a serial walk's, and the first
+find in DFS order is the first of the first unit with one.  A unit
+(`_run_unit`) decides the root's domain again and reads its own cell.
 """
 
 from __future__ import annotations
@@ -150,7 +155,6 @@ class Permutation:
 class SearchConfig:
     modulus: int
     order: str = ORDER_ASCENDING
-    symmetry: bool = False
     time_budget: float | None = None
     jobs: int = 1
     checkpoint_path: str | None = None
@@ -169,7 +173,8 @@ class SearchConfig:
 @dataclass(frozen=True)
 class SearchOutcome:
     """found implies the permutation re-verified good in full; exhausted and
-    not found implies no good permutation exists for this modulus."""
+    not found implies no good permutation exists for this modulus, as the
+    sigma(0) = 0 tree holds none (the shift lemma in the module docstring)."""
 
     modulus: int
     found: Permutation | None
@@ -326,8 +331,9 @@ class _SearchState:
         self.img[self.assigned.pop()] = -1
         self.stack.pop()
 
-    def leaves(self):
-        """Re-verified good images below the current assignment, in DFS order."""
+    def leaves(self, cut: slice = slice(None)):
+        """Re-verified good images below the current assignment, in DFS
+        order, below the values[cut] of the position decided here."""
         self._check_budget()
         img = self.img.tolist()
         free = [p for p, x in enumerate(img) if x < 0]
@@ -338,7 +344,7 @@ class _SearchState:
         if self.config.order == ORDER_ASCENDING:
             free = free[:1]
         pos, values, fail = self._domain(free)
-        for v, f in zip(values.tolist(), fail.tolist()):
+        for v, f in zip(values[cut].tolist(), fail[cut].tolist()):
             self.nodes += 1
             if f:
                 self.prunes[f] += 1
@@ -346,38 +352,39 @@ class _SearchState:
                 yield from self._descend(pos, v)
 
 
-def _run_branch(
-    config: SearchConfig, first_value: int, deadline: float | None
-) -> tuple[tuple[int, ...] | None, int, dict[int, int], bool]:
-    """(image or None, nodes, prune counts, completed) of the DFS below
-    sigma(0) = first_value, up to its first leaf.  A branch started after
-    the deadline does no work."""
+def _units(modulus: int) -> range:
+    """The values 1..N-1 of the first position decided below the root, one
+    unit each (units lemma).  F_1's root is its one leaf, and unit 1 holds it."""
+    return range(1, max(modulus, 2))
+
+
+def _run_unit(config: SearchConfig, value: int, deadline: float | None):
+    """(image or None, nodes, prune counts, completed) of unit `value`, the
+    DFS below sigma(0) = 0 and the first decided position taking `value`,
+    up to its first leaf.  A unit started after the deadline does no work."""
     state = _SearchState(config, deadline=deadline)
     try:
-        state._check_budget()
-        state.nodes += 1
-        image = next(state._descend(0, first_value), None)
+        state._push(0, 0)
+        # the root's values are 1..N-1 ascending
+        image = next(state.leaves(slice(value - 1, value)), None)
         return image, state.nodes, dict(state.prunes), True
     except _BudgetExpired:
         return None, state.nodes, dict(state.prunes), False
 
 
-def _branches(config: SearchConfig) -> range:
-    """The values of position 0, one branch each."""
-    return range(1 if config.symmetry else config.modulus)
-
-
 def _load_checkpoint(path: str, config: SearchConfig):
     """(done, found, nodes, prunes) from the checkpoint at `path`.
 
-    The first line is a config line, which must match `config`; each
-    `prefix_done` and `found` line adds its branch's nodes and prunes.  A
-    last line without its newline is the trace of an interrupted write: it
-    is dropped and cut off the file, so appends start on a fresh line.  Any
-    other malformed line or unknown kind is refused, and so is a prefix
-    that is not one of this search's branches or repeats one, a negative
-    count, or a prune size outside 1..N.
+    The first line is the config line, which must equal this search's; each
+    `prefix_done` and `found` line adds its unit's nodes and prunes.  A
+    last line without its newline is the trace of an interrupted write: once
+    the rest is read, it is cut off, so appends start on a fresh line; a new
+    or empty file gets its config line.  A refused file is left as it was:
+    one with any other malformed line or unknown kind, a prefix other than
+    [0, v] for a unit v or one that repeats a unit, a negative count, or a
+    prune size outside 1..N.
     """
+    header = {"kind": "config", "modulus": config.modulus, "order": config.order}
     done: set[int] = set()
     found: tuple[int, ...] | None = None
     nodes, prunes = 0, Counter()
@@ -387,24 +394,21 @@ def _load_checkpoint(path: str, config: SearchConfig):
     except FileNotFoundError:
         data = b""
     end = data.rfind(b"\n") + 1
-    if end < len(data):
-        with open(path, "r+b") as fh:
-            fh.truncate(end)
     for number, line in enumerate(data[:end].splitlines(), 1):
         try:
             rec = json.loads(line)
             if number == 1 and rec["kind"] != "config":
                 raise ValueError("the first line is not the config line")
             if rec["kind"] == "config":
-                for key in ("modulus", "order", "symmetry"):
-                    if rec[key] != getattr(config, key):
-                        raise PreconditionError(f"checkpoint {path} was written with "
-                                                f"{key}={rec[key]!r}")
+                if rec != header:
+                    raise PreconditionError(f"checkpoint {path} was written for {rec}, "
+                                            f"not {header}")
                 continue
             if rec["kind"] == "prefix_done":
-                (v,) = rec["prefix"]
-                if type(v) is not int or v not in _branches(config) or v in done:
-                    raise ValueError(f"prefix {rec['prefix']} is no new branch")
+                zero, v = rec["prefix"]
+                if (type(zero), zero, type(v)) != (int, 0, int) or v in done or (
+                        v not in _units(config.modulus)):
+                    raise ValueError(f"prefix {rec['prefix']} is no new unit [0, v]")
                 done.add(v)
             elif rec["kind"] == "found":
                 found = Permutation(config.modulus, tuple(int(x) for x in rec["image"])).image
@@ -422,56 +426,52 @@ def _load_checkpoint(path: str, config: SearchConfig):
         except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
             raise PreconditionError(f"checkpoint {path} line {number} is malformed: "
                                     f"{exc}") from None
+    with open(path, "r+b" if data else "wb") as fh:
+        fh.truncate(end)
+        if not end:
+            fh.write(json.dumps(header).encode() + b"\n")
     return done, found, nodes, prunes
 
 
 def find_good_permutation(config: SearchConfig) -> SearchOutcome:
-    """Depth-first search over all column permutations of the given modulus.
+    """Depth-first search of the sigma(0) = 0 tree, which decides every
+    column permutation of the modulus (the shift lemma).
 
-    Branches (first values) are taken in ascending order; each gets its
+    Units (the units lemma) are taken in ascending order, each writing its
     checkpoint line when its result arrives, and the search stops at the
-    first find, so that is the first good permutation in DFS order.
-    jobs > 1 runs branches ahead in worker processes (`ordered_map`) and
-    consumes their results in the same order, so outcome, node and prune
-    counts equal a serial run's; the workers are stopped when the search
-    returns or raises.  One budget covers the search: every branch
-    honours one absolute deadline (time.monotonic is system-wide) and a
-    branch started after it does no work.  An expiry yields found=None, exhausted=False
-    (inconclusive), distinct from a completed empty search, unless with
-    jobs > 1 a later branch finished with a find in time.
+    first find, the first good permutation in DFS order.  jobs > 1 runs
+    units ahead in worker processes (`ordered_map`), consumed in the same
+    order, so outcome, node and prune counts equal a serial run's; the
+    workers stop when the search returns or raises.  The root counts one
+    node besides its units.  One absolute deadline (time.monotonic is
+    system-wide) covers every unit, and a unit started after it does no
+    work.  An expiry yields found=None, exhausted=False (inconclusive),
+    unless with jobs > 1 a later unit finished with a find in time.
     """
     start = time.monotonic()
     n = config.modulus
-    nodes = 0
-    prunes: Counter[int] = Counter()
-    done: set[int] = set()
-    found: tuple[int, ...] | None = None
-    writer = results = None
+    path = config.checkpoint_path
+    done, found, nodes, prunes = (_load_checkpoint(path, config) if path
+                                  else (set(), None, 0, Counter()))
+    writer = open(path, "a", encoding="utf-8") if path else None
+    results = None
 
     def _emit(rec: dict) -> None:
         if writer is not None:
             writer.write(json.dumps(rec) + "\n")
             writer.flush()
 
-    if config.checkpoint_path:
-        done, found, nodes, prunes = _load_checkpoint(config.checkpoint_path, config)
-        writer = open(config.checkpoint_path, "a", encoding="utf-8")
-        if writer.tell() == 0:  # a new or empty file starts with its config line
-            _emit({"kind": "config", "modulus": n, "order": config.order,
-                   "symmetry": config.symmetry})
     try:
         # a checkpointed find is only re-verified
-        branches = [] if found else _branches(config)
-        pending = [v for v in branches if v not in done]
+        pending = [v for v in ([] if found else _units(n)) if v not in done]
         deadline = start + config.time_budget if config.time_budget else None
-        jobs = min(config.jobs, len(pending))
-        branch = partial(_run_branch, config, deadline=deadline)
-        results = ordered_map(branch, pending, jobs)
+        unit = partial(_run_unit, config, deadline=deadline)
+        results = ordered_map(unit, pending, min(config.jobs, len(pending)))
         all_completed = True
-        for v, (image, bn, bp, completed) in zip(pending, results):
-            nodes += bn
-            prunes.update(bp)
-            work = {"nodes": bn, "prunes": {str(k): c for k, c in bp.items()}}
+        for v, (image, un, up, completed) in zip(pending, results):
+            nodes += un
+            prunes.update(up)
+            work = {"nodes": un, "prunes": {str(k): c for k, c in up.items()}}
             if not completed:
                 all_completed = False
             elif image is not None:
@@ -479,16 +479,15 @@ def find_good_permutation(config: SearchConfig) -> SearchOutcome:
                 _emit({"kind": "found", "image": list(image), **work})
                 break
             else:
-                _emit({"kind": "prefix_done", "prefix": [v], **work})
+                _emit({"kind": "prefix_done", "prefix": [0, v], **work})
 
-        if found is not None:
-            # `leaves` verified a fresh find; one read from the checkpoint is checked here
-            if not pending and not is_good_permutation(n, found):
-                raise PreconditionError(f"checkpoint {config.checkpoint_path} "
-                                        "records a permutation that is not good")
-            return SearchOutcome(n, Permutation(n, found), False, nodes,
-                                 dict(prunes), time.monotonic() - start)
-        return SearchOutcome(n, None, all_completed, nodes, dict(prunes),
+        nodes += 1  # the root, sigma(0) = 0
+        # `leaves` verified a fresh find; one read from the checkpoint is checked here
+        if found and not pending and not is_good_permutation(n, found):
+            raise PreconditionError(f"checkpoint {path} records a permutation "
+                                    "that is not good")
+        return SearchOutcome(n, Permutation(n, found) if found else None,
+                             not found and all_completed, nodes, dict(prunes),
                              time.monotonic() - start)
     finally:
         if results is not None:

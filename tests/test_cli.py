@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,7 @@ def test_det_bad_indices_is_usage_error(capsys):
 def test_unknown_flag_is_usage_error(capsys):
     assert run(["det", "--n", "4"]) == 1
     assert run(["nonsense"]) == 1
+    assert run(["scan", "--n", "4", "--exact"]) == 1  # exact is the only mode
     capsys.readouterr()
 
 
@@ -248,7 +250,8 @@ def test_perm_search_found(tmp_path, capsys):
 
 def test_committed_n16_exhaustion_matches_its_checkpoint():
     # the most-constrained sigma(0) = 0 tree of N = 16, searched to the end
-    # (census/README.md); the checkpoint's one branch line carries its work
+    # in two workers (census/README.md); the root plus the checkpoint's one
+    # line per unit carry its work
     census = Path(__file__).resolve().parent.parent / "census"
     record = read_record(census / "perm-search-n16.json")
     outcome = decode(SearchOutcome, record.payload)
@@ -257,14 +260,27 @@ def test_committed_n16_exhaustion_matches_its_checkpoint():
     assert outcome.nodes_expanded == 4258592
     assert outcome.prune_counts == {2: 1319319, 4: 1221760, 6: 888960, 7: 45536,
                                     8: 130912, 9: 960, 10: 1216}
-    assert record.config["order"] == "most-constrained" and record.config["symmetry"]
+    assert record.config["order"] == "most-constrained" and record.config["jobs"] == 2
     lines = (census / "perm-search-n16.ckpt").read_text().splitlines()
-    header, *branches = map(json.loads, lines)
-    assert header == {"kind": "config", "modulus": 16, "order": "most-constrained",
-                      "symmetry": True}
-    assert branches == [{"kind": "prefix_done", "prefix": [0],
-                         "nodes": outcome.nodes_expanded,
-                         "prunes": {str(k): c for k, c in outcome.prune_counts.items()}}]
+    header, *units = map(json.loads, lines)
+    assert header == {"kind": "config", "modulus": 16, "order": "most-constrained"}
+    assert [u["kind"] for u in units] == ["prefix_done"] * 15
+    assert [u["prefix"] for u in units] == [[0, v] for v in range(1, 16)]
+    assert sum(u["nodes"] for u in units) + 1 == outcome.nodes_expanded
+    prunes = sum((Counter({int(k): c for k, c in u["prunes"].items()}) for u in units),
+                 Counter())
+    assert prunes == outcome.prune_counts
+
+
+def test_perm_search_symmetry_flag_changes_nothing(tmp_path, capsys):
+    # the flag still parses, but every search fixes sigma(0) = 0
+    outs = [tmp_path / "plain.jsonl", tmp_path / "symmetry.jsonl"]
+    for out, extra in zip(outs, ([], ["--symmetry"])):
+        assert run(["perm-search", "--n", "8", "--order", "most-constrained", *extra,
+                    "--out", str(out)]) == 0
+    plain, symmetry = (strip_wall_time(json.loads(out.read_text())) for out in outs)
+    assert plain == symmetry and "symmetry" not in plain["config"]
+    capsys.readouterr()
 
 
 def test_perm_search_budget_inconclusive(tmp_path, capsys):

@@ -53,11 +53,14 @@ def test_good_permutation_search_small():
 
 
 def test_search_agrees_with_brute_force_to_6():
+    # the search walks only sigma(0) = 0 (the shift lemma); enumeration walks
+    # every first value
     for n in range(1, 7):
         brute = brute_force_images(n)
         outcome = find_good_permutation(SearchConfig(n))
         assert (outcome.found is not None) == bool(brute), n
         if outcome.found:
+            assert outcome.found.image[0] == 0
             assert outcome.found.image in brute
         fast = {p.image for p in enumerate_good_permutations(n)}
         assert fast == brute, n
@@ -137,7 +140,7 @@ def test_monotone_pruning_validity():
 
 def test_value_shift_preserves_goodness(rng):
     # adding a constant to every sigma value rescales rows by roots of
-    # unity; goodness is invariant (the basis for the symmetry reduction)
+    # unity; goodness is invariant (the shift lemma the search rests on)
     for _ in range(60):
         n = rng.randrange(2, 9)
         image = list(range(n))
@@ -146,16 +149,6 @@ def test_value_shift_preserves_goodness(rng):
         c = rng.randrange(1, n)
         shifted = tuple((v + c) % n for v in image)
         assert is_good_permutation(n, shifted) == good, (n, image, c)
-
-
-def test_symmetry_reduction_agrees_with_brute_force_to_6():
-    for n in range(1, 7):
-        outcome = find_good_permutation(SearchConfig(n, symmetry=True))
-        brute = brute_force_images(n)
-        assert (outcome.found is not None) == bool(brute), n
-        if outcome.found:
-            assert outcome.found.image[0] == 0
-            assert outcome.found.image in brute
 
 
 def test_most_constrained_order_finds_verified_permutations():
@@ -360,7 +353,7 @@ def small_prime(monkeypatch):
 
 def test_domain_with_small_prime_matches_exact_oracle(rng, monkeypatch, small_prime):
     pinned = {n: find_good_permutation(SearchConfig(n)) for n in (9, 10)}
-    walk = _SearchState(SearchConfig(8, order=ORDER_MOST_CONSTRAINED, symmetry=True))
+    walk = _SearchState(SearchConfig(8, order=ORDER_MOST_CONSTRAINED))
     leaves = set(walk._descend(0, 0))
     small_prime()
     handed = _record_domain_engine_calls(monkeypatch)
@@ -390,7 +383,7 @@ def test_domain_with_small_prime_matches_exact_oracle(rng, monkeypatch, small_pr
         assert outcome.prune_counts == expected.prune_counts, n
     # most-constrained may take another position where a table zero is
     # false, but its verdicts are exact: the same leaves, a good first find
-    walk = _SearchState(SearchConfig(8, order=ORDER_MOST_CONSTRAINED, symmetry=True))
+    walk = _SearchState(SearchConfig(8, order=ORDER_MOST_CONSTRAINED))
     assert set(walk._descend(0, 0)) == leaves
     outcome = find_good_permutation(SearchConfig(10, order=ORDER_MOST_CONSTRAINED))
     assert oracle_is_good(10, outcome.found.image)
@@ -543,7 +536,7 @@ def test_leaf_check_in_tiny_blocks_matches_engine_oracle(rng, monkeypatch):
 def _zero_walk(n, order):
     """(leaves, nodes, prunes) of the whole sigma(0) = 0 tree, each leaf
     checked by the bordered sweep."""
-    state = _SearchState(SearchConfig(n, order=order, symmetry=True))
+    state = _SearchState(SearchConfig(n, order=order))
     leaves = list(state._descend(0, 0))
     return leaves, state.nodes, dict(state.prunes)
 
@@ -576,6 +569,33 @@ def test_most_constrained_first_value_zero_walks(n, good, nodes, prunes):
     if n == 9:
         assert set(leaves) == set(_zero_walk(n, "ascending")[0])
     assert walked == nodes and pruned == prunes
+
+
+@pytest.mark.parametrize("n, order", [(8, "ascending"), (8, ORDER_MOST_CONSTRAINED),
+                                      (9, ORDER_MOST_CONSTRAINED),
+                                      (10, ORDER_MOST_CONSTRAINED)])
+def test_interrupt_and_resume_at_every_unit_boundary(tmp_path, monkeypatch, n, order):
+    # with every leaf rejected the search exhausts the sigma(0) = 0 tree:
+    # the root plus its units count what one walk of the tree does, and a
+    # run cut after any of its checkpoint lines resumes to the same totals
+    # and the same lines (jobs = 1: spawned workers would not see the patch)
+    from fourier_minors import search
+    _, walked, pruned = _zero_walk(n, order)
+    monkeypatch.setattr(search, "is_good_permutation", lambda modulus, sigma: False)
+    path = tmp_path / "cut.ckpt"
+    config = SearchConfig(n, order=order, checkpoint_path=str(path))
+    fresh = find_good_permutation(config)
+    assert fresh.found is None and fresh.exhausted
+    assert fresh.nodes_expanded == walked + 1 and fresh.prune_counts == pruned
+    lines = path.read_text().splitlines(keepends=True)
+    assert [json.loads(l)["prefix"] for l in lines[1:]] == [[0, v] for v in range(1, n)]
+    for cut in range(1, len(lines) + 1):
+        path.write_text("".join(lines[:cut]))
+        resumed = find_good_permutation(config)
+        assert resumed.found is None and resumed.exhausted, cut
+        assert resumed.nodes_expanded == fresh.nodes_expanded, cut
+        assert resumed.prune_counts == fresh.prune_counts, cut
+        assert path.read_text() == "".join(lines), cut
 
 
 def test_tables_carried_through_the_search_equal_replayed(monkeypatch):
@@ -637,7 +657,7 @@ def test_budget_expiry_is_inconclusive():
     assert not outcome.exhausted
 
 
-def test_parallel_branches_match_serial():
+def test_parallel_units_match_serial():
     for n in (4, 8, 12):
         serial = find_good_permutation(SearchConfig(n))
         parallel = find_good_permutation(SearchConfig(n, jobs=2))
@@ -656,22 +676,46 @@ def test_parallel_budget_is_global():
     assert not outcome.exhausted
 
 
+def _config_line(n, order="ascending"):
+    return json.dumps({"kind": "config", "modulus": n, "order": order}) + "\n"
+
+
+def _unit_line(prefix, nodes=1, prunes=None):
+    return json.dumps({"kind": "prefix_done", "prefix": prefix, "nodes": nodes,
+                       "prunes": prunes or {}}) + "\n"
+
+
 def test_parallel_checkpoint_stops_at_first_find(tmp_path):
-    path = tmp_path / "parallel.ckpt"
-    first = find_good_permutation(SearchConfig(8, jobs=2, checkpoint_path=str(path)))
-    assert first.found is not None
-    lines = [json.loads(l) for l in path.read_text().splitlines()]
-    assert lines[0]["kind"] == "config"
-    # the found line carries its branch's work, so the lines sum to the run's
+    # most-constrained decides position 4 of N = 8 below the root; its odd
+    # values hold finds and its even ones prune at size 2.  With units 1 and
+    # 3 marked done, two workers take units 2, 4, 5, ... and the lines
+    # written are a serial run's
+    head = _config_line(8, ORDER_MOST_CONSTRAINED) + "".join(
+        _unit_line([0, v], nodes=0) for v in (1, 3))
+    runs, texts = {}, {}
+    for jobs in (1, 2):
+        path = tmp_path / f"jobs{jobs}.ckpt"
+        path.write_text(head)
+        config = SearchConfig(8, order=ORDER_MOST_CONSTRAINED, jobs=jobs,
+                              checkpoint_path=str(path))
+        runs[jobs] = find_good_permutation(config)
+        texts[jobs] = path.read_text()
+    first = runs[2]
+    assert first.found is not None and first.found.image[4] == 5
+    assert (first.found, first.nodes_expanded, first.prune_counts) == (
+        runs[1].found, runs[1].nodes_expanded, runs[1].prune_counts)
+    assert texts[2] == texts[1]
+    lines = [json.loads(l) for l in texts[2].splitlines()]
+    # the found line carries its unit's work, so the lines and the root sum
+    # to the run's
     assert lines[-1] == {"kind": "found", "image": list(first.found.image),
                          "nodes": lines[-1]["nodes"], "prunes": lines[-1]["prunes"]}
-    assert sum(l["nodes"] for l in lines[1:]) == first.nodes_expanded
-    # one line per branch before the find, in order, and nothing after it
-    middle = lines[1:-1]
-    assert all(l["kind"] == "prefix_done" for l in middle)
-    assert [l["prefix"] for l in middle] == [[v] for v in range(first.found.image[0])]
-    resumed = find_good_permutation(SearchConfig(8, jobs=2, checkpoint_path=str(path)))
+    assert sum(l["nodes"] for l in lines[1:]) + 1 == first.nodes_expanded
+    # one line per unit before the find, in order, and nothing after it
+    assert lines[3:-1] == [json.loads(_unit_line([0, v], prunes={"2": 1})) for v in (2, 4)]
+    resumed = find_good_permutation(config)
     assert resumed.found == first.found
+    assert resumed.nodes_expanded == first.nodes_expanded
 
 
 def test_checkpoint_write_and_resume(tmp_path):
@@ -688,16 +732,12 @@ def test_checkpoint_write_and_resume(tmp_path):
 
 def test_checkpoint_resume_skips_completed_prefixes(tmp_path):
     path = tmp_path / "resume.ckpt"
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"kind": "config", "modulus": 4, "order": "ascending",
-                             "symmetry": False}) + "\n")
-        # claim the first branch was already exhausted without a find
-        fh.write(json.dumps({"kind": "prefix_done", "prefix": [0], "nodes": 99,
-                             "prunes": {"2": 7}}) + "\n")
+    # claim the first unit (sigma(1) = 1) was already exhausted without a find
+    path.write_text(_config_line(4) + _unit_line([0, 1], nodes=99, prunes={"2": 7}))
     outcome = find_good_permutation(SearchConfig(4, checkpoint_path=str(path)))
-    # branch 0 not re-explored: its recorded node count is carried over
+    # unit 1 not re-explored: its recorded node count is carried over
     assert outcome.found is not None
-    assert outcome.found.image[0] != 0
+    assert outcome.found.image[:2] != (0, 1)
     assert outcome.nodes_expanded >= 99
     assert outcome.prune_counts.get(2, 0) >= 7
 
@@ -755,16 +795,10 @@ def test_truncated_checkpoint_line_resumes_cleanly(tmp_path):
 def test_corrupt_checkpoint_is_refused(tmp_path, capsys):
     from fourier_minors.cli import main
 
-    config = json.dumps({"kind": "config", "modulus": 8, "order": "ascending",
-                         "symmetry": False}) + "\n"
-    symmetric = json.dumps({"kind": "config", "modulus": 8, "order": "ascending",
-                            "symmetry": True}) + "\n"
-    done = json.dumps({"kind": "prefix_done", "prefix": [0], "nodes": 1,
-                       "prunes": {}}) + "\n"
-
-    def branch(prefix, nodes=1, prunes=None):
-        return json.dumps({"kind": "prefix_done", "prefix": prefix, "nodes": nodes,
-                           "prunes": prunes or {}}) + "\n"
+    config, done = _config_line(8), _unit_line([0, 1])
+    # the N-branch format before units: a `symmetry` key, one-value prefixes
+    old = {"kind": "config", "modulus": 8, "order": "ascending"}
+    symmetric = json.dumps({**old, "symmetry": True}) + "\n"
     bodies = {
         "garbage": config + "garbage\n" + done,
         "partial middle line": config + done[:20] + "\n" + done,
@@ -774,23 +808,26 @@ def test_corrupt_checkpoint_is_refused(tmp_path, capsys):
                                                   "image": [0] * 8}) + "\n",
         "not good": config + json.dumps({"kind": "found",
                                          "image": list(range(8))}) + "\n",
-        "prefix outside 0..N-1": config + branch([99], nodes=-5),
-        "negative nodes": config + branch([1], nodes=-5),
-        "negative prune count": config + branch([1], prunes={"2": -7}),
-        "prune size above N": config + branch([1], prunes={"99": 1}),
-        "prune size 0": config + branch([1], prunes={"0": 1}),
-        "repeated branch": config + done + done,
-        "prefix of two values": config + branch([0, 1]),
-        "non-integer prefix": config + branch([True]),
-        "branch outside --symmetry": symmetric + branch([3]),
+        "unit outside 1..N-1": config + _unit_line([0, 99], nodes=-5),
+        "unit 0": config + _unit_line([0, 0]),
+        "negative nodes": config + _unit_line([0, 1], nodes=-5),
+        "negative prune count": config + _unit_line([0, 1], prunes={"2": -7}),
+        "prune size above N": config + _unit_line([0, 1], prunes={"99": 1}),
+        "prune size 0": config + _unit_line([0, 1], prunes={"0": 1}),
+        "repeated unit": config + done + done,
+        "prefix off the root": config + _unit_line([1, 2]),
+        "prefix of three values": config + _unit_line([0, 1, 2]),
+        "non-integer prefix": config + _unit_line([0, True]),
+        "non-integer root": config + _unit_line([False, 1]),
+        "old config": json.dumps({**old, "symmetry": False}) + "\n",
+        "old symmetric config": symmetric + _unit_line([0]),
+        "old branch line": config + _unit_line([3]),
+        "old line, then an interrupted write": symmetric + _unit_line([0])[:30],
     }
     for name, body in bodies.items():
         path = tmp_path / "corrupt.ckpt"
         path.write_text(body)
-        argv = ["perm-search", "--n", "8", "--resume", str(path)]
-        if body.startswith(symmetric):
-            argv.append("--symmetry")
-        assert main(argv) == 2, name
+        assert main(["perm-search", "--n", "8", "--resume", str(path)]) == 2, name
         err = capsys.readouterr().err
         assert "precondition violated" in err and "Traceback" not in err, name
         assert path.read_text() == body, name
@@ -799,8 +836,7 @@ def test_corrupt_checkpoint_is_refused(tmp_path, capsys):
 def test_checkpoint_config_mismatch_rejected(tmp_path):
     path = tmp_path / "bad.ckpt"
     with open(path, "w") as fh:
-        fh.write(json.dumps({"kind": "config", "modulus": 5, "order": "ascending",
-                             "symmetry": False}) + "\n")
+        fh.write(_config_line(5))
     with pytest.raises(PreconditionError):
         find_good_permutation(SearchConfig(4, checkpoint_path=str(path)))
 
