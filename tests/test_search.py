@@ -53,17 +53,27 @@ def test_good_permutation_search_small():
 
 
 def test_search_agrees_with_brute_force_to_6():
-    # the search walks only sigma(0) = 0 (the shift lemma); enumeration walks
-    # every first value
     for n in range(1, 7):
         brute = brute_force_images(n)
         outcome = find_good_permutation(SearchConfig(n))
         assert (outcome.found is not None) == bool(brute), n
         if outcome.found:
-            assert outcome.found.image[0] == 0
             assert outcome.found.image in brute
         fast = {p.image for p in enumerate_good_permutations(n)}
         assert fast == brute, n
+
+
+def test_symmetry_reduction_agrees_with_brute_force_to_6():
+    # the search walks only sigma(0) = 0 (the shift lemma): that tree holds a
+    # good permutation exactly when the full one does, and the find lies in it
+    for n in range(1, 7):
+        brute = brute_force_images(n)
+        assert any(img[0] == 0 for img in brute) == bool(brute), n
+        outcome = find_good_permutation(SearchConfig(n))
+        assert (outcome.found is not None) == bool(brute), n
+        if outcome.found:
+            assert outcome.found.image[0] == 0
+            assert outcome.found.image in brute
 
 
 def test_enumerate_fixtures():
