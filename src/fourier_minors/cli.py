@@ -156,10 +156,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_record(args, start: float, params: dict, result,
-                  config: dict | None = None, exact_mode: bool = True) -> None:
-    """Build the command's RunRecord, its payload the command's `kind` plus
-    the encoded `result`, and write it to `--out`, if given."""
-    payload = {"kind": _PAYLOAD_KINDS[args.command], **encode(result)}
+                  config: dict | None = None, exact_mode: bool = True, **head) -> None:
+    """Build the command's RunRecord, its payload the command's `kind`, the
+    JSON-ready fields `head` and the encoded `result`, and write it to
+    `--out`, if given."""
+    payload = {"kind": _PAYLOAD_KINDS[args.command], **head, **encode(result)}
     record = RunRecord(args.command, __version__, params, config or {}, payload,
                        exact_mode, time.perf_counter() - start)
     if args.out:
@@ -192,8 +193,7 @@ def cmd_det(args) -> int:
     print(f"modulus={args.n} totient={ring.totient}")
     print(f"determinant coefficients (basis 1, w, ..., w^{ring.totient - 1}):")
     print(f"  {list(rec.determinant.coeffs)}")
-    _write_record(args, start, {"n": args.n, "set": list(k.members)},
-                  {"modulus": args.n, **encode(rec)})
+    _write_record(args, start, {"n": args.n, "set": list(k.members)}, rec, modulus=args.n)
     return 0
 
 

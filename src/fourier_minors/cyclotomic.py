@@ -9,10 +9,7 @@ zero".  Coefficients are arbitrary-precision Python ints throughout.
 
 Phi_N is computed exactly from the binomials x^(N/e) - 1 over the
 square-free divisors e of N (`cyclotomic_polynomial`); no factoring of
-Phi_N and no floating point enters the arithmetic.  The only float
-surfaces are `CycElem.approx_complex` and `CycRing.float_roots`, which
-return approximations together with rigorous error bounds; no verdict of
-the package uses them.
+Phi_N and no floating point enters the arithmetic.
 """
 
 from __future__ import annotations
@@ -26,15 +23,6 @@ from .errors import PreconditionError
 
 DEFAULT_MAX_MODULUS = 10_000
 
-# |float(w^j) - w^j| bound for CycRing.float_roots (mpmath at 30 digits,
-# rounded once to complex128; true per-root error is below 3e-16).
-ROOT_ERROR = 1e-15
-_EPS = 2.0 ** -52
-
-# Above this magnitude, integer coefficients are not safely convertible to
-# float64 and `approx_complex` abstains.
-_FLOAT_SAFE = 2 ** 52
-
 # The int64 power table is only built when every entry fits comfortably,
 # leaving headroom for the batched determinant kernel.
 _NP_TABLE_LIMIT = 2 ** 40
@@ -43,6 +31,16 @@ _NP_TABLE_LIMIT = 2 ** 40
 def divisors(n: int) -> list[int]:
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
     return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def prime_divisors(n: int) -> list[int]:
+    """The primes dividing n, ascending: each divisor > 1 that no smaller
+    one divides."""
+    primes: list[int] = []
+    for d in divisors(n)[1:]:
+        if all(d % p for p in primes):
+            primes.append(d)
+    return primes
 
 
 def check_modulus(modulus: int) -> None:
@@ -72,12 +70,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise PreconditionError("modulus must be a positive integer")
-    primes: list[int] = []
-    for d in divisors(n)[1:]:
-        if all(d % p for p in primes):
-            primes.append(d)
     terms = [(1, 1)]  # (square-free e, mu(e))
-    for p in primes:
+    for p in prime_divisors(n):
         terms += [(e * p, -mu) for e, mu in terms]
     poly = [1]
     for e, mu in terms:
@@ -116,7 +110,6 @@ class CycRing:
         self.totient: int = len(self.phi_poly) - 1
         self._table: np.ndarray | None = None
         self._rows: list[tuple[int, ...]] | None = None
-        self._float_roots: np.ndarray | None = None
 
     def __repr__(self) -> str:
         return f"CycRing({self.modulus})"
@@ -166,18 +159,6 @@ class CycRing:
     def root_power(self, exponent: int) -> CycElem:
         """w^exponent (exponent taken mod N)."""
         return CycElem(self, self._power_rows()[exponent % self.modulus])
-
-    @property
-    def float_roots(self) -> np.ndarray:
-        """complex128 values of w^j, j = 0 .. N-1, each within ROOT_ERROR."""
-        if self._float_roots is None:
-            import mpmath
-
-            n = self.modulus
-            with mpmath.workdps(30):
-                vals = [complex(mpmath.expjpi(mpmath.mpf(2 * j) / n)) for j in range(n)]
-            self._float_roots = np.array(vals, dtype=np.complex128)
-        return self._float_roots
 
     @cached_property
     def power_bound(self) -> int:
@@ -291,21 +272,3 @@ class CycElem:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def approx_complex(self) -> tuple[complex, float]:
-        """(value, bound): the exact element lies within `bound` of `value`.
-
-        Sound for nonzero certification only: |value| > bound proves the
-        element is nonzero.  Abstains with bound = inf when coefficients are
-        too large for safe float conversion.
-        """
-        if any(abs(c) > _FLOAT_SAFE for c in self.coeffs):
-            return 0j, math.inf
-        roots = self.ring.float_roots
-        value = 0j
-        err = 0.0
-        for i, c in enumerate(self.coeffs):
-            if c:
-                value += c * roots[i]
-                err += abs(c) * ROOT_ERROR + 4.0 * _EPS * abs(value)
-        return complex(value), err

@@ -54,27 +54,15 @@ class IndexSet:
     def __contains__(self, k: int) -> bool:
         return k in self.members
 
-    @property
-    def bitmask(self) -> int:
-        if self.modulus > 64:
-            raise ValueError("bitmask form is only kept for modulus <= 64")
-        mask = 0
-        for k in self.members:
-            mask |= 1 << k
-        return mask
-
 
 @dataclass(frozen=True)
 class MinorRecord:
-    """One decided principal minor.
-
-    When `determinant` is present, `singular` equals `determinant.is_zero()`.
-    """
+    """One decided principal minor: `singular` equals `determinant.is_zero()`."""
 
     index_set: IndexSet
     size: int
     singular: bool
-    determinant: CycElem | None
+    determinant: CycElem
 
 
 def complement(k: IndexSet) -> IndexSet:

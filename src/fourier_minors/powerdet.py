@@ -64,30 +64,23 @@ two residues stays below 2^62.  References: Chebotarev's theorem by
 reduction mod p (Tao, "An uncertainty principle for cyclic groups of prime
 order", 2005) and multimodular determinants (Abbott-Bronstein-Mulders,
 ISSAC 1999).
-
-A complex128 twin of the subset expansion (`approx_det_batch`) computes the
-determinant value in floats with a rigorous error bound; no command uses
-it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from math import factorial, isqrt
 
 import numpy as np
 
-from .cyclotomic import (CycElem, CycRing, ROOT_ERROR, _EPS, check_modulus,
-                         cyclotomic_polynomial, divisors, units)
+from .cyclotomic import (CycElem, CycRing, check_modulus, cyclotomic_polynomial,
+                         prime_divisors, units)
 
 PRIME_LIMIT = 2 ** 31
 # Working-set cap of one batched elimination; larger batches are chunked.
 _BATCH_BYTES = 16 * 2 ** 20
 # Exponent products `index_zero_flags` builds at once: 2^19 int64 values.
 _SLICE_BYTES = 4 * 2 ** 20
-# The float twin's subset expansion holds C(r, r/2) states per matrix.
-_APPROX_MAX_R = 16
 
 
 def _is_prime(n: int) -> bool:
@@ -124,10 +117,11 @@ def field(n: int, index: int = 0) -> tuple[int, int]:
         p -= n
         if p <= n:
             raise ValueError(f"no prime p = 1 (mod {n}) left below 2^31")
-    proper = divisors(n)[:-1]
+    # zeta^n = 1, so its order is n unless it divides n / q for a prime q | n
+    cofactors = [n // q for q in prime_divisors(n)]
     for g in range(2, p):
         zeta = pow(g, (p - 1) // n, p)
-        if all(pow(zeta, d, p) != 1 for d in proper):
+        if all(pow(zeta, d, p) != 1 for d in cofactors):
             return p, zeta
     raise AssertionError("F_p^* is cyclic; an element of order n exists")
 
@@ -371,78 +365,10 @@ def det_power_single(ring: CycRing, exps) -> CycElem:
     return ring.element(det_power_batch(ring, np.asarray(exps, dtype=np.int64)[None])[0])
 
 
-@lru_cache(maxsize=None)
-def _transitions(r: int):
-    """Per-level expansion plan: for each column set, (prev index, col, sign).
-
-    Level k holds all k-subsets of the r columns in lexicographic order;
-    the determinant over rows 0..k-1 and column set T expands along row
-    k-1 with cofactor sign (-1)^(k-1+pos).
-    """
-    levels = []
-    prev_index = {(): 0}
-    for k in range(1, r + 1):
-        sets = list(combinations(range(r), k))
-        trans = []
-        for s in sets:
-            row = []
-            for pos, col in enumerate(s):
-                rest = s[:pos] + s[pos + 1:]
-                sign = 1 if (pos + k - 1) % 2 == 0 else -1
-                row.append((prev_index[rest], col, sign))
-            trans.append(tuple(row))
-        levels.append(tuple(trans))
-        prev_index = {s: i for i, s in enumerate(sets)}
-    return tuple(levels)
-
-
-def approx_det_batch(ring: CycRing, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values, bounds): |values[b] - exact det| <= bounds[b], rigorously.
-
-    The subset expansion (memoized Laplace along rows) run in complex128
-    with per-state error propagation.  Entry values come from the ring's float
-    root table (per-root error ROOT_ERROR); each multiply-add contributes
-    generous rounding slack.  Useful only to certify determinants nonzero.
-    """
-    exps = np.asarray(exps, dtype=np.int64)
-    nbatch, r, _ = exps.shape
-    if r > _APPROX_MAX_R:
-        raise ValueError(f"r={r} outside the float twin's limit {_APPROX_MAX_R}")
-    n = ring.modulus
-    exps = exps % n
-    roots = ring.float_roots
-    if nbatch == 0:
-        return np.zeros(0, dtype=np.complex128), np.zeros(0)
-
-    per_class = max(len(level) for level in _transitions(r)) * 24 * 2
-    chunk = max(1, _BATCH_BYTES // per_class)
-    if nbatch > chunk:
-        parts = [approx_det_batch(ring, exps[i:i + chunk]) for i in range(0, nbatch, chunk)]
-        return (np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]))
-
-    prev = np.ones((nbatch, 1), dtype=np.complex128)
-    prev_err = np.zeros((nbatch, 1))
-    for k, level in enumerate(_transitions(r), start=1):
-        cur = np.zeros((nbatch, len(level)), dtype=np.complex128)
-        cur_err = np.zeros((nbatch, len(level)))
-        row = k - 1
-        for t_idx, contribs in enumerate(level):
-            acc = cur[:, t_idx]
-            err = cur_err[:, t_idx]
-            sum_abs = np.zeros(nbatch)
-            for prev_idx, col, sign in contribs:
-                w = roots[exps[:, row, col]]
-                u = prev[:, prev_idx]
-                term = w * u
-                abs_u = np.abs(u)
-                abs_t = np.abs(term)
-                err += prev_err[:, prev_idx] + ROOT_ERROR * (abs_u + prev_err[:, prev_idx])
-                err += 8.0 * _EPS * abs_t
-                sum_abs += abs_t
-                if sign > 0:
-                    acc += term
-                else:
-                    acc -= term
-            err += 2.0 * _EPS * k * sum_abs
-        prev, prev_err = cur, cur_err
-    return prev[:, 0].copy(), prev_err[:, 0].copy()
+def approx_det_batch(ring: CycRing, exps) -> tuple[np.ndarray, np.ndarray]:
+    """A stub that certifies nothing: value 0 within bound +inf for each
+    matrix of the batch.  Its one caller is perfbench's kernel points (and
+    the tracer binding that times them); ROADMAP item 5 deletes the stub
+    together with that call."""
+    nbatch = len(_as_batch(exps))
+    return np.zeros(nbatch, dtype=np.complex128), np.full(nbatch, np.inf)

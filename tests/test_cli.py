@@ -97,6 +97,30 @@ def test_cli_import_skips_mpmath_and_multiprocessing():
     assert out.stdout.splitlines() == ["[]", "[0, 0] []"]
 
 
+def test_commands_run_without_mpmath():
+    # no command needs mpmath: with its import blocked each still exits 0
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import fourier_minors
+    src = str(Path(fourier_minors.__file__).resolve().parent.parent)
+    argvs = [["det", "--n", "1155", "--set", "0,1,2,4,7"],
+             ["scan", "--n", "12", "--prefilter"],
+             ["witness", "--n", "12", "--all"],
+             ["theorem1", "--range", "4..30"],
+             ["perm-search", "--n", "8", "--order", "most-constrained"]]
+    code = ("import contextlib, io, sys; sys.modules['mpmath'] = None; "
+            "sys.path.insert(0, sys.argv[1]); import fourier_minors.cli as cli\n"
+            f"argvs = {argvs!r}\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(argv) for argv in argvs]\n"
+            "print(codes)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines() == [str([0] * len(argvs))]
+
+
 def test_scan_record_round_trip(tmp_path, capsys):
     out = tmp_path / "scan.jsonl"
     assert run(["scan", "--n", "9", "--out", str(out)]) == 0

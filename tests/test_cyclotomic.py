@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -131,8 +129,8 @@ def test_hand_expanded_square_for_n4():
     assert ((w - 1) * (w - 1)).coeffs == (0, -2)  # (w-1)^2 = -2w when w = i
 
 
-def random_element(rng, ring, spread=10):
-    return ring.element([rng.randrange(-spread, spread + 1) for _ in range(ring.totient)])
+def random_element(rng, ring):
+    return ring.element([rng.randrange(-10, 11) for _ in range(ring.totient)])
 
 
 def test_additive_inverse(rng):
@@ -174,47 +172,14 @@ def test_is_zero_examples():
     assert (r4.root_power(2 * 2) - r4.one()).is_zero()
 
 
-def test_approx_of_zero_element():
-    value, bound = ring_new(8).zero().approx_complex()
-    assert value == 0 and bound == 0.0
-
-
-def test_approx_matches_direct_evaluation():
-    r4 = ring_new(4)
-    value, bound = (r4.root_power(1) - r4.one()).approx_complex()
-    assert abs(value - (-1 + 1j)) < 1e-12
-    assert bound < 1e-12
-
-
-def test_approx_abstains_on_huge_coefficients():
-    ring = ring_new(5)
-    elem = ring.element([2 ** 60, 0, 0, 0])
-    _, bound = elem.approx_complex()
-    assert math.isinf(bound)
-
-
-def test_prefilter_soundness_fuzz(rng):
-    for _ in range(500):
-        n = rng.randrange(2, 30)
-        ring = ring_new(n)
-        elem = random_element(rng, ring, spread=5)
-        value, bound = elem.approx_complex()
-        if abs(value) > bound:
-            assert not elem.is_zero()
-        if elem.is_zero():
-            assert abs(value) <= bound
-
-
 def test_zero_sums_of_roots_stay_within_bound(rng):
-    # Sums of all N-th roots vanish; their float evaluation must respect it.
+    # Sums of all N-th roots vanish, and exactly so in canonical form.
     for n in (3, 5, 7, 9, 12, 15):
         ring = ring_new(n)
         total = ring.zero()
         for j in range(n):
             total = total + ring.root_power(j)
         assert total.is_zero()
-        value, bound = total.approx_complex()
-        assert abs(value) <= bound
 
 
 def test_ring_construction_errors():

@@ -14,7 +14,6 @@ def test_index_set_validation():
     k = IndexSet.of(6, [4, 0, 2])
     assert k.members == (0, 2, 4)
     assert len(k) == 3 and 2 in k and 3 not in k
-    assert k.bitmask == 0b10101
     with pytest.raises(ValueError):
         IndexSet.of(4, [0, 0])
     with pytest.raises(ValueError):

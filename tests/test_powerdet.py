@@ -1,3 +1,4 @@
+import hashlib
 from math import factorial, isqrt, prod
 
 import numpy as np
@@ -408,6 +409,16 @@ def test_field_selection():
             field(n)
 
 
+def test_field_choices_are_pinned():
+    # False zeros mod p steer the most-constrained search order, so the
+    # committed N = 16 node counts depend on the (p, zeta) of each modulus.
+    # The digest was taken when zeta's order was tested against every
+    # proper divisor of n; the prime divisors alone pick the same zeta.
+    pairs = repr([field(n, 0) for n in range(1, 257)]).encode()
+    assert hashlib.sha256(pairs).hexdigest() == (
+        "e21bc00ea92fefe97b93684b17b02616f35db8b6889f60ae5a1c26b5afaf9514")
+
+
 def test_screen_never_certifies_a_zero(rng):
     for _ in range(60):
         n = rng.randrange(2, 40)
@@ -429,35 +440,13 @@ def test_screen_never_certifies_a_zero(rng):
             assert not flags.any() and screened == len(sets)
 
 
-def test_approx_bound_is_sound(rng):
-    # certified-nonzero batches must be exactly nonzero; exact zeros must
-    # stay inside the reported bound
-    for _ in range(60):
-        n = rng.randrange(2, 22)
-        r = rng.randrange(1, 8)
-        if r > n:
-            continue
-        ring = ring_new(n)
-        k = IndexSet.of(n, rng.sample(range(n), r))
-        exps = exponent_matrix(k, k)[None, :, :]
+def test_approx_det_batch_certifies_nothing(rng):
+    # the stub keeps perfbench's kernel points running: one (value, bound)
+    # per matrix, and no value outside its bound
+    ring = ring_new(12)
+    for exps in (np.zeros((0, 4, 4), dtype=np.int64), random_exps(rng, 12, 4, 7)):
         vals, errs = approx_det_batch(ring, exps)
-        exact = det_power_batch(ring, exps)
-        is_zero = not exact[0].any()
-        if abs(vals[0]) > errs[0]:
-            assert not is_zero
-        if is_zero:
-            assert abs(vals[0]) <= errs[0]
-
-
-def test_approx_value_near_exact_value(rng):
-    for _ in range(40):
-        n = rng.randrange(2, 16)
-        r = rng.randrange(1, 6)
-        if r > n:
-            continue
-        ring = ring_new(n)
-        k = IndexSet.of(n, rng.sample(range(n), r))
-        det = det_exact(submatrix(ring, k, k))
-        reference, ref_bound = det.approx_complex()
-        vals, errs = approx_det_batch(ring, exponent_matrix(k, k)[None, :, :])
-        assert abs(vals[0] - reference) <= errs[0] + ref_bound
+        assert vals.shape == errs.shape == (len(exps),)
+        assert not (np.abs(vals) > errs).any()
+    with pytest.raises(ValueError):
+        approx_det_batch(ring, np.zeros((2, 3, 4), dtype=np.int64))
