@@ -22,7 +22,9 @@ A payload adds its `kind` (a minor record also its `modulus`) to the
 encoded fields.  The `scan` and `perm-search` config echoes are their
 encoded configurations, the latter without `modulus`.
 
-Exit codes: 0 success, 1 usage error, 2 precondition violation,
+Exit codes: 0 success, 1 usage error, 2 precondition violation (among them
+a `--budget` that is not finite and positive, and an `--out` or `--resume`
+path in no writable directory, refused before the run starts),
 3 inconclusive (time budget expired before the search space was covered),
 4 a theorem1 counterexample (a vanishing 2x2 or 3x3 minor for a square-free
 modulus), 5 a `--jobs` worker process died (no record is written).
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, fields, is_dataclass
@@ -59,7 +62,6 @@ class RunRecord:
     params: dict
     config: dict
     payload: dict
-    exact_mode: bool
     wall_time: float
 
     def __post_init__(self) -> None:
@@ -73,7 +75,7 @@ class RunRecord:
     def to_json_line(self) -> str:
         doc = {"record": "run", "schema": SCHEMA_VERSION,
                **{f.name: getattr(self, f.name) for f in fields(self)}}
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 _PAYLOAD_KINDS = {
@@ -86,6 +88,8 @@ _PAYLOAD_KINDS = {
 
 
 def parse_run_record(line: str) -> RunRecord:
+    """The RunRecord of a schema-1 line; keys it does not know, such as
+    those of fields since deleted, are ignored."""
     doc = json.loads(line)
     if doc.get("record") != "run" or doc.get("schema") != SCHEMA_VERSION:
         raise ValueError("not a schema-1 run record")
@@ -156,13 +160,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_record(args, start: float, params: dict, result,
-                  config: dict | None = None, exact_mode: bool = True, **head) -> None:
+                  config: dict | None = None, **head) -> None:
     """Build the command's RunRecord, its payload the command's `kind`, the
     JSON-ready fields `head` and the encoded `result`, and write it to
     `--out`, if given."""
     payload = {"kind": _PAYLOAD_KINDS[args.command], **head, **encode(result)}
     record = RunRecord(args.command, __version__, params, config or {}, payload,
-                       exact_mode, time.perf_counter() - start)
+                       time.perf_counter() - start)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(record.to_json_line() + "\n")
@@ -206,7 +210,7 @@ def cmd_scan(args) -> int:
     )
     report = scan_all(args.n, config)
     total = sum(report.counts.values())
-    mode = "exact" if report.exact_mode else "exact, counting one-prime screen hits"
+    mode = "exact" if config.exact else "exact, counting one-prime screen hits"
     print(f"scan N={args.n} [{mode}]: {total} singular principal index sets")
     for r in sorted(report.counts):
         if report.counts[r]:
@@ -217,7 +221,7 @@ def cmd_scan(args) -> int:
         print("  no vanishing principal minors")
     print(f"classes tested: {report.classes_tested}, prefilter hits: "
           f"{report.prefilter_hits}, {report.wall_time:.2f}s")
-    _write_record(args, start, {"n": args.n}, report, encode(config), report.exact_mode)
+    _write_record(args, start, {"n": args.n}, report, encode(config))
     return 0
 
 
@@ -357,6 +361,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for path in filter(None, (args.out, getattr(args, "resume", None))):
+            if os.path.isdir(path) or not os.access(os.path.dirname(path) or ".", os.W_OK):
+                raise PreconditionError(f"cannot write {path!r}: it is a directory or "
+                                        "its directory is missing or read-only")
         return args.func(args)
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)

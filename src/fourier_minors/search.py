@@ -147,9 +147,6 @@ class Permutation:
     def identity(cls, modulus: int) -> Permutation:
         return cls(modulus, tuple(range(modulus)))
 
-    def __call__(self, i: int) -> int:
-        return self.image[i]
-
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -164,8 +161,9 @@ class SearchConfig:
             raise PreconditionError("need modulus >= 1")
         if self.order not in (ORDER_ASCENDING, ORDER_MOST_CONSTRAINED):
             raise PreconditionError(f"unknown order policy {self.order!r}")
-        if self.time_budget is not None and self.time_budget <= 0:
-            raise PreconditionError("time budget must be positive")
+        # NaN fails both comparisons
+        if self.time_budget is not None and not 0 < self.time_budget < float("inf"):
+            raise PreconditionError("time budget must be finite and positive")
         if self.jobs < 1:
             raise PreconditionError("jobs must be >= 1")
 

@@ -103,12 +103,10 @@ def smallest_square_factor(n: int) -> tuple[int, int]:
 @dataclass(frozen=True)
 class Theorem1Report:
     modulus: int
-    sizes: tuple[int, ...]
     passed: bool
     counterexample: tuple[int, ...] | None
     pairs_checked: int
     certified_sizes: tuple[int, ...]
-    note: str
     wall_time: float
 
 
@@ -132,9 +130,11 @@ def verify_theorem1(modulus: int) -> Theorem1Report:
     coverage, the translated sets the pass settles (N-1 + C(N-1, 2) when
     it passes), not the number of sets the engine decides.  A
     counterexample is reported as its failing representative, sorted: a
-    translated pair (a, b) with a < b, or (g,) for size 2.  A pass
-    certifies sizes 2, 3, N-3 and N-2 outright (the complement lemma in
-    the module docstring).
+    translated pair (a, b) with a < b, or (g,) for size 2.  A pass for
+    the translated sets {0, a} and {0, a, b} certifies every principal
+    minor of sizes 2, 3, N-3 and N-2 (`certified_sizes`): translation
+    preserves singularity, and sizes r and N-r are singular together (the
+    complement lemma in the module docstring).
     """
     start = time.perf_counter()
     if modulus < 4:
@@ -160,21 +160,9 @@ def verify_theorem1(modulus: int) -> Theorem1Report:
             break
 
     certified = tuple(sorted({*sizes, *(modulus - s for s in sizes)}))
-    note = (
-        "a pass for the translated sets {0,a} and {0,a,b} certifies every "
-        "principal minor of the listed sizes: translation preserves "
-        "singularity and sizes r, N-r are singular together"
-    )
-    return Theorem1Report(
-        modulus=modulus,
-        sizes=sizes,
-        passed=counterexample is None,
-        counterexample=counterexample,
-        pairs_checked=pairs,
-        certified_sizes=certified,
-        note=note,
-        wall_time=time.perf_counter() - start,
-    )
+    return Theorem1Report(modulus=modulus, passed=counterexample is None,
+                          counterexample=counterexample, pairs_checked=pairs,
+                          certified_sizes=certified, wall_time=time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +251,7 @@ class ScanConfig:
     exact: bool = True
     use_complement: bool = True
     use_shift_classes: bool = True  # one set per affine class (see the lemma)
-    ceiling: int = DEFAULT_SCAN_CEILING
-    override: bool = False
+    override: bool = False  # lift the DEFAULT_SCAN_CEILING guard
     exemplar_cap: int = 16
     jobs: int = 1
 
@@ -280,16 +267,13 @@ class ScanReport:
     """Full-orbit singular counts per size, with capped exemplar sets.
 
     counts[r] == counts[N-r] always (the complement lemma); for a
-    square-free modulus with no vanishing minors all counts are zero.
+    square-free modulus with no vanishing minors all counts are zero.  The
+    settings that produced it are the ScanConfig's, not repeated here.
     """
 
     modulus: int
-    exact_mode: bool
-    use_complement: bool
-    use_shift_classes: bool
     counts: dict[int, int]
     exemplars: dict[int, list[tuple[int, ...]]]
-    exemplar_cap: int
     classes_tested: int
     prefilter_hits: int
     wall_time: float
@@ -496,9 +480,9 @@ def scan_all(modulus: int, config: ScanConfig | None = None, **kwargs) -> ScanRe
     n = modulus
     if not 1 <= n <= 64:
         raise PreconditionError(f"the scan needs 1 <= N <= 64, got {n}")
-    if n > config.ceiling and not config.override:
+    if n > DEFAULT_SCAN_CEILING and not config.override:
         raise PreconditionError(
-            f"modulus {n} exceeds the scan ceiling {config.ceiling}; pass override"
+            f"modulus {n} exceeds the scan ceiling {DEFAULT_SCAN_CEILING}; pass override"
         )
     start = time.perf_counter()
     counts = {r: 0 for r in range(1, n + 1)}
@@ -533,15 +517,6 @@ def scan_all(modulus: int, config: ScanConfig | None = None, **kwargs) -> ScanRe
             counts[rc] = counts[r]
             exemplars[rc] = _key_sets(n, full ^ keys[r][:cap][::-1])
 
-    return ScanReport(
-        modulus=n,
-        exact_mode=config.exact,
-        use_complement=config.use_complement,
-        use_shift_classes=config.use_shift_classes,
-        counts=counts,
-        exemplars=exemplars,
-        exemplar_cap=config.exemplar_cap,
-        classes_tested=classes_tested,
-        prefilter_hits=prefilter_hits,
-        wall_time=time.perf_counter() - start,
-    )
+    return ScanReport(modulus=n, counts=counts, exemplars=exemplars,
+                      classes_tested=classes_tested, prefilter_hits=prefilter_hits,
+                      wall_time=time.perf_counter() - start)

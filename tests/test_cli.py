@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -129,7 +130,8 @@ def test_scan_record_round_trip(tmp_path, capsys):
     direct = scan_all(9)
     assert report.counts == direct.counts
     assert report.exemplars == direct.exemplars
-    assert record.exact_mode
+    # each setting is written once, in the config echo
+    assert record.config["exact"] and not set(record.payload) & set(record.config)
     capsys.readouterr()
 
 
@@ -137,7 +139,7 @@ def test_scan_prefilter_flag(tmp_path, capsys):
     out = tmp_path / "scan.jsonl"
     assert run(["scan", "--n", "15", "--prefilter", "--out", str(out)]) == 0
     record = read_record(out)
-    assert not record.exact_mode
+    assert record.config["exact"] is False
     assert decode(ScanReport, record.payload).prefilter_hits > 0
     assert run(["scan", "--n", "15", "--out", str(out)]) == 0
     assert decode(ScanReport, read_record(out).payload).prefilter_hits == 0
@@ -316,6 +318,44 @@ def test_perm_search_budget_inconclusive(tmp_path, capsys):
     assert "INCONCLUSIVE" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("budget", ["nan", "inf", "-inf", "0", "-1"])
+def test_perm_search_refuses_a_non_finite_or_non_positive_budget(tmp_path, capsys, budget):
+    # NaN passed `budget <= 0`, ran with no deadline and wrote "NaN", not JSON
+    out = tmp_path / "s.jsonl"
+    assert run(["perm-search", "--n", "6", f"--budget={budget}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "budget" in err and not out.exists()
+
+
+def test_record_line_refuses_non_finite_numbers():
+    from fourier_minors.cli import RunRecord
+    record = RunRecord("perm-search", "0", {}, {"time_budget": float("nan")},
+                       {"kind": "search_outcome"}, 0.0)
+    with pytest.raises(ValueError):
+        record.to_json_line()
+
+
+@pytest.mark.parametrize("argv, call", [
+    (["scan", "--n", "12", "--out", "{tmp}/missing/r.jsonl"], "scan_all"),
+    (["scan", "--n", "12", "--out", "{tmp}"], "scan_all"),
+    (["perm-search", "--n", "6", "--resume", "{tmp}/missing/c.jsonl"],
+     "find_good_permutation"),
+    (["perm-search", "--n", "6", "--out", "{tmp}/missing/r.jsonl"], "find_good_permutation"),
+])
+def test_unwritable_out_or_resume_path_is_refused_before_the_run(tmp_path, capsys,
+                                                                 monkeypatch, argv, call):
+    import fourier_minors.cli as cli
+
+    def ran(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, call, ran)
+    assert run([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err and "cannot write" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_perm_search_resume_flag(tmp_path, capsys):
     ckpt = tmp_path / "c.jsonl"
     assert run(["perm-search", "--n", "6", "--resume", str(ckpt)]) == 0
@@ -338,11 +378,54 @@ def test_run_record_round_trip_equality(tmp_path, capsys):
     capsys.readouterr()
 
 
+# lines written before the record dropped its setting echoes and constants:
+# a top-level and payload `exact_mode`, the scan's `use_complement`,
+# `use_shift_classes` and `exemplar_cap` payload keys and `ceiling` config
+# key, and theorem1's per-report `sizes` and `note`
+OLD_SCAN_LINE = (
+    '{"command":"scan","config":{"ceiling":22,"exact":true,"exemplar_cap":16,"jobs":1,'
+    '"override":false,"use_complement":true,"use_shift_classes":true},"exact_mode":true,'
+    '"params":{"n":6},"payload":{"classes_tested":7,"counts":{"1":0,"2":0,"3":0,"4":0,'
+    '"5":0,"6":0},"exact_mode":true,"exemplar_cap":16,"exemplars":{"1":[],"2":[],"3":[],'
+    '"4":[],"5":[],"6":[]},"kind":"scan_report","modulus":6,"prefilter_hits":0,'
+    '"use_complement":true,"use_shift_classes":true,"wall_time":0.002253229999951145},'
+    '"record":"run","schema":1,"version":"0.1.0","wall_time":0.002483544999449805}')
+OLD_THEOREM1_LINE = (
+    '{"command":"theorem1","config":{},"exact_mode":true,"params":{"n":6,"range":null},'
+    '"payload":{"kind":"theorem1_report","reports":[{"certified_sizes":[2,3,4],'
+    '"counterexample":null,"modulus":6,"note":"a pass for the translated sets {0,a} and '
+    '{0,a,b} certifies every principal minor of the listed sizes: translation preserves '
+    'singularity and sizes r, N-r are singular together","pairs_checked":15,"passed":true,'
+    '"sizes":[2,3],"wall_time":0.0010309049994248198}],"skipped_not_square_free":[]},'
+    '"record":"run","schema":1,"version":"0.1.0","wall_time":0.0011836590001621516}')
+
+
+def test_older_schema1_lines_still_parse_and_decode():
+    scan = parse_run_record(OLD_SCAN_LINE)
+    report = decode(ScanReport, scan.payload)
+    direct = scan_all(6)
+    assert (report.modulus, report.counts, report.exemplars, report.classes_tested) == (
+        6, direct.counts, direct.exemplars, direct.classes_tested)
+    assert scan.config["ceiling"] == 22  # the echo is kept as written
+    record = parse_run_record(OLD_THEOREM1_LINE)
+    [old] = decode(list[Theorem1Report], record.payload["reports"])
+    assert replace(old, wall_time=0.0) == replace(verify_theorem1(6), wall_time=0.0)
+
+
+def test_theorem1_reports_hold_no_sizes_or_note(tmp_path, capsys):
+    out = tmp_path / "t.jsonl"
+    assert run(["theorem1", "--range", "4..12", "--out", str(out)]) == 0
+    for rep in read_record(out).payload["reports"]:
+        assert set(rep) == {"modulus", "passed", "counterexample", "pairs_checked",
+                            "certified_sizes", "wall_time"}
+    capsys.readouterr()
+
+
 def test_payload_kind_mismatch_rejected():
     from fourier_minors.cli import RunRecord
     with pytest.raises(ValueError):
         RunRecord(command="scan", version="0", params={}, config={},
-                  payload={"kind": "minor_record"}, exact_mode=True, wall_time=0.0)
+                  payload={"kind": "minor_record"}, wall_time=0.0)
 
 
 def test_payload_builders_invert():
@@ -367,16 +450,16 @@ def test_codec_round_trips_edge_shapes():
     # the record sorts every key, so int keys come out in string order
     from fourier_minors.cli import RunRecord
     line = RunRecord("perm-search", "0", {}, {}, {"kind": "search_outcome", **payload},
-                     True, 0.0).to_json_line()
+                     0.0).to_json_line()
     assert list(json.loads(line)["payload"]["prune_counts"]) == ["10", "2"]
 
-    report = Theorem1Report(12, (2, 3), False, (3, 6), 66, (2, 3, 9, 10), "note", 0.1)
+    report = Theorem1Report(12, False, (3, 6), 66, (2, 3, 9, 10), 0.1)
     payload = encode({"reports": [report], "skipped_not_square_free": [8, 9]})
     assert payload["reports"][0]["counterexample"] == [3, 6]
     assert decode(list[Theorem1Report], through_json(payload)["reports"]) == [report]
 
     rep = scan_all(8, use_shift_classes=False)
-    assert not rep.use_shift_classes and any(rep.counts.values())
+    assert any(rep.counts.values())
     assert decode(ScanReport, through_json(encode(rep))) == rep
 
     ring = ring_new(9)

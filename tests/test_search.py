@@ -24,7 +24,7 @@ def brute_force_images(n):
 
 def test_permutation_validation():
     assert Permutation.identity(4).image == (0, 1, 2, 3)
-    assert Permutation(3, (2, 0, 1))(0) == 2
+    assert Permutation(3, (2, 0, 1)).image[0] == 2
     with pytest.raises(ValueError):
         Permutation(3, (0, 1, 1))
     with pytest.raises(ValueError):

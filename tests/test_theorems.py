@@ -290,7 +290,6 @@ def test_zero_decisions_build_no_ring(monkeypatch):
 
 def test_scan_n4_exact_fixture():
     report = scan_all(4)
-    assert report.exact_mode
     assert report.counts == {1: 0, 2: 2, 3: 0, 4: 0}
     assert report.exemplars[2] == [(0, 2), (1, 3)]
 
@@ -385,10 +384,13 @@ def test_scan_exemplars_are_singular_sets(rng):
                 assert is_singular(IndexSet.of(n, members)), (n, r, members)
 
 
-def test_scan_ceiling_guard():
+def test_scan_ceiling_guard(monkeypatch):
     with pytest.raises(PreconditionError):
         scan_all(23)
-    assert scan_all(4, ceiling=3, override=True).counts[2] == 2
+    monkeypatch.setattr(theorems, "DEFAULT_SCAN_CEILING", 3)
+    with pytest.raises(PreconditionError):
+        scan_all(4)
+    assert scan_all(4, override=True).counts[2] == 2
 
 
 def test_scan_parallel_matches_serial(monkeypatch):
