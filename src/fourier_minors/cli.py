@@ -23,8 +23,9 @@ encoded fields.  The `scan` and `perm-search` config echoes are their
 encoded configurations, the latter without `modulus`.
 
 Exit codes: 0 success, 1 usage error, 2 precondition violation (among them
-a `--budget` that is not finite and positive, and an `--out` or `--resume`
-path in no writable directory, refused before the run starts),
+a `--budget` that is not finite and positive, a `theorem1 --range` or
+`perm-search` modulus past the precomputation bound, and an `--out` or
+`--resume` path in no writable directory, each refused before the run starts),
 3 inconclusive (time budget expired before the search space was covered),
 4 a theorem1 counterexample (a vanishing 2x2 or 3x3 minor for a square-free
 modulus), 5 a `--jobs` worker process died (no record is written).
@@ -43,7 +44,7 @@ from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from . import __version__
-from .cyclotomic import CycElem, ring_new
+from .cyclotomic import CycElem, check_modulus, ring_new
 from .errors import PreconditionError, WorkerError
 from .minors import IndexSet, minor_record
 from .search import Permutation, SearchConfig, find_good_permutation
@@ -203,11 +204,7 @@ def cmd_det(args) -> int:
 
 def cmd_scan(args) -> int:
     start = time.perf_counter()
-    config = ScanConfig(
-        exact=not args.prefilter, use_complement=not args.no_complement,
-        use_shift_classes=not args.no_shift_classes, override=args.override,
-        exemplar_cap=args.cap, jobs=args.jobs,
-    )
+    config = ScanConfig(exact=not args.prefilter, jobs=args.jobs)
     report = scan_all(args.n, config)
     total = sum(report.counts.values())
     mode = "exact" if config.exact else "exact, counting one-prime screen hits"
@@ -249,6 +246,7 @@ def cmd_theorem1(args) -> int:
         if not moduli:
             print(f"error: range {args.range!r} holds no modulus >= 4", file=sys.stderr)
             return 1
+        check_modulus(hi)  # refuse the whole range before any work
     else:
         moduli = [args.n]
     reports, skipped = [], []
@@ -308,12 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefilter", action="store_true",
                    help="same exact engine; report how many classes its "
                         "one-prime screen certified nonzero")
-    p.add_argument("--no-complement", action="store_true")
-    p.add_argument("--no-shift-classes", action="store_true",
-                   help="decide every set, not one per affine class")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--override", action="store_true", help="ignore the scan ceiling")
-    p.add_argument("--cap", type=int, default=16, help="exemplars kept per size")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_scan)
 

@@ -122,6 +122,7 @@ from itertools import islice
 
 import numpy as np
 
+from .cyclotomic import check_modulus
 from .errors import PreconditionError
 from .theorems import ordered_map
 from . import powerdet
@@ -157,8 +158,7 @@ class SearchConfig:
     checkpoint_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise PreconditionError("need modulus >= 1")
+        check_modulus(self.modulus)  # before a checkpoint is opened
         if self.order not in (ORDER_ASCENDING, ORDER_MOST_CONSTRAINED):
             raise PreconditionError(f"unknown order policy {self.order!r}")
         # NaN fails both comparisons
@@ -494,11 +494,9 @@ def find_good_permutation(config: SearchConfig) -> SearchOutcome:
             writer.close()
 
 
-def enumerate_good_permutations(
-    modulus: int, limit: int | None = None, *, override: bool = False
-) -> list[Permutation]:
+def enumerate_good_permutations(modulus: int, limit: int | None = None) -> list[Permutation]:
     """All good permutations (up to limit), in lexicographic image order."""
-    if modulus > ENUMERATE_MAX_N and not override:
+    if modulus > ENUMERATE_MAX_N:
         raise PreconditionError(f"modulus {modulus} exceeds the enumeration ceiling "
                                 f"{ENUMERATE_MAX_N}")
     leaves = _SearchState(SearchConfig(modulus)).leaves()

@@ -53,7 +53,7 @@ completing each in lexicographic order (`_extend`) lists every k-subset
 exactly once, in lexicographic order.
 
 Memory contract.  The candidates stream through the engine in chunks, so
-a chunk's working set is bounded by _CHUNK, N <= 64 and the exemplar cap,
+a chunk's working set is bounded by _CHUNK, N <= 64 and EXEMPLAR_CAP,
 whatever N, C(N-1, r-1) or the number of singular sets:
 - the recursion holds at most k + 1 prefixes, and a group, packed from
   adjacent prefixes, completes to fewer than 2 * _CHUNK int8 rows;
@@ -63,7 +63,7 @@ whatever N, C(N-1, r-1) or the number of singular sets:
   `powerdet.index_zero_flags` builds their exponent products one slice of
   at most 2^19 (16 * _CHUNK) at a time;
 - orbit keys are expanded at most max(_IMAGES, N * phi(N)) images at a
-  time, and at most 2 * cap keys per size are kept.
+  time, and at most 2 * EXEMPLAR_CAP keys per size are kept.
 """
 
 from __future__ import annotations
@@ -243,7 +243,8 @@ def witness_sweep(modulus: int) -> list[WitnessPlan]:
 # ---------------------------------------------------------------------------
 # Exhaustive scan
 
-DEFAULT_SCAN_CEILING = 22
+# Exemplar sets a scan keeps per size.
+EXEMPLAR_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -251,20 +252,17 @@ class ScanConfig:
     exact: bool = True
     use_complement: bool = True
     use_shift_classes: bool = True  # one set per affine class (see the lemma)
-    override: bool = False  # lift the DEFAULT_SCAN_CEILING guard
-    exemplar_cap: int = 16
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.exemplar_cap < 0:
-            raise PreconditionError("exemplar cap must be >= 0")
         if self.jobs < 1:
             raise PreconditionError("jobs must be >= 1")
 
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Full-orbit singular counts per size, with capped exemplar sets.
+    """Full-orbit singular counts per size, with the lexicographically
+    first EXEMPLAR_CAP singular sets of each size as exemplars.
 
     counts[r] == counts[N-r] always (the complement lemma); for a
     square-free modulus with no vanishing minors all counts are zero.  The
@@ -480,10 +478,6 @@ def scan_all(modulus: int, config: ScanConfig | None = None, **kwargs) -> ScanRe
     n = modulus
     if not 1 <= n <= 64:
         raise PreconditionError(f"the scan needs 1 <= N <= 64, got {n}")
-    if n > DEFAULT_SCAN_CEILING and not config.override:
-        raise PreconditionError(
-            f"modulus {n} exceeds the scan ceiling {DEFAULT_SCAN_CEILING}; pass override"
-        )
     start = time.perf_counter()
     counts = {r: 0 for r in range(1, n + 1)}
     exemplars: dict[int, list[tuple[int, ...]]] = {r: [] for r in range(1, n + 1)}
@@ -492,7 +486,7 @@ def scan_all(modulus: int, config: ScanConfig | None = None, **kwargs) -> ScanRe
 
     sizes = list(range(1, (n // 2 if config.use_complement else n) + 1))
 
-    classes, cap = config.use_shift_classes, config.exemplar_cap
+    classes, cap = config.use_shift_classes, EXEMPLAR_CAP
     tasks = (
         (n, r, classes, cap, prefixes)
         for r in sizes

@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -146,12 +147,30 @@ def test_scan_prefilter_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_scan_rejects_negative_cap_and_jobs(tmp_path, capsys):
+def test_scan_rejects_jobs_below_one(tmp_path, capsys):
     out = tmp_path / "scan.jsonl"
-    for flag, value in (("--cap", "-1"), ("--jobs", "-3"), ("--jobs", "0")):
-        assert run(["scan", "--n", "12", flag, value, "--out", str(out)]) == 2
+    for value in ("-3", "0"):
+        assert run(["scan", "--n", "12", "--jobs", value, "--out", str(out)]) == 2
         assert not out.exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--override"], ["--cap", "3"], ["--no-complement"], ["--no-shift-classes"],
+])
+def test_removed_scan_flags_are_usage_errors(flags, tmp_path, capsys):
+    # the scan has no ceiling to lift, a fixed exemplar cap, and both
+    # reductions always on; the unreduced scan is ScanConfig's alone
+    out = tmp_path / "scan.jsonl"
+    assert run(["scan", "--n", "8", *flags, "--out", str(out)]) == 1
+    assert not out.exists()
+    capsys.readouterr()
+
+
+def test_scan_help_lists_only_the_kept_settings(capsys):
+    assert run(["scan", "--help"]) == 0
+    flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
+    assert flags == {"--n", "--prefilter", "--jobs", "--out"}
 
 
 @pytest.mark.parametrize("argv, call", [
@@ -173,7 +192,9 @@ def test_dead_worker_exits_5_without_record(tmp_path, capsys, monkeypatch, argv,
 
 
 def test_scan_ceiling_precondition(capsys):
-    assert run(["scan", "--n", "23"]) == 2
+    # the int8 rows and uint64 masks bound the scan to 1 <= N <= 64
+    for n in ("0", "65"):
+        assert run(["scan", "--n", n]) == 2
     capsys.readouterr()
 
 
@@ -263,6 +284,35 @@ def test_moduli_past_the_bound_are_refused(argv, tmp_path, capsys):
     assert run([*argv, "--out", str(out)]) == 2
     assert "exceeds the precomputation bound 10000" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_theorem1_range_past_the_bound_is_refused_before_any_work(tmp_path, capsys,
+                                                                 monkeypatch):
+    import fourier_minors.cli as cli
+
+    def ran(modulus):
+        raise AssertionError(f"N = {modulus} was checked")
+
+    monkeypatch.setattr(cli, "verify_theorem1", ran)
+    out = tmp_path / "r.jsonl"
+    assert run(["theorem1", "--range", "9996..10001", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exceeds the precomputation bound 10000" in captured.err
+    assert not out.exists()
+
+
+def test_perm_search_past_the_bound_leaves_the_checkpoint_alone(tmp_path, capsys):
+    missing, existing = tmp_path / "missing.jsonl", tmp_path / "existing.jsonl"
+    existing.write_bytes(b'{"kind": "config", "modulus": 6, "order": "ascending"}\n')
+    before = existing.read_bytes()
+    for ckpt in (missing, existing):
+        out = tmp_path / "r.jsonl"
+        argv = ["perm-search", "--n", "20000", "--resume", str(ckpt), "--out", str(out)]
+        assert run(argv) == 2
+        assert "exceeds the precomputation bound 10000" in capsys.readouterr().err
+        assert not out.exists()
+    assert not missing.exists()
+    assert existing.read_bytes() == before
 
 
 def test_perm_search_found(tmp_path, capsys):
@@ -380,8 +430,9 @@ def test_run_record_round_trip_equality(tmp_path, capsys):
 
 # lines written before the record dropped its setting echoes and constants:
 # a top-level and payload `exact_mode`, the scan's `use_complement`,
-# `use_shift_classes` and `exemplar_cap` payload keys and `ceiling` config
-# key, and theorem1's per-report `sizes` and `note`
+# `use_shift_classes` and `exemplar_cap` payload keys, the `ceiling`,
+# `override` and `exemplar_cap` config keys, and theorem1's per-report
+# `sizes` and `note`
 OLD_SCAN_LINE = (
     '{"command":"scan","config":{"ceiling":22,"exact":true,"exemplar_cap":16,"jobs":1,'
     '"override":false,"use_complement":true,"use_shift_classes":true},"exact_mode":true,'

@@ -326,16 +326,18 @@ def test_scan_reduction_equivalence_to_12():
         assert only_comp.counts == reduced.counts, n
 
 
-def test_complemented_exemplars_are_the_first_sets():
+def test_complemented_exemplars_are_the_first_sets(monkeypatch):
     # exemplars of sizes above N/2 are the lexicographically first singular
     # sets of their size, whichever reductions produced them
     for n in (9, 12, 16):
         direct = scan_all(n, use_complement=False).exemplars
         for cap in (0, 3, 16):
+            monkeypatch.setattr(theorems, "EXEMPLAR_CAP", cap)
             for classes in (True, False):
-                mirrored = scan_all(n, exemplar_cap=cap, use_shift_classes=classes).exemplars
+                mirrored = scan_all(n, use_shift_classes=classes).exemplars
                 assert mirrored == {r: sets[:cap] for r, sets in direct.items()}, \
                     (n, cap, classes)
+        monkeypatch.undo()
 
 
 def test_scan_counts_match_exhaustive_map():
@@ -364,12 +366,15 @@ def test_scan_prefilter_matches_exact():
         assert filtered.prefilter_hits > 0
 
 
-def test_scan_contains_witness_classes():
+def test_scan_contains_witness_classes(monkeypatch):
     # the cap exceeds every per-size count for these moduli, so the
-    # exemplar lists are complete and membership is a real containment check
-    for n in (8, 9, 12, 16, 18):
-        report = scan_all(n, exemplar_cap=10_000)
+    # exemplar lists are complete and membership is a real containment check.
+    # N = 16 runs in workers, which keep only the cap their tasks carry
+    monkeypatch.setattr(theorems, "EXEMPLAR_CAP", 10_000)
+    for n, jobs in ((8, 1), (9, 1), (12, 1), (16, 2), (18, 1)):
+        report = scan_all(n, jobs=jobs)
         assert max(report.counts.values()) < 10_000
+        assert all(len(report.exemplars[r]) == c for r, c in report.counts.items()), n
         for plan in witness_sweep(n):
             r = plan.size
             assert report.counts[r] >= 1
@@ -382,15 +387,6 @@ def test_scan_exemplars_are_singular_sets(rng):
         for r, sets in report.exemplars.items():
             for members in sets[:3]:
                 assert is_singular(IndexSet.of(n, members)), (n, r, members)
-
-
-def test_scan_ceiling_guard(monkeypatch):
-    with pytest.raises(PreconditionError):
-        scan_all(23)
-    monkeypatch.setattr(theorems, "DEFAULT_SCAN_CEILING", 3)
-    with pytest.raises(PreconditionError):
-        scan_all(4)
-    assert scan_all(4, override=True).counts[2] == 2
 
 
 def test_scan_parallel_matches_serial(monkeypatch):
@@ -426,15 +422,19 @@ def test_scan_parallel_matches_serial(monkeypatch):
 
 def test_scan_chunking_is_transparent(monkeypatch):
     # chunks of a few candidates give the records of one chunk per size
-    configs = [ScanConfig(exemplar_cap=cap, use_complement=comp, use_shift_classes=shift)
-               for cap in (0, 3, 16) for comp in (True, False) for shift in (True, False)]
-    whole = {(n, c): scan_all(n, c) for n in (12, 13) for c in configs}
+    configs = [ScanConfig(use_complement=comp, use_shift_classes=shift)
+               for comp in (True, False) for shift in (True, False)]
+    whole = {}
+    for cap in (0, 3, 16):
+        monkeypatch.setattr(theorems, "EXEMPLAR_CAP", cap)
+        whole.update({(n, cap, c): scan_all(n, c) for n in (12, 13) for c in configs})
     monkeypatch.setattr(theorems, "_CHUNK", 16)
-    for (n, config), report in whole.items():
+    for (n, cap, config), report in whole.items():
+        monkeypatch.setattr(theorems, "EXEMPLAR_CAP", cap)
         chunked = scan_all(n, config)
-        assert chunked.counts == report.counts, (n, config)
-        assert chunked.exemplars == report.exemplars, (n, config)
-        assert chunked.classes_tested == report.classes_tested, (n, config)
+        assert chunked.counts == report.counts, (n, cap, config)
+        assert chunked.exemplars == report.exemplars, (n, cap, config)
+        assert chunked.classes_tested == report.classes_tested, (n, cap, config)
 
 
 def test_prefix_groups_follow_combinations_order(monkeypatch):
@@ -484,7 +484,7 @@ def test_scan_peak_memory_does_not_grow_with_n(monkeypatch):
         ring_new(n)
         tracemalloc.start()
         try:
-            scan_all(n, override=True)
+            scan_all(n)
             peaks[n] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -643,7 +643,7 @@ def test_affine_class_reps_up_to_64_match_python_orbits(monkeypatch):
         _check_reps(n, r)
     for shift in (True, False):
         with pytest.raises(PreconditionError):
-            scan_all(65, override=True, use_shift_classes=shift)
+            scan_all(65, use_shift_classes=shift)
 
 
 def test_orbit_exemplars_match_python_orbits(rng):
