@@ -35,18 +35,22 @@ So, over primes whose product M satisfies M^2 > r^r, alpha = 0 iff it
 vanishes at every unit at every one of those primes.  With primes near
 2^31 that takes one prime for r <= 15 and two for 16 <= r <= 26.
 
-The evaluation primitive `_evaluate` has four uses:
+Lemma (pair).  On rows {a, b} and columns {c, d} the minor is
+w^(ac+bd) - w^(ad+bc), and it vanishes iff the exponents agree mod N, that
+is iff (a - b)(c - d) = 0 (mod N); so the principal minor on {a, b}
+vanishes iff N | (a - b)^2, never for square-free N.  Callers decide size 2
+by this lemma (the search's tables, `verify_theorem1`) and tests compare it
+with the engine.
+
+The evaluation primitive `_evaluate` has three uses:
 
 - screen: a determinant nonzero at the first prime with w -> zeta is
   nonzero in Z[w] (the first step of `zero_flags`);
-- zero flags: the screen's survivors are decided by flags-mode
-  elimination at w -> zeta^u for every unit u, one prime at a time, until
-  the primes' product M has M^2 > r^r (`_conjugate_sweep`, called by
-  `zero_flags` without u = 1 at the first prime); no coefficient is
-  computed;
-- confirmations: candidates a caller already found 0 mod the first prime,
-  such as the search's table zeros, go to the same sweep with no screen
-  call, u = 1 included (`index_confirm_zeros`);
+- zero flags: the screen's survivors, or with `screen=False` every minor,
+  are decided by flags-mode elimination at w -> zeta^u for every unit u,
+  one prime at a time, until the primes' product M has M^2 > r^r
+  (`_conjugate_sweep`; u = 1 at the first prime only without the screen);
+  no coefficient is computed;
 - coefficients: the values at the phi units, turned into coefficients
   mod p by the Lagrange matrix and combined by CRT over primes whose
   product exceeds 2 * r! * h, give c exactly (`det_power_batch`).
@@ -55,8 +59,7 @@ Zero decisions need N alone (prime fields, elements of order N, units), so
 their entries take the modulus; only coefficients take a `CycRing`.
 
 An int64 batch is used as given, each chunk reduced mod N before any
-product; `index_zero_flags` and `index_confirm_zeros` build batches from
-index sets in slices.
+product; `index_zero_flags` builds batches from index sets in slices.
 
 Determinants mod p come from batched, division-free Gaussian elimination
 in numpy int64, the batch on the last axis: with p < 2^31 every product of
@@ -312,17 +315,21 @@ def _conjugate_sweep(exps: np.ndarray, n: int, idx: np.ndarray, skip_one: bool) 
     return idx
 
 
-def zero_flags(n: int, exps) -> tuple[np.ndarray, int]:
+def zero_flags(n: int, exps, screen: bool = True) -> tuple[np.ndarray, int]:
     """(flags, screened): exact vanishing flags of a batch of w-power
     determinants at modulus n, and how many the one-prime screen certified
-    nonzero.  The screen's survivors are decided by their Galois conjugates
-    mod p (see the module docstring), never by coefficients."""
+    nonzero.  The rest are decided by their Galois conjugates mod p (see
+    the module docstring), never by coefficients.  `screen=False`, for
+    candidates a caller already found 0 mod the first prime, sends every
+    minor to the sweep, u = 1 included: a candidate from a table 0
+    everywhere may be nonzero there.  `screened` is then 0."""
     exps = _as_batch(exps)
-    flags = _evaluate(exps, n, 0, False)
-    idx = np.flatnonzero(flags)
-    flags[idx] = False
-    flags[_conjugate_sweep(exps, n, idx, True)] = True
-    return flags, len(flags) - len(idx)
+    idx = np.arange(len(exps))
+    if screen:
+        idx = idx[_evaluate(exps, n, 0, False)]
+    flags = np.zeros(len(exps), dtype=bool)
+    flags[_conjugate_sweep(exps, n, idx, screen)] = True
+    return flags, len(exps) - len(idx)
 
 
 def _index_slices(rows, cols):
@@ -336,28 +343,13 @@ def _index_slices(rows, cols):
         yield np.multiply(rows[s:s + step, :, None], cols[s:s + step, None, :], dtype=np.int64)
 
 
-def index_zero_flags(n: int, rows, cols) -> tuple[np.ndarray, int]:
+def index_zero_flags(n: int, rows, cols, screen: bool = True) -> tuple[np.ndarray, int]:
     """`zero_flags` of the minors (w^(rows[b, i] * cols[b, j]))_ij given by
     integer index arrays of shape (B, r), one call per slice of at most
     _SLICE_BYTES of int64 products, so neither the products nor the
     engine's working set grow with B."""
-    parts = [zero_flags(n, exps) for exps in _index_slices(rows, cols)]
+    parts = [zero_flags(n, exps, screen) for exps in _index_slices(rows, cols)]
     return np.concatenate([flags for flags, _ in parts]), sum(hits for _, hits in parts)
-
-
-def index_confirm_zeros(n: int, rows, cols) -> np.ndarray:
-    """Exact vanishing flags of candidate zeros, index sets as in
-    `index_zero_flags`, decided by the conjugate sweep alone: no screen
-    call, since a caller that already found each minor 0 mod the first
-    prime would only repeat it.  The sweep still takes u = 1 at the first
-    prime, because a candidate may come from a table that is 0 everywhere
-    without its own minor being 0 there."""
-    parts = []
-    for exps in _index_slices(rows, cols):
-        flags = np.zeros(len(exps), dtype=bool)
-        flags[_conjugate_sweep(exps, n, np.arange(len(exps)), False)] = True
-        parts.append(flags)
-    return np.concatenate(parts)
 
 
 def det_power_single(ring: CycRing, exps) -> CycElem:

@@ -38,18 +38,18 @@ product of powers of the minors of the proper prefixes of S, and:
 Either way a nonzero entry proves the minor nonzero in Z[w], and a zero
 entry is a candidate that `_vanishing_sizes` decides as follows.
 - Sizes 1 and 2 (|S| <= 1, k_S = 1) are exact.  A 1x1 minor is a power of
-  zeta.  On positions a, b with sa = sigma(a) and sb = sigma(b), the 2x2
-  minor is zeta^(a*sa + b*sb) - zeta^(a*sb + b*sa); as zeta has order exactly
-  N, it is 0 mod p iff the exponents agree mod N, that is iff
-  (a - b)(sa - sb) = 0 (mod N), which is also when it vanishes in Z[w].
+  zeta.  A 2x2 minor is a difference of two powers of zeta, 0 mod p iff
+  their exponents agree mod N (zeta has order exactly N), which by the
+  pair lemma of `powerdet` is when it vanishes in Z[w].
 - A zero at size >= 3, which may be a zero mod p only or an entry of a table
   that is 0 everywhere, goes to the engine's conjugate sweep
-  (`powerdet.index_confirm_zeros`): one batch per size, smallest size
-  first, for the values of the row decided that no smaller size has failed.
-  The search and the leaf sweep share this decoder.  There is no second
-  screen at u = 1, but the sweep still takes u = 1: an entry of a table
-  that is 0 everywhere says nothing about the minor's own value there,
-  and the zeros-from-conjugates lemma of `powerdet` needs every unit.
+  (`powerdet.index_zero_flags` with `screen=False`): one batch per size,
+  smallest size first, for the values of the row decided that no smaller
+  size has failed.  The search and the leaf sweep share this decoder.
+  There is no second screen at u = 1, but the sweep still takes u = 1: an
+  entry of a table that is 0 everywhere says nothing about the minor's
+  own value there, and the zeros-from-conjugates lemma of `powerdet`
+  needs every unit.
 These decisions need N alone, never a ring; |S| is the bit count of S's mask.
 
 Assigning sigma(d) = v drops row d and column v from every table and adds
@@ -234,7 +234,7 @@ def _vanishing_sizes(by_bit, image, masks, cols, pos, value) -> np.ndarray:
         minors[:, -1] = pos
         columns = image[minors]
         columns[:, -1] = value[cols[live]]
-        vanish = powerdet.index_confirm_zeros(len(image), minors, columns)
+        vanish = powerdet.index_zero_flags(len(image), minors, columns, screen=False)[0]
         fail[cols[live][vanish]] = s
     return fail
 

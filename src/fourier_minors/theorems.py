@@ -123,18 +123,18 @@ def verify_theorem1(modulus: int) -> Theorem1Report:
     So u{0, a} = {0, g} and u{0, a, b} = {0, g, ub}, and by the affine
     lemma (module docstring) each is singular iff the original is.
 
-    Size 2 therefore decides {0, g} for the proper divisors g of N, and
-    size 3 decides {0, g, b} for each proper divisor g and each b in
-    1..N-1 other than g, skipping a divisor b < g (that set is listed
-    under b already); one engine batch per size.  `pairs_checked` is the
-    coverage, the translated sets the pass settles (N-1 + C(N-1, 2) when
-    it passes), not the number of sets the engine decides.  A
-    counterexample is reported as its failing representative, sorted: a
-    translated pair (a, b) with a < b, or (g,) for size 2.  A pass for
-    the translated sets {0, a} and {0, a, b} certifies every principal
-    minor of sizes 2, 3, N-3 and N-2 (`certified_sizes`): translation
-    preserves singularity, and sizes r and N-r are singular together (the
-    complement lemma in the module docstring).
+    Size 2 is decided by the pair lemma of `powerdet`: {0, a} vanishes
+    iff N | a^2, never for square-free N, so no size-2 counterexample can
+    occur.  Size 3 decides {0, g, b} for each proper divisor g of N and
+    each b in 1..N-1 other than g, skipping a divisor b < g (that set is
+    listed under b already), in one engine batch.  `pairs_checked` is the
+    coverage, the translated sets the pass settles (N-1 + C(N-1, 2)), not
+    the number of sets the engine decides.  A counterexample is reported
+    as its failing representative, sorted: a translated pair (a, b) with
+    a < b.  A pass for the translated sets {0, a} and {0, a, b} certifies
+    every principal minor of sizes 2, 3, N-3 and N-2 (`certified_sizes`):
+    translation preserves singularity, and sizes r and N-r are singular
+    together (the complement lemma in the module docstring).
     """
     start = time.perf_counter()
     if modulus < 4:
@@ -142,26 +142,18 @@ def verify_theorem1(modulus: int) -> Theorem1Report:
     if not is_square_free(modulus):
         raise PreconditionError(f"{modulus} is not square-free")
     check_modulus(modulus)
-    sizes = (2, 3)
     proper = np.array(divisors(modulus)[:-1], dtype=np.int64)
     g = np.repeat(proper, modulus - 1)
     b = np.tile(np.arange(1, modulus, dtype=np.int64), len(proper))
     keep = (b != g) & ~((modulus % b == 0) & (b < g))
-    tails = {2: proper[:, None], 3: np.sort(np.stack([g, b], axis=1)[keep], axis=1)}
-    counterexample: tuple[int, ...] | None = None
-    pairs = 0
-    for size in sizes:
-        tail = tails[size]
-        members = np.hstack([np.zeros((len(tail), 1), dtype=np.int64), tail])
-        flags, _ = powerdet.index_zero_flags(modulus, members, members)
-        pairs += comb(modulus - 1, size - 1)
-        if flags.any():
-            counterexample = tuple(int(x) for x in tail[np.argmax(flags)])
-            break
-
-    certified = tuple(sorted({*sizes, *(modulus - s for s in sizes)}))
+    tail = np.sort(np.stack([g, b], axis=1)[keep], axis=1)
+    members = np.hstack([np.zeros((len(tail), 1), dtype=np.int64), tail])
+    flags, _ = powerdet.index_zero_flags(modulus, members, members)
+    counterexample = tuple(int(x) for x in tail[np.argmax(flags)]) if flags.any() else None
+    certified = tuple(sorted({2, 3, modulus - 3, modulus - 2}))
     return Theorem1Report(modulus=modulus, passed=counterexample is None,
-                          counterexample=counterexample, pairs_checked=pairs,
+                          counterexample=counterexample,
+                          pairs_checked=modulus - 1 + comb(modulus - 1, 2),
                           certified_sizes=certified, wall_time=time.perf_counter() - start)
 
 

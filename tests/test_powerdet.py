@@ -8,8 +8,8 @@ from fourier_minors import IndexSet, PreconditionError, det_exact, ring_new, sub
 from fourier_minors.cyclotomic import DEFAULT_MAX_MODULUS, CycRing
 from fourier_minors.minors import exponent_matrix
 from fourier_minors.powerdet import (PRIME_LIMIT, approx_det_batch, det_power_batch,
-                                     det_power_single, field, index_confirm_zeros,
-                                     index_zero_flags, zero_flags)
+                                     det_power_single, field, index_zero_flags,
+                                     zero_flags)
 from oracles import nonzero_screen
 
 
@@ -149,8 +149,8 @@ def test_index_zero_flags_match_explicit_products(rng, monkeypatch):
     import fourier_minors.powerdet as pd
     calls = []
     engine = pd.zero_flags
-    monkeypatch.setattr(pd, "zero_flags",
-                        lambda n, exps: calls.append(len(exps)) or engine(n, exps))
+    monkeypatch.setattr(pd, "zero_flags", lambda n, exps, screen=True:
+                        calls.append(len(exps)) or engine(n, exps, screen))
     whole = pd._SLICE_BYTES
     for _ in range(40):
         n = rng.randrange(2, 40)
@@ -174,10 +174,11 @@ def test_index_zero_flags_match_explicit_products(rng, monkeypatch):
 
 
 @pytest.mark.parametrize("small", [False, True])
-def test_index_confirm_zeros_decide_any_minor_without_a_screen(rng, monkeypatch, small):
-    # the conjugate sweep alone, u = 1 at the first prime included, decides
-    # minors whether or not they vanish at u = 1, so candidates that are
-    # only entries of an all-zero table are decided too; no screen call
+def test_index_zero_flags_without_screen_decide_any_minor(rng, monkeypatch, leibniz, small):
+    # with screen=False the conjugate sweep alone, u = 1 at the first prime
+    # included, decides minors whether or not they vanish at u = 1, so
+    # candidates that are only entries of an all-zero table are decided
+    # too; no screen call, and none counted as screened
     import fourier_minors.powerdet as pd
     if small:
         monkeypatch.setattr(pd, "field", _small_field)
@@ -203,8 +204,13 @@ def test_index_confirm_zeros_decide_any_minor_without_a_screen(rng, monkeypatch,
                 nonzero_at_one += int((~pd._evaluate(rows[:, :, None] * cols[:, None, :],
                                                      n, 0, False)).sum())
                 monkeypatch.setattr(pd, "_evaluate", recording)
-                assert np.array_equal(index_confirm_zeros(n, rows, cols), flags), (n, r)
+                got, screened = index_zero_flags(n, rows, cols, screen=False)
+                assert np.array_equal(got, flags) and screened == 0, (n, r)
                 monkeypatch.setattr(pd, "_evaluate", evaluate)
+                ring = ring_new(n)
+                for row, col, flag in zip(rows.tolist(), cols.tolist(), got):
+                    ref = leibniz([[ring.root_power(k * l) for l in col] for k in row])
+                    assert bool(flag) == ref.is_zero(), (n, row, col)
     finally:
         pd._root_powers.cache_clear()
     assert not screens and set(first) == {1} and nonzero_at_one

@@ -96,13 +96,14 @@ def test_engine_never_sees_1x1_minors(monkeypatch):
     # pair lemma; the search and the leaf check hand the engine neither
     import fourier_minors.powerdet as pd
     sizes = set()
-    confirm = pd.index_confirm_zeros
+    engine = pd.index_zero_flags
 
-    def recording_confirm(n, rows, cols):
-        sizes.add(rows.shape[1])
-        return confirm(n, rows, cols)
+    def recording_confirm(n, rows, cols, screen=True):
+        if not screen:
+            sizes.add(rows.shape[1])
+        return engine(n, rows, cols, screen)
 
-    monkeypatch.setattr(pd, "index_confirm_zeros", recording_confirm)
+    monkeypatch.setattr(pd, "index_zero_flags", recording_confirm)
     for order in ("ascending", ORDER_MOST_CONSTRAINED):
         outcome = find_good_permutation(SearchConfig(9, order=order))
         assert outcome.found is not None
@@ -235,9 +236,14 @@ def _check_domain(state, positions, pos, values, fail, real_prime=True):
 
 def test_domain_matches_exact_oracle(rng, monkeypatch):
     calls = []
-    engine = powerdet.index_confirm_zeros
-    monkeypatch.setattr(powerdet, "index_confirm_zeros",
-                        lambda *args: calls.append(1) or engine(*args))
+    engine = powerdet.index_zero_flags
+
+    def counting(n, rows, cols, screen=True):
+        if not screen:
+            calls.append(1)
+        return engine(n, rows, cols, screen)
+
+    monkeypatch.setattr(powerdet, "index_zero_flags", counting)
     sizes, widths = set(), set()
     for _ in range(100):
         n = rng.randrange(2, 10)
@@ -296,7 +302,7 @@ def _record_domain_engine_calls(monkeypatch):
     """A list that collects (modulus, rows, cols) of every confirmation call
     made from inside `_SearchState._domain`, not from the leaf check."""
     handed, active = [], []
-    domain, engine = _SearchState._domain, powerdet.index_confirm_zeros
+    domain, engine = _SearchState._domain, powerdet.index_zero_flags
 
     def recording_domain(self, positions):
         active.append(positions)
@@ -305,13 +311,13 @@ def _record_domain_engine_calls(monkeypatch):
         finally:
             active.pop()
 
-    def recording_engine(n, rows, cols):
-        if active:
+    def recording_engine(n, rows, cols, screen=True):
+        if active and not screen:
             handed.append((n, rows.copy(), cols.copy()))
-        return engine(n, rows, cols)
+        return engine(n, rows, cols, screen)
 
     monkeypatch.setattr(_SearchState, "_domain", recording_domain)
-    monkeypatch.setattr(powerdet, "index_confirm_zeros", recording_engine)
+    monkeypatch.setattr(powerdet, "index_zero_flags", recording_engine)
     return handed
 
 
@@ -456,7 +462,7 @@ def _record_leaf_confirmations(monkeypatch):
     collects (modulus, rows, cols) of every confirmation call made inside it."""
     from fourier_minors import search
     handed, active = [], []
-    check, engine = search.is_good_permutation, powerdet.index_confirm_zeros
+    check, engine = search.is_good_permutation, powerdet.index_zero_flags
 
     def recording_check(modulus, sigma):
         active.append(modulus)
@@ -465,13 +471,13 @@ def _record_leaf_confirmations(monkeypatch):
         finally:
             active.pop()
 
-    def recording_engine(n, rows, cols):
-        if active:
+    def recording_engine(n, rows, cols, screen=True):
+        if active and not screen:
             handed.append((n, rows.copy(), cols.copy()))
-        return engine(n, rows, cols)
+        return engine(n, rows, cols, screen)
 
     monkeypatch.setattr(search, "is_good_permutation", recording_check)
-    monkeypatch.setattr(powerdet, "index_confirm_zeros", recording_engine)
+    monkeypatch.setattr(powerdet, "index_zero_flags", recording_engine)
     return recording_check, handed
 
 

@@ -104,33 +104,50 @@ def _unit_covered(n, decided):
 
 
 def test_theorem1_unit_classes_cover_every_translated_set(monkeypatch):
-    decided = []
+    decided, calls = [], []
     original = powerdet.index_zero_flags
 
-    def recording(n, rows, cols):
+    def recording(n, rows, cols, screen=True):
         assert rows is cols  # principal minors
+        calls.append(n)
         decided.extend(frozenset(row) for row in rows.tolist())
-        return original(n, rows, cols)
+        return original(n, rows, cols, screen)
 
     monkeypatch.setattr(powerdet, "index_zero_flags", recording)
     for n in (6, 10, 15, 30, 42, 105):
         decided.clear()
+        calls.clear()
         report = verify_theorem1(n)
         assert report.passed
         assert report.pairs_checked == n - 1 + comb(n - 1, 2)
         proper = [d for d in range(1, n) if n % d == 0]
         listing = _theorem1_listing(n, proper)
-        assert len(decided) == len(set(decided)) and set(decided) == listing, n
+        # one engine call decides the size-3 listing; the pair lemma
+        # decides the size-2 listing, {0, g} vanishing iff n | g^2
+        assert calls == [n]
+        assert len(decided) == len(set(decided))
+        assert set(decided) == {s for s in listing if len(s) == 3}, n
+        assert all(g * g % n for g in proper), n
         assert _unit_covered(n, listing), n
         for g in proper:  # no divisor is redundant
             assert not _unit_covered(n, _theorem1_listing(n, [d for d in proper if d != g]))
 
 
+def test_pair_lemma_matches_engine():
+    # the pair lemma of powerdet, which decides theorem 1's size 2: the
+    # principal minor on {0, a} vanishes iff a^2 = 0 (mod N)
+    for n in range(2, 151):
+        a = np.arange(1, n)
+        members = np.stack([np.zeros_like(a), a], axis=1)
+        flags, _ = powerdet.index_zero_flags(n, members, members)
+        assert np.array_equal(flags, a * a % n == 0), n
+
+
 def test_theorem1_counterexample_is_a_translated_pair(monkeypatch, tmp_path):
     original = powerdet.index_zero_flags
 
-    def flag_one(n, rows, cols):
-        flags, hits = original(n, rows, cols)
+    def flag_one(n, rows, cols, screen=True):
+        flags, hits = original(n, rows, cols, screen)
         if rows.shape[1] == 3:
             flags[len(flags) // 2] = True  # a representative {0, g, b}
         return flags, hits
