@@ -72,7 +72,7 @@ ISSAC 1999).
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial, isqrt
+from math import factorial, gcd, isqrt
 
 import numpy as np
 
@@ -112,11 +112,14 @@ def _is_prime(n: int) -> bool:
 @lru_cache(maxsize=None)
 def field(n: int, index: int = 0) -> tuple[int, int]:
     """(p, zeta): the index-th largest prime p < 2^31 with p = 1 (mod n),
-    and an element zeta of order exactly n modulo p (n as `check_modulus`)."""
+    and an element zeta of order exactly n modulo p (n as `check_modulus`).
+    A candidate p > 53 with a prime factor up to 53 is skipped by one gcd
+    before Miller-Rabin."""
     check_modulus(n)
     top = PRIME_LIMIT - 1 if index == 0 else field(n, index - 1)[0] - 1
     p = top - (top - 1) % n
-    while not _is_prime(p):
+    primorial = 32589158477190044730  # 2 * 3 * 5 * ... * 53
+    while (p > 53 and gcd(p, primorial) > 1) or not _is_prime(p):
         p -= n
         if p <= n:
             raise ValueError(f"no prime p = 1 (mod {n}) left below 2^31")

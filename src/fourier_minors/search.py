@@ -104,10 +104,10 @@ sigma(0) = 0, and exhausting it shows that N has no good permutation;
 compare it with brute force.  Complementation is NOT assumed for permuted
 matrices.
 
-Lemma (units).  The subtrees below the root sigma(0) = 0 in which the first
-decided position (1 for `ascending`) takes the value v = 1..N-1 partition
-the tree, so the root plus their counts are a serial walk's, and the first
-find in DFS order is the first of the first unit with one.  A unit
+Lemma (work units).  The subtrees below the root sigma(0) = 0 in which the
+first decided position (1 for `ascending`) takes the value v = 1..N-1
+partition the tree, so the root plus their counts are a serial walk's, and
+the first find in DFS order is the first of the first unit with one.  A unit
 (`_run_unit`) decides the root's domain again and reads its own cell.
 """
 
@@ -350,9 +350,10 @@ class _SearchState:
                 yield from self._descend(pos, v)
 
 
-def _units(modulus: int) -> range:
+def _work_units(modulus: int) -> range:
     """The values 1..N-1 of the first position decided below the root, one
-    unit each (units lemma).  F_1's root is its one leaf, and unit 1 holds it."""
+    work unit each (the work-units lemma).  F_1's root is its one leaf, and
+    unit 1 holds it."""
     return range(1, max(modulus, 2))
 
 
@@ -405,7 +406,7 @@ def _load_checkpoint(path: str, config: SearchConfig):
             if rec["kind"] == "prefix_done":
                 zero, v = rec["prefix"]
                 if (type(zero), zero, type(v)) != (int, 0, int) or v in done or (
-                        v not in _units(config.modulus)):
+                        v not in _work_units(config.modulus)):
                     raise ValueError(f"prefix {rec['prefix']} is no new unit [0, v]")
                 done.add(v)
             elif rec["kind"] == "found":
@@ -435,13 +436,13 @@ def find_good_permutation(config: SearchConfig) -> SearchOutcome:
     """Depth-first search of the sigma(0) = 0 tree, which decides every
     column permutation of the modulus (the shift lemma).
 
-    Units (the units lemma) are taken in ascending order, each writing its
-    checkpoint line when its result arrives, and the search stops at the
-    first find, the first good permutation in DFS order.  jobs > 1 runs
-    units ahead in worker processes (`ordered_map`), consumed in the same
-    order, so outcome, node and prune counts equal a serial run's; the
-    workers stop when the search returns or raises.  The root counts one
-    node besides its units.  One absolute deadline (time.monotonic is
+    Work units (the work-units lemma) are taken in ascending order, each
+    writing its checkpoint line when its result arrives, and the search
+    stops at the first find, the first good permutation in DFS order.
+    jobs > 1 runs units ahead in worker processes (`ordered_map`), consumed
+    in the same order, so outcome, node and prune counts equal a serial run's;
+    the workers stop when the search returns or raises.  The root counts
+    one node besides its units.  One absolute deadline (time.monotonic is
     system-wide) covers every unit, and a unit started after it does no
     work.  An expiry yields found=None, exhausted=False (inconclusive),
     unless with jobs > 1 a later unit finished with a find in time.
@@ -461,7 +462,7 @@ def find_good_permutation(config: SearchConfig) -> SearchOutcome:
 
     try:
         # a checkpointed find is only re-verified
-        pending = [v for v in ([] if found else _units(n)) if v not in done]
+        pending = [v for v in ([] if found else _work_units(n)) if v not in done]
         deadline = start + config.time_budget if config.time_budget else None
         unit = partial(_run_unit, config, deadline=deadline)
         results = ordered_map(unit, pending, min(config.jobs, len(pending)))

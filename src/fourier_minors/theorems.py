@@ -42,21 +42,10 @@ meet fewer than a residue classes mod p, the a anchor rows of F[K] lie in
 the space of vectors constant on each class, of dimension less than a, so
 det F[K] = 0.  `build_witness` builds its sets to this condition.
 
-Lemma (lazy prefix groups).  The k-subsets of range(n) that extend a
-sorted prefix P with last member x split, by their next member
-y = x+1 .. n-k+|P|, into those that extend P + (y,); taking y in
-increasing order lists them in lexicographic order.  `_subtrees` applies
-the split recursively from the sentinel prefix and stops at every prefix
-with at most _CHUNK completions.  So each k-subset extends exactly one
-emitted prefix, the emitted prefixes come in lexicographic order, and
-completing each in lexicographic order (`_extend`) lists every k-subset
-exactly once, in lexicographic order.
-
 Memory contract.  The candidates stream through the engine in chunks, so
 a chunk's working set is bounded by _CHUNK, N <= 64 and EXEMPLAR_CAP,
 whatever N, C(N-1, r-1) or the number of singular sets:
-- the recursion holds at most k + 1 prefixes, and a group, packed from
-  adjacent prefixes, completes to fewer than 2 * _CHUNK int8 rows;
+- a chunk is at most _CHUNK int8 rows, unranked by `_unrank`;
 - the affine gap filter runs on the int8 rows, and only its survivors are
   widened to int64;
 - the engine gets the members as index arrays, and its entry
@@ -71,6 +60,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import comb, isqrt
 
 import numpy as np
@@ -269,67 +259,47 @@ class ScanReport:
     wall_time: float
 
 
-# Candidate sets per chunk of the scan's stream (a chunk holds fewer than
-# twice this many), so the working set does not grow with C(N-1, r-1).
+# Most candidate sets in one chunk of the scan's stream, whatever C(N-1, r-1).
 _CHUNK = 1 << 15
 # Orbit images `_exemplar_keys` expands at once.
 _IMAGES = 1 << 12
 
 
-def _extend(rows: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Every completion, in lexicographic order, of the prefix rows `rows`
-    to k-subsets of range(n).  A row is int8 (so N <= 64): a sentinel one
-    below the least member allowed, the members of its prefix, then -1 up
-    to width k + 1; the sentinel stays in the result.  Each level fills
-    one new array, the rows still short of member j repeated once per
-    value of it and every other row copied once."""
-    for j in range(k):
-        grow = rows[:, j + 1] < 0
-        if not grow.any():
-            continue
-        # member j lies in rows[:, j] + 1 .. n-k+j
-        count = np.where(grow, n - k + j - rows[:, j].astype(np.int64), 1)
-        src = np.repeat(np.arange(len(rows)), count)
-        step = np.arange(len(src)) - (np.cumsum(count) - count)[src]
-        rows = rows[src]
-        new = np.flatnonzero(grow[src])
-        rows[new, j + 1] = rows[new, j] + 1 + step[new]
-    return rows
+@lru_cache(maxsize=None)
+def _binomials() -> np.ndarray:
+    """C(t, i) at [i, t] for 0 <= i, t <= 64, as int64 (C(64, 32) < 2^61)."""
+    table = np.array([[comb(t, i) for t in range(65)] for i in range(65)], dtype=np.int64)
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table
 
 
-def _subtrees(n: int, k: int, prefix: tuple[int, ...]):
-    """(prefix, completions) pairs, in lexicographic order, that split the
-    k-subsets of range(n) extending `prefix` (sentinel first) into whole
-    subtrees of at most _CHUNK completions each."""
-    depth = len(prefix) - 1
-    count = comb(n - 1 - prefix[-1], k - depth)
-    if count <= _CHUNK:
-        yield prefix, count
-        return
-    for x in range(prefix[-1] + 1, n - k + depth + 1):
-        yield from _subtrees(n, k, prefix + (x,))
+def _unrank(n: int, k: int, lo: int, start: int, stop: int) -> np.ndarray:
+    """The k-subsets of range(lo, n) of lexicographic ranks start .. stop-1,
+    in order, as int8 rows (so N <= 64): the sentinel lo-1, then the members.
 
-
-def _prefix_groups(n: int, k: int, lo: int):
-    """The k-subsets of range(lo, n) as groups of prefix rows (`_extend`),
-    in lexicographic order; `_extend(group, n, k)` completes a group to
-    fewer than 2 * _CHUNK subsets."""
-    group: list[tuple[int, ...]] = []
-    offset = end = 0  # completions so far; end of the group's window
-    for prefix, count in _subtrees(n, k, (lo - 1,)):
-        if offset >= end:
-            if group:
-                yield _prefix_rows(group, k)
-            group, end = [], (offset // _CHUNK + 1) * _CHUNK
-        group.append(prefix)
-        offset += count
-    yield _prefix_rows(group, k)
-
-
-def _prefix_rows(prefixes: list[tuple[int, ...]], k: int) -> np.ndarray:
-    rows = np.full((len(prefixes), k + 1), -1, dtype=np.int8)
-    for row, prefix in zip(rows, prefixes):
-        row[:len(prefix)] = prefix
+    Lemma (unranking).  The reflection s -> n-1-s maps the k-subsets of
+    range(lo, n) onto those of range(n - lo) and turns lexicographic rank R
+    into colex rank C = C(n-lo, k) - 1 - R.  In the combinatorial number
+    system (Buckles and Lybanon, ACM TOMS 3, 1977) the colex rank of
+    t_1 < .. < t_k is sum_i C(t_i, i), so t_k is the largest t with
+    C(t, k) <= C, C - C(t_k, k) ranks t_1 < .. < t_(k-1), and t_1 = C.  The
+    members n-1-t_k < .. < n-1-t_1 come out ascending, a column per level.
+    Rows between two rows with a common prefix share it, so while the
+    first and last rows agree on a member only they are searched.
+    """
+    table = _binomials()[:, :n - lo]
+    rows = np.full((stop - start, k + 1), lo - 1, dtype=np.int8)
+    colex = comb(n - lo, k) - 1 - np.arange(start, stop, dtype=np.int64)
+    shared = stop > start
+    for i in range(k, 1, -1):
+        if shared:
+            first, last = np.searchsorted(table[i], colex[[0, -1]], side="right") - 1
+            shared = first == last
+        t = first if shared else np.searchsorted(table[i], colex, side="right") - 1
+        rows[:, k + 1 - i] = n - 1 - t
+        colex -= table[i].take(t)
+    if k:
+        rows[:, k] = n - 1 - colex
     return rows
 
 
@@ -349,7 +319,7 @@ def _affine_reps(n: int, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     has largest member N - g, g the cyclic gap below x, so K can only be
     least if no gap of K is wider than its last, N - max K.  The units go
     in batches of doubling size, each batch on the rows that survived the
-    last.  The gap filter runs on the int8 rows of `_extend`; only its
+    last.  The gap filter runs on the int8 rows of `_unrank`; only its
     survivors are widened to int64.
     """
     if members.shape[1] > 1:
@@ -414,13 +384,13 @@ def _key_sets(n: int, keys: np.ndarray) -> list[tuple[int, ...]]:
 
 def _scan_chunk(task: tuple) -> tuple[int, int, int, np.ndarray, int]:
     """(r, classes tested, singular sets, exemplar keys, screen hits) of
-    one chunk of the scan: a group of prefixes of size-r candidates."""
-    n, r, classes, cap, prefixes = task
+    one chunk of the scan: the size-r candidates of ranks start .. stop-1."""
+    n, r, classes, cap, start, stop = task
     if classes:
-        # candidates are {0} plus (r-1)-subsets of 1..N-1; 0 is the sentinel
-        members, weights = _affine_reps(n, _extend(prefixes, n, r - 1))
+        # candidates are {0} plus (r-1)-subsets of 1..N-1; the sentinel is 0
+        members, weights = _affine_reps(n, _unrank(n, r - 1, 1, start, stop))
     else:
-        members = _extend(prefixes, n, r)[:, 1:]
+        members = _unrank(n, r, 0, start, stop)[:, 1:]
         weights = np.ones(len(members), dtype=np.int64)
     flags, hits = powerdet.index_zero_flags(n, members, members)
     keys = _exemplar_keys(n, members[flags], classes, cap)
@@ -479,11 +449,9 @@ def scan_all(modulus: int, config: ScanConfig | None = None, **kwargs) -> ScanRe
     sizes = list(range(1, (n // 2 if config.use_complement else n) + 1))
 
     classes, cap = config.use_shift_classes, EXEMPLAR_CAP
-    tasks = (
-        (n, r, classes, cap, prefixes)
-        for r in sizes
-        for prefixes in (_prefix_groups(n, r - 1, 1) if classes else _prefix_groups(n, r, 0))
-    )
+    totals = {r: comb(n - 1, r - 1) if classes else comb(n, r) for r in sizes}
+    tasks = ((n, r, classes, cap, start, min(start + _CHUNK, totals[r]))
+             for r in sizes for start in range(0, totals[r], _CHUNK))
     keys = {r: np.zeros(0, dtype=np.uint64) for r in sizes}
     for r, tested, count, found, hits in ordered_map(_scan_chunk, tasks, config.jobs):
         classes_tested += tested

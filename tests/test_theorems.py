@@ -454,38 +454,93 @@ def test_scan_chunking_is_transparent(monkeypatch):
         assert chunked.classes_tested == report.classes_tested, (n, cap, config)
 
 
-def test_prefix_groups_follow_combinations_order(monkeypatch):
-    # tiny chunks make the recursion several levels deep; the groups'
-    # completions, concatenated, are the k-subsets in lexicographic order
-    for chunk in (1, 4, 64):
-        monkeypatch.setattr(theorems, "_CHUNK", chunk)
-        for n, k, lo in ((1, 0, 0), (1, 1, 0), (5, 0, 1), (6, 3, 0), (9, 4, 1),
-                         (10, 5, 0), (12, 6, 1), (13, 3, 0), (14, 7, 1)):
-            rows = []
-            for group in theorems._prefix_groups(n, k, lo):
-                assert group.dtype == np.int8
-                done = theorems._extend(group, n, k)
-                assert 0 < len(done) < 2 * chunk, (chunk, n, k, lo)
-                assert (done[:, 0] == lo - 1).all()
-                rows += done[:, 1:].tolist()
-            assert rows == [list(c) for c in combinations(range(lo, n), k)], (chunk, n, k, lo)
+def test_unrank_follows_combinations_order():
+    # every rank range, whole or split into blocks, gives the k-subsets of
+    # range(lo, n) in lexicographic order, sentinel lo - 1 first
+    for n in range(1, 15):
+        for lo in (0, 1):
+            for k in range(n - lo + 1):
+                expected = [[lo - 1, *c] for c in combinations(range(lo, n), k)]
+                total = len(expected)
+                assert total == comb(n - lo, k)
+                assert theorems._unrank(n, k, lo, total, total).shape == (0, k + 1)
+                for block in (1, 3, 64, total):
+                    rows = [theorems._unrank(n, k, lo, s, min(s + block, total))
+                            for s in range(0, total, block)]
+                    assert all(part.dtype == np.int8 for part in rows)
+                    assert np.vstack(rows).tolist() == expected, (n, k, lo, block)
 
 
-def test_extend_int8_edges_at_64():
-    # members reach 63 and the sentinel is -1 without leaving int8
-    rows = theorems._extend(np.array([[-1, -1], [-1, 62]], dtype=np.int8), 64, 1)
+def _python_unrank(n, k, rank):
+    """The k-subset of range(n) of lexicographic rank `rank`, member by
+    member with Python integers."""
+    members, x = [], 0
+    for j in range(k, 0, -1):
+        while comb(n - 1 - x, j - 1) <= rank:
+            rank -= comb(n - 1 - x, j - 1)
+            x += 1
+        members.append(x)
+        x += 1
+    return members
+
+
+def test_unrank_int8_and_int64_edges_at_64():
+    # members reach 63 and the sentinel is -1 or 0 without leaving int8
+    rows = theorems._unrank(64, 1, 0, 0, 64)
     assert rows.dtype == np.int8
-    assert rows.tolist() == [[-1, m] for m in range(64)] + [[-1, 62]]
-    pairs = theorems._extend(np.array([[-1, 61, -1]], dtype=np.int8), 64, 2)
-    assert pairs.tolist() == [[-1, 61, 62], [-1, 61, 63]]
-    groups = list(theorems._prefix_groups(64, 2, 1))
-    last = theorems._extend(groups[-1], 64, 2)[-1].tolist()
-    assert last == [0, 62, 63]
+    assert rows.tolist() == [[-1, m] for m in range(64)]
+    last = comb(64, 2) - 1
+    assert theorems._unrank(64, 2, 0, last - 1, last + 1).tolist() == [[-1, 61, 63], [-1, 62, 63]]
+    last = comb(63, 2) - 1
+    assert theorems._unrank(64, 2, 1, last, last + 1).tolist() == [[0, 62, 63]]
+    # ranks up to C(64, 32) - 1 > 2^60 stay exact in int64
+    total = comb(64, 32)
+    assert total > 2 ** 60
+    edges = (theorems._unrank(64, 32, 0, 0, 2).tolist()
+             + theorems._unrank(64, 32, 0, total - 2, total).tolist())
+    assert edges[0] == [-1, *range(32)] and edges[-1] == [-1, *range(32, 64)]
+    for rank, row in zip((0, 1, total - 2, total - 1), edges):
+        assert row[1:] == _python_unrank(64, 32, rank), rank
+    for rank in (total // 3, total // 2, total - 2 ** 40):
+        row = theorems._unrank(64, 32, 0, rank, rank + 1)[0, 1:].tolist()
+        assert row == _python_unrank(64, 32, rank), rank
     # the gap filter on int8 rows: {0, 63} has a gap of 63 below its last
     # gap of 1 and goes; {0, 1}, least in its orbit, stays, widened
     members, weights = theorems._affine_reps(64, np.array([[0, 1], [0, 63]], dtype=np.int8))
     assert members.dtype == np.int64 and members.tolist() == [[0, 1]]
     assert weights.tolist() == [64 * 32 // 2]
+
+
+def test_scan_tasks_hold_at_most_chunk_candidates(monkeypatch):
+    # every task is one range of at most _CHUNK ranks, the ranges of a size
+    # tile 0 .. its candidate count in order, and no unranked block is larger
+    tasks, blocks = [], []
+    scan_chunk, unrank = theorems._scan_chunk, theorems._unrank
+
+    def recording_chunk(task):
+        tasks.append(task)
+        return scan_chunk(task)
+
+    def recording_unrank(*args):
+        rows = unrank(*args)
+        blocks.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(theorems, "_scan_chunk", recording_chunk)
+    monkeypatch.setattr(theorems, "_unrank", recording_unrank)
+    monkeypatch.setattr(theorems, "_CHUNK", 16)
+    for n in (9, 12):
+        for classes in (True, False):
+            tasks.clear()
+            blocks.clear()
+            scan_all(n, use_shift_classes=classes, use_complement=False)
+            assert len(blocks) == len(tasks) and max(blocks) <= 16
+            for r in range(1, n + 1):
+                ranges = [(start, stop) for _, size, _, _, start, stop in tasks if size == r]
+                total = comb(n - 1, r - 1) if classes else comb(n, r)
+                assert all(0 < stop - start <= 16 for start, stop in ranges)
+                assert [start for start, _ in ranges] == list(range(0, total, 16))
+                assert ranges[-1][1] == total
 
 
 def test_scan_peak_memory_does_not_grow_with_n(monkeypatch):
@@ -626,8 +681,9 @@ def _mask(members):
 
 def _class_reps(n, r):
     """The scan's class representatives of size r and their weights."""
-    parts = [theorems._affine_reps(n, theorems._extend(p, n, r - 1))
-             for p in theorems._prefix_groups(n, r - 1, 1)]
+    total, chunk = comb(n - 1, r - 1), theorems._CHUNK
+    parts = [theorems._affine_reps(n, theorems._unrank(n, r - 1, 1, s, min(s + chunk, total)))
+             for s in range(0, total, chunk)]
     return (np.vstack([m for m, _ in parts]).tolist(),
             np.concatenate([w for _, w in parts]).tolist())
 
