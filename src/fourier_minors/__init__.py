@@ -4,8 +4,7 @@ __version__ = "0.1.0"
 
 from .cyclotomic import CycElem, CycRing, cyclotomic_polynomial, ring_new
 from .errors import PreconditionError, WorkerError
-from .minors import (IndexSet, MinorRecord, complement, det_exact, is_singular,
-                     minor_record, submatrix)
+from .minors import IndexSet, MinorRecord, complement, det_exact, is_singular, minor_record
 from .search import (Permutation, SearchConfig, SearchOutcome,
                      enumerate_good_permutations, find_good_permutation,
                      is_good_permutation)
@@ -16,8 +15,7 @@ from .theorems import (ScanConfig, ScanReport, Theorem1Report, WitnessPlan,
 __all__ = [
     "CycElem", "CycRing", "cyclotomic_polynomial", "ring_new",
     "PreconditionError", "WorkerError",
-    "IndexSet", "MinorRecord", "complement", "det_exact", "is_singular",
-    "minor_record", "submatrix",
+    "IndexSet", "MinorRecord", "complement", "det_exact", "is_singular", "minor_record",
     "Permutation", "SearchConfig", "SearchOutcome",
     "enumerate_good_permutations", "find_good_permutation",
     "is_good_permutation",

@@ -1,11 +1,12 @@
-"""Exact arithmetic in Z[w], w = exp(2*pi*i/N).
+"""Canonical values of Z[w], w = exp(2*pi*i/N), and their one reduction.
 
-Elements are integer coefficient vectors over the power basis
-1, w, ..., w^(phi(N)-1), reduced modulo the N-th cyclotomic polynomial.
-Phi_N is the minimal polynomial of w over Q, so the representation is
-canonical: two elements are equal as complex numbers exactly when their
-coefficient vectors are identical, and the zero test is "all coefficients
-zero".  Coefficients are arbitrary-precision Python ints throughout.
+An element is an integer coefficient vector over the power basis
+1, w, ..., w^(phi(N)-1), reduced modulo the N-th cyclotomic polynomial by
+`CycRing.element`.  Phi_N is the minimal polynomial of w over Q, so the
+representation is canonical: two elements are equal as complex numbers
+exactly when their coefficient vectors are identical, and the zero test is
+"all coefficients zero".  The module does no ring arithmetic: `powerdet`
+and `minors.det_exact` compute, and reduce their results here.
 
 Phi_N is computed exactly from the binomials x^(N/e) - 1 over the
 square-free divisors e of N (`cyclotomic_polynomial`); no factoring of
@@ -94,13 +95,12 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 class CycRing:
-    """Ring context for a fixed modulus N: Phi_N plus its power table.
+    """Ring context for a fixed modulus N: Phi_N and its reduction.
 
-    The table of x^j mod Phi_N (`np_tables`) is the only source of
-    reduction: scalars reduce through its Python rows in `element`.  Its
-    caches, and `power_bound`, are filled on first use and never change
-    after (threads racing on first use build equal copies), so instances
-    may be shared freely across threads and processes.
+    `element` reduces any coefficient list modulo Phi_N.  The int64 power
+    table (`np_tables`) and `power_bound` are filled on first use and never
+    change after (threads racing on first use build equal copies), so
+    instances may be shared freely across threads and processes.
     """
 
     def __init__(self, modulus: int) -> None:
@@ -109,56 +109,36 @@ class CycRing:
         self.phi_poly: tuple[int, ...] = cyclotomic_polynomial(modulus)
         self.totient: int = len(self.phi_poly) - 1
         self._table: np.ndarray | None = None
-        self._rows: list[tuple[int, ...]] | None = None
 
     def __repr__(self) -> str:
         return f"CycRing({self.modulus})"
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CycRing) and other.modulus == self.modulus
-
-    def __hash__(self) -> int:
-        return hash(("CycRing", self.modulus))
-
-    def zero(self) -> CycElem:
-        return CycElem(self, (0,) * self.totient)
-
-    def one(self) -> CycElem:
-        return self.from_int(1)
-
-    def from_int(self, value: int) -> CycElem:
-        return self.element([value])
-
-    def _power_rows(self) -> list[tuple[int, ...]]:
-        """The power table as Python ints, for scalar arithmetic."""
-        if self._rows is None:
-            self._rows = list(map(tuple, self.np_tables().tolist()))
-        return self._rows
-
     def element(self, coeffs) -> CycElem:
-        """Element from power-basis coefficients (padded, reduced if long)."""
-        coeffs = [int(c) for c in coeffs]
-        return self._fold(coeffs + [0] * (self.totient - len(coeffs)))
+        """The canonical element sum_j coeffs[j] * w^j.
 
-    def _fold(self, coeffs: list[int]) -> CycElem:
-        """The element sum_j coeffs[j] * w^j, len(coeffs) >= phi: the
-        coefficient of x^j folds in through row j mod N of the power table,
-        since x^N = 1 mod Phi_N."""
-        phi = self.totient
-        out = coeffs[:phi]
-        if len(coeffs) > phi:
-            rows, n = self._power_rows(), self.modulus
-            for j in range(phi, len(coeffs)):
-                c = coeffs[j]
-                if c:
-                    row = rows[j % n]
-                    for i in range(phi):
-                        out[i] += c * row[i]
-        return CycElem(self, tuple(out))
-
-    def root_power(self, exponent: int) -> CycElem:
-        """w^exponent (exponent taken mod N)."""
-        return CycElem(self, self._power_rows()[exponent % self.modulus])
+        A list longer than phi is folded to length N by x^N = 1 (Phi_N
+        divides x^N - 1), then long-divided by the monic Phi_N: from the top,
+        a lead c at degree k >= phi is cleared by subtracting
+        c * x^(k-phi) * Phi_N.  Lemma: with the degrees >= k cleared, x^j
+        stands as x^(k-phi) * (x^(j-k+phi) mod Phi_N), so with S = sum|c_j|
+        every entry stays within S * h and every c * Phi_N within S * h^2
+        (Phi_N below its lead is -(x^phi mod Phi_N)).  The division runs in
+        int64 when S * h^2 < 2^63, in Python ints otherwise.
+        """
+        n, phi = self.modulus, self.totient
+        coeffs = list(map(int, coeffs))
+        if len(coeffs) <= phi:
+            return CycElem(self, tuple(coeffs + [0] * (phi - len(coeffs))))
+        fits = sum(map(abs, coeffs)) * self.power_bound ** 2 < 2 ** 63
+        dtype = np.int64 if fits else object
+        rem = np.zeros(-(-len(coeffs) // n) * n, dtype=dtype)
+        rem[:len(coeffs)] = coeffs
+        rem = rem.reshape(-1, n).sum(axis=0)
+        head = np.array(self.phi_poly[:-1], dtype=dtype)
+        for k in range(n - 1, phi - 1, -1):
+            if rem[k]:
+                rem[k - phi:k] -= rem[k] * head
+        return CycElem(self, tuple(rem[:phi].tolist()))
 
     @cached_property
     def power_bound(self) -> int:
@@ -209,7 +189,7 @@ def ring_new(modulus: int) -> CycRing:
 
 
 class CycElem:
-    """An element of Z[w] in canonical form; immutable."""
+    """A canonical element of Z[w], as `CycRing.element` builds it; a value."""
 
     __slots__ = ("ring", "coeffs")
 
@@ -220,55 +200,13 @@ class CycElem:
     def __repr__(self) -> str:
         return f"CycElem(N={self.ring.modulus}, {list(self.coeffs)})"
 
-    def _check(self, other: CycElem) -> None:
-        if self.ring.modulus != other.ring.modulus:
-            raise ValueError(
-                f"ring mismatch: N={self.ring.modulus} vs N={other.ring.modulus}"
-            )
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self == self.ring.from_int(other)
         if isinstance(other, CycElem):
             return self.ring.modulus == other.ring.modulus and self.coeffs == other.coeffs
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash((self.ring.modulus, self.coeffs))
-
-    def __add__(self, other: CycElem | int) -> CycElem:
-        if isinstance(other, int):
-            other = self.ring.from_int(other)
-        self._check(other)
-        return CycElem(self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> CycElem:
-        return CycElem(self.ring, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other: CycElem | int) -> CycElem:
-        if isinstance(other, int):
-            other = self.ring.from_int(other)
-        self._check(other)
-        return CycElem(self.ring, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __rsub__(self, other: int) -> CycElem:
-        return (-self) + other
-
-    def __mul__(self, other: CycElem | int) -> CycElem:
-        if isinstance(other, int):
-            return CycElem(self.ring, tuple(other * a for a in self.coeffs))
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        conv = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        return self.ring._fold(conv)
-
-    __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)

@@ -1,19 +1,20 @@
 """Index sets, complementation, and exact principal minors.
 
-`det_exact` works over arbitrary ring elements (memoized Laplace expansion,
-no division); it is kept as an independent oracle.  Singularity tests and
-minor records on w-power submatrices use the exact multimodular engine of
-`powerdet` at the modulus of their index set.
+Singularity tests and minor records on w-power submatrices use the exact
+multimodular engine of `powerdet` at the modulus of their index set.
+`det_exact` is the count expansion, an oracle that shares no code with the
+engine; no command decides through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add, sub
 
 import numpy as np
 
-from .cyclotomic import CycElem, CycRing, ring_new
+from .cyclotomic import CycElem, ring_new
 from .errors import PreconditionError
 from . import powerdet
 
@@ -32,7 +33,9 @@ class IndexSet:
             raise ValueError("modulus must be >= 1")
         prev = -1
         for k in self.members:
-            if not isinstance(k, int) or not 0 <= k < self.modulus:
+            if not isinstance(k, int):
+                raise ValueError(f"member {k!r} is not an int")
+            if not 0 <= k < self.modulus:
                 raise ValueError(f"member {k!r} outside 0..{self.modulus - 1}")
             if k <= prev:
                 raise ValueError("members must be strictly increasing")
@@ -79,43 +82,38 @@ def exponent_matrix(rows: IndexSet, cols: IndexSet) -> np.ndarray:
     return (r[:, None] * c[None, :]) % rows.modulus
 
 
-def submatrix(ring: CycRing, rows: IndexSet, cols: IndexSet) -> list[list[CycElem]]:
-    """The matrix (w^(k*l)) for k in rows, l in cols."""
-    if rows.modulus != ring.modulus or cols.modulus != ring.modulus:
-        raise ValueError("index set modulus does not match the ring")
-    if len(rows) != len(cols):
-        raise ValueError("row and column sets must have equal cardinality")
-    return [[ring.root_power(k * l) for l in cols.members] for k in rows.members]
+def det_exact(modulus: int, exps) -> CycElem:
+    """Exact determinant of the matrix (w^exps[i][j]), dimension 1..DET_MAX_DIM.
 
-
-def det_exact(matrix: list[list[CycElem]]) -> CycElem:
-    """Exact determinant over the ring, dimension 1..DET_MAX_DIM.
-
-    Subset dynamic program: level k holds determinants of the first k rows
-    against every k-subset of columns; expansion along the last row needs
-    no division.  Memory is the largest binomial level, so keep r small.
+    Subset expansion along the last row, with no division, over count
+    vectors: c of length N stands for sum_j c[j] x^j in Z[x]/(x^N - 1), so
+    an entry w^e acts on it as a cyclic shift by e.  Level k holds the
+    determinants of the first k rows against every k-subset of columns; the
+    last level is reduced once mod Phi_N by `CycRing.element`.  Memory is
+    the largest binomial level times N, so keep r small.
     """
-    r = len(matrix)
+    ring = ring_new(modulus)
+    exps = [[int(e) % modulus for e in row] for row in exps]
+    r = len(exps)
     if r == 0:
         raise PreconditionError("determinant of an empty matrix is not defined here")
     if r > DET_MAX_DIM:
         raise PreconditionError(f"dimension {r} exceeds the ceiling {DET_MAX_DIM}")
-    if any(len(row) != r for row in matrix):
+    if any(len(row) != r for row in exps):
         raise ValueError("matrix is not square")
-    ring = matrix[0][0].ring
-    prev = {(): ring.one()}
-    for k in range(1, r + 1):
-        row = matrix[k - 1]
-        cur: dict[tuple[int, ...], CycElem] = {}
+    prev = {(): [1] + [0] * (modulus - 1)}
+    for k, row in enumerate(exps, 1):
+        cur: dict[tuple[int, ...], list[int]] = {}
         for cols in combinations(range(r), k):
-            acc = ring.zero()
+            acc = [0] * modulus
             for pos, col in enumerate(cols):
-                rest = cols[:pos] + cols[pos + 1:]
-                term = row[col] * prev[rest]
-                acc = acc + term if (pos + k - 1) % 2 == 0 else acc - term
+                rest = prev[cols[:pos] + cols[pos + 1:]]
+                cut = modulus - row[col]
+                acc = list(map(add if (pos + k - 1) % 2 == 0 else sub, acc,
+                               rest[cut:] + rest[:cut]))
             cur[cols] = acc
         prev = cur
-    return prev[tuple(range(r))]
+    return ring.element(prev[tuple(range(r))])
 
 
 def is_singular(k: IndexSet) -> bool:

@@ -8,24 +8,24 @@ from fourier_minors import ring_new
 from fourier_minors import powerdet
 
 
-def leibniz_det(matrix):
-    """Reference determinant: the full permutation sum with inversion signs.
+def leibniz_det(modulus, exps):
+    """Reference determinant of (w^exps[i][j]): the full permutation sum
+    with inversion signs.
 
     Deliberately naive (r! terms), shares no code with the subset expansion
-    or the batched kernel.
+    or the batched kernel: the term of sigma adds its sign at exponent
+    sum_i exps[i][sigma(i)] mod N of a count vector, which `element`
+    reduces mod Phi_N.
     """
-    r = len(matrix)
-    ring = matrix[0][0].ring
-    total = ring.zero()
+    r = len(exps)
+    counts = [0] * modulus
     for perm in permutations(range(r)):
         inversions = sum(
             1 for i in range(r) for j in range(i + 1, r) if perm[i] > perm[j]
         )
-        term = ring.one()
-        for i in range(r):
-            term = term * matrix[i][perm[i]]
-        total = total + term if inversions % 2 == 0 else total - term
-    return total
+        exponent = sum(int(exps[i][perm[i]]) for i in range(r)) % modulus
+        counts[exponent] += -1 if inversions % 2 else 1
+    return ring_new(modulus).element(counts)
 
 
 @pytest.fixture

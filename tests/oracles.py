@@ -1,19 +1,22 @@
 """Test oracles and helpers that no command needs.
 
-The closed small-minor forms and the translation identity work through
-`CycRing.root_power` and ring arithmetic only, never through the batched
-engine, so they cross-check its verdicts.  The polynomial helpers check
-Phi_N by plain long multiplication and division, and `nonzero_screen`
-exposes the engine's one-prime screen on its own.  `is_good_permutation`
-decides every principal minor of a permuted matrix as its own engine
-determinant, with none of the search's bordered tables.
+The closed small-minor forms and the translation identity never touch the
+batched engine, so they cross-check its verdicts: the forms write their
+count vectors (sum of c * x^e, length N) by hand and reduce them with
+`CycRing.element`, and the identity compares two `det_exact` count
+expansions, multiplying one by w^e as a shift of its coefficients before
+`element`.  The polynomial helpers check Phi_N by plain long multiplication
+and division, and `nonzero_screen` exposes the engine's one-prime screen on
+its own.  `is_good_permutation` decides every principal minor of a permuted
+matrix as its own engine determinant, with none of the search's bordered
+tables.
 """
 
 from itertools import combinations, islice
 
 import numpy as np
 
-from fourier_minors import IndexSet, Permutation, PreconditionError, det_exact, submatrix
+from fourier_minors import IndexSet, Permutation, PreconditionError, det_exact
 from fourier_minors import powerdet
 from fourier_minors.theorems import _CHUNK
 
@@ -30,20 +33,28 @@ def shift(k: IndexSet, c: int) -> IndexSet:
     return IndexSet.of(k.modulus, ((x + c) % k.modulus for x in k.members))
 
 
+def _element(ring, terms):
+    """sum of c * w^e over (e, c) in terms, through a count vector."""
+    counts = [0] * ring.modulus
+    for e, c in terms:
+        counts[e % ring.modulus] += c
+    return ring.element(counts)
+
+
 def det_2x2_formula(ring, a: int):
     """Closed form for the minor on {0, a}: w^(a^2) - 1."""
     if not 0 < a <= ring.modulus - 1:
         raise PreconditionError("need 0 < a <= N-1")
-    return ring.root_power(a * a) - ring.one()
+    return _element(ring, [(a * a, 1), (0, -1)])
 
 
 def _3x3_terms(ring, a: int, b: int):
-    """((w^(a^2) - 1)(w^(b^2) - 1), (w^(ab) - 1)^2)."""
+    """The terms of (w^(a^2) - 1)(w^(b^2) - 1) and of (w^(ab) - 1)^2."""
     if not 0 < a < b <= ring.modulus - 1:
         raise PreconditionError("need 0 < a < b <= N-1")
-    one = ring.one()
-    ab = ring.root_power(a * b) - one
-    return (ring.root_power(a * a) - one) * (ring.root_power(b * b) - one), ab * ab
+    lhs = [(a * a + b * b, 1), (a * a, -1), (b * b, -1), (0, 1)]
+    rhs = [(2 * a * b, 1), (a * b, -2), (0, 1)]
+    return lhs, rhs
 
 
 def det_3x3_formula(ring, a: int, b: int):
@@ -51,13 +62,13 @@ def det_3x3_formula(ring, a: int, b: int):
     (w^(a^2) - 1)(w^(b^2) - 1) - (w^(ab) - 1)^2.
     """
     lhs, rhs = _3x3_terms(ring, a, b)
-    return lhs - rhs
+    return _element(ring, lhs + [(e, -c) for e, c in rhs])
 
 
 def singular_3x3_condition(ring, a: int, b: int) -> bool:
     """Whether (w^(a^2) - 1)(w^(b^2) - 1) equals (w^(ab) - 1)^2."""
     lhs, rhs = _3x3_terms(ring, a, b)
-    return lhs == rhs
+    return _element(ring, lhs) == _element(ring, rhs)
 
 
 SHIFT_CHECK_MAX = 8
@@ -72,11 +83,13 @@ def shift_identity_check(ring, k: IndexSet) -> bool:
     r = len(k)
     if not 1 <= r <= SHIFT_CHECK_MAX:
         raise PreconditionError(f"need 1 <= |K| <= {SHIFT_CHECK_MAX}")
-    lhs = det_exact(submatrix(ring, k, k))
+    n = ring.modulus
+    lhs = det_exact(n, [[x * y for y in k] for x in k])
     reduced = index_reduce(k)
     a1 = k.members[0]
     exponent = a1 * (-r * a1 + 2 * sum(k.members))
-    rhs = ring.root_power(exponent) * det_exact(submatrix(ring, reduced, reduced))
+    det_l = det_exact(n, [[x * y for y in reduced] for x in reduced])
+    rhs = ring.element([0] * (exponent % n) + list(det_l.coeffs))
     return lhs == rhs
 
 
@@ -87,6 +100,16 @@ def poly_mul(a: list[int], b: list[int]) -> list[int]:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return out
+
+
+def ring_add(x, y):
+    """x + y for two elements of one ring: coefficients added, then reduced."""
+    return x.ring.element([a + b for a, b in zip(x.coeffs, y.coeffs)])
+
+
+def ring_mul(x, y):
+    """x * y: the coefficient lists multiplied as polynomials, then reduced."""
+    return x.ring.element(poly_mul(list(x.coeffs), list(y.coeffs)))
 
 
 def poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fourier_minors import PreconditionError, cyclotomic_polynomial, ring_new
-from fourier_minors.cyclotomic import CycRing, divisors
-from oracles import poly_divmod_monic, poly_mul
+from fourier_minors.cyclotomic import CycRing, divisors, prime_divisors
+from oracles import poly_divmod_monic, poly_mul, ring_add, ring_mul
 
 
 def test_phi_1_is_x_minus_1():
@@ -53,14 +53,19 @@ def test_binomial_products_match_division_construction_to_300():
         assert list(cyclotomic_polynomial(n)) == quot, n
 
 
+def power(j):
+    """The coefficient list of x^j."""
+    return [0] * j + [1]
+
+
 def test_minimal_polynomial_soundness_up_to_64():
-    # Evaluate Phi_N at w by Horner, through ring arithmetic only.
+    # Evaluate Phi_N at w by Horner, reducing after every step through
+    # element only: multiplying by w shifts the coefficients up one degree.
     for n in range(1, 65):
         ring = ring_new(n)
-        w = ring.root_power(1)
-        acc = ring.zero()
+        acc = ring.element([])
         for c in reversed(ring.phi_poly):
-            acc = acc * w + ring.from_int(c)
+            acc = ring.element([c] + list(acc.coeffs))
         assert acc.is_zero(), n
 
 
@@ -96,6 +101,33 @@ def test_np_tables_match_python_power_rows():
     assert CycRing(2387).power_bound == -int(CycRing(2387).np_tables().min()) == 4
 
 
+@pytest.mark.parametrize("moduli", [range(1, 301), (1155,), (2387,)],
+                         ids=["to300", "1155", "2387"])
+def test_element_reduces_powers_as_the_table_says(moduli):
+    # element's long division against the int64 power table's recurrence:
+    # x^j reduces to row j mod N for every j < 3N
+    for n in moduli:
+        ring = CycRing(n)
+        rows = ring.np_tables().tolist()
+        for j in range(3 * n):
+            assert list(ring.element(power(j)).coeffs) == rows[j % n], (n, j)
+
+
+def test_element_reduces_entries_past_int64(rng):
+    # sum_j c_j x^j reduces to sum_j c_j * (row j mod N), in Python ints
+    for n in (1, 2, 12, 105, 385, 1155):
+        ring = CycRing(n)
+        rows = ring.np_tables().tolist()
+        for _ in range(3):
+            coeffs = [rng.randrange(-10 ** 20, 10 ** 20)
+                      for _ in range(rng.randrange(3 * n + 1))]
+            expected = [0] * ring.totient
+            for j, c in enumerate(coeffs):
+                expected = [e + c * x for e, x in zip(expected, rows[j % n])]
+            assert list(ring.element(coeffs).coeffs) == expected, n
+            assert ring.element(coeffs) == ring.element(np.array(coeffs, dtype=object))
+
+
 def test_np_tables_refuse_oversized_entries(monkeypatch):
     import fourier_minors.cyclotomic as cyc
     monkeypatch.setattr(cyc, "_NP_TABLE_LIMIT", 1)
@@ -108,78 +140,95 @@ def test_np_tables_refuse_oversized_entries(monkeypatch):
 
 def test_root_power_examples():
     r4 = ring_new(4)
-    assert (r4.root_power(2) + r4.root_power(0)).is_zero()  # i^2 = -1
+    assert r4.element([1] + power(2)[1:]).is_zero()  # i^2 = -1
     for n in (5, 8, 12):
         ring = ring_new(n)
-        assert ring.root_power(n) == ring.root_power(0)
-    assert ring_new(6).root_power(2).coeffs == (-1, 1)
+        assert ring.element(power(n)) == ring.element(power(0))
+    assert ring_new(6).element(power(2)).coeffs == (-1, 1)
 
 
 def test_exponent_additivity(rng):
+    # reduced powers multiply to the reduced power of the summed exponent
     for _ in range(300):
         n = rng.randrange(1, 40)
         ring = ring_new(n)
         a, b = rng.randrange(2 * n), rng.randrange(2 * n)
-        assert ring.root_power(a) * ring.root_power(b) == ring.root_power(a + b)
+        product = ring_mul(ring.element(power(a)), ring.element(power(b)))
+        assert product == ring.element(power(a + b))
 
 
 def test_hand_expanded_square_for_n4():
     r4 = ring_new(4)
-    w = r4.root_power(1)
-    assert ((w - 1) * (w - 1)).coeffs == (0, -2)  # (w-1)^2 = -2w when w = i
+    w_minus_1 = r4.element([-1, 1])
+    assert ring_mul(w_minus_1, w_minus_1).coeffs == (0, -2)  # (w-1)^2 = -2w when w = i
 
 
 def random_element(rng, ring):
     return ring.element([rng.randrange(-10, 11) for _ in range(ring.totient)])
 
 
+def random_list(rng, ring):
+    """A coefficient list up to 3N long, so element reduces it."""
+    return [rng.randrange(-10, 11) for _ in range(rng.randrange(3 * ring.modulus + 1))]
+
+
 def test_additive_inverse(rng):
+    # the reduction is additive: a list and its negation reduce to negatives
     ring = ring_new(12)
     for _ in range(100):
-        x = random_element(rng, ring)
-        assert (x + (-x)).is_zero()
+        a = random_list(rng, ring)
+        assert ring_add(ring.element(a), ring.element([-c for c in a])).is_zero()
 
 
 @pytest.mark.parametrize("n", [4, 6, 9, 12, 16])
 def test_ring_axioms(rng, n):
+    # Z[w] is Z[x] / Phi_N: sums and products of canonical elements, each
+    # reduced by element, obey the commutative ring axioms
     ring = ring_new(n)
+    add, mul = ring_add, ring_mul
     for _ in range(1000):
         a = random_element(rng, ring)
         b = random_element(rng, ring)
         c = random_element(rng, ring)
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
-        assert (a * b) * c == a * (b * c)
-        assert a * b == b * a
-        assert a * (b + c) == a * b + a * c
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert add(a, b) == add(b, a)
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, b) == mul(b, a)
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
 
 
 def test_canonical_equality(rng):
+    # two lists reduce to equal elements exactly when their difference
+    # reduces to zero; equal coefficients in different rings are unequal
     ring = ring_new(9)
     for _ in range(200):
-        a = random_element(rng, ring)
-        b = random_element(rng, ring)
-        assert ((a - b).is_zero()) == (a.coeffs == b.coeffs)
+        a, b = random_list(rng, ring), random_list(rng, ring)
+        diff = [p - q for p, q in zip(a + [0] * len(b), b + [0] * len(a))]
+        assert ring.element(diff).is_zero() == (ring.element(a) == ring.element(b))
+    assert ring_new(3).element([1]).coeffs == ring_new(6).element([1]).coeffs
+    assert ring_new(3).element([1]) != ring_new(6).element([1])
 
 
 def test_is_zero_examples():
     r6 = ring_new(6)
-    assert not (r6.root_power(3 * 3) - r6.one()).is_zero()  # 9 = 3 mod 6, nonzero
+    assert not r6.element([-1] + power(3 * 3)[1:]).is_zero()  # 9 = 3 mod 6, nonzero
     for n in (4, 6, 10):
         ring = ring_new(n)
-        assert (ring.root_power(n) - ring.one()).is_zero()
+        assert ring.element([-1] + power(n)[1:]).is_zero()
     r4 = ring_new(4)
-    assert (r4.root_power(2 * 2) - r4.one()).is_zero()
+    assert r4.element([-1] + power(2 * 2)[1:]).is_zero()
 
 
-def test_zero_sums_of_roots_stay_within_bound(rng):
-    # Sums of all N-th roots vanish, and exactly so in canonical form.
-    for n in (3, 5, 7, 9, 12, 15):
+def test_zero_sums_of_roots_stay_within_bound():
+    # Sums of all N-th roots vanish, and exactly so in canonical form; so do
+    # the sums of the q-th roots w^(N/q * j) for each prime q dividing N.
+    for n in (3, 5, 7, 9, 12, 15, 30, 1155):
         ring = ring_new(n)
-        total = ring.zero()
-        for j in range(n):
-            total = total + ring.root_power(j)
-        assert total.is_zero()
+        assert ring.element([1] * n).is_zero(), n
+        for q in prime_divisors(n):
+            counts = [1 if j % (n // q) == 0 else 0 for j in range(n)]
+            assert ring.element(counts).is_zero(), (n, q)
+            assert not ring.element(counts[:-(n // q)]).is_zero(), (n, q)
 
 
 def test_ring_construction_errors():
@@ -187,12 +236,3 @@ def test_ring_construction_errors():
         ring_new(0)
     with pytest.raises(PreconditionError):
         CycRing(10_001)
-
-
-def test_ring_mismatch_is_an_error():
-    a = ring_new(4).one()
-    b = ring_new(5).one()
-    with pytest.raises(ValueError):
-        a + b
-    with pytest.raises(ValueError):
-        a * b

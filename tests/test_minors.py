@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from fourier_minors import (IndexSet, PreconditionError, complement, det_exact,
-                            is_singular, minor_record, ring_new, submatrix)
+                            is_singular, minor_record, ring_new)
 from fourier_minors.minors import exponent_matrix
 from fourier_minors import powerdet
 
@@ -22,47 +23,45 @@ def test_index_set_validation():
         IndexSet(4, (2, 1))
 
 
+def test_index_set_rejects_non_int_members():
+    with pytest.raises(ValueError, match=r"member np\.int64\(1\) is not an int"):
+        IndexSet(8, (np.int64(1),))
+    with pytest.raises(ValueError, match="is not an int"):
+        IndexSet(8, (1.0,))
+    with pytest.raises(ValueError, match=r"member 8 outside 0\.\.7"):
+        IndexSet(8, (8,))
+    assert IndexSet.of(8, [np.int64(3), np.int64(1)]).members == (1, 3)
+
+
 def test_submatrix_fixture_n4_even_pair():
-    ring = ring_new(4)
+    # every entry of F_4 on {0, 2} is w^0 = 1
     k = IndexSet.of(4, [0, 2])
-    mat = submatrix(ring, k, k)
-    one = ring.one()
-    assert all(entry == one for row in mat for entry in row)
+    assert exponent_matrix(k, k).tolist() == [[0, 0], [0, 0]]
 
 
 def test_submatrix_fixture_n4_odd_pair():
     ring = ring_new(4)
     k = IndexSet.of(4, [1, 3])
-    mat = submatrix(ring, k, k)
-    i, minus_i = ring.root_power(1), ring.root_power(3)
-    assert mat[0][0] == i and mat[1][1] == i
-    assert mat[0][1] == minus_i and mat[1][0] == minus_i
+    assert exponent_matrix(k, k).tolist() == [[1, 3], [3, 1]]
+    i, minus_i = ring.element([0] * 5 + [1]), ring.element([0] * 3 + [1])
+    assert i.coeffs == (0, 1) and minus_i.coeffs == (0, -1)  # w^5 = w = i, w^3 = -i
 
 
 def test_submatrix_singleton():
-    ring = ring_new(7)
     k = IndexSet.of(7, [0])
-    assert submatrix(ring, k, k) == [[ring.one()]]
-
-
-def test_submatrix_errors():
-    ring = ring_new(5)
-    with pytest.raises(ValueError):
-        submatrix(ring, IndexSet.of(5, [0]), IndexSet.of(5, [0, 1]))
-    with pytest.raises(ValueError):
-        submatrix(ring, IndexSet.of(4, [0]), IndexSet.of(4, [0]))
+    assert exponent_matrix(k, k).tolist() == [[0]]
+    assert det_exact(7, exponent_matrix(k, k)) == ring_new(7).element([1])
 
 
 def test_det_exact_all_ones_is_zero():
-    ring = ring_new(4)
     k = IndexSet.of(4, [0, 2])
-    assert det_exact(submatrix(ring, k, k)).is_zero()
+    assert det_exact(4, exponent_matrix(k, k)).is_zero()
 
 
 def test_det_exact_3x3_nonzero_and_value():
     ring = ring_new(4)
     k = IndexSet.of(4, [0, 1, 2])
-    assert not det_exact(submatrix(ring, k, k)).is_zero()
+    assert not det_exact(4, exponent_matrix(k, k)).is_zero()
     # hand-computed: det F_4[{0,1,3}] shares the closed 3x3 form with
     # (a,b) = (1,3): (w-1)^2 - (w^3-1)^2 = -2i - 2i = -4i
     assert det_3x3_formula(ring, 1, 3).coeffs == (0, -4)
@@ -70,18 +69,19 @@ def test_det_exact_3x3_nonzero_and_value():
 
 def test_det_full_fourier_matrix_nonzero():
     for n in range(2, 9):
-        ring = ring_new(n)
         k = IndexSet.of(n, range(n))
-        assert not det_exact(submatrix(ring, k, k)).is_zero(), n
+        assert not det_exact(n, exponent_matrix(k, k)).is_zero(), n
 
 
 def test_det_exact_dimension_errors():
     with pytest.raises(PreconditionError):
-        det_exact([])
-    ring = ring_new(3)
-    big = [[ring.one()] * 29 for _ in range(29)]
+        det_exact(3, [])
     with pytest.raises(PreconditionError):
-        det_exact(big)
+        det_exact(3, [[0] * 29 for _ in range(29)])
+    with pytest.raises(ValueError):
+        det_exact(5, [[0], [0, 1]])  # not square
+    with pytest.raises(PreconditionError):
+        det_exact(0, [[0]])
 
 
 def test_det_exact_matches_leibniz_on_random_sets(rng, leibniz):
@@ -89,9 +89,8 @@ def test_det_exact_matches_leibniz_on_random_sets(rng, leibniz):
         n = rng.randrange(2, 21)
         r = rng.randrange(1, min(6, n + 1))
         k = IndexSet.of(n, rng.sample(range(n), r))
-        ring = ring_new(n)
-        mat = submatrix(ring, k, k)
-        assert det_exact(mat) == leibniz(mat)
+        exps = exponent_matrix(k, k)
+        assert det_exact(n, exps) == leibniz(n, exps)
 
 
 def test_kernel_matches_det_exact_on_random_sets(rng):
@@ -101,7 +100,7 @@ def test_kernel_matches_det_exact_on_random_sets(rng):
         k = IndexSet.of(n, rng.sample(range(n), r))
         ring = ring_new(n)
         fast = powerdet.det_power_single(ring, exponent_matrix(k, k))
-        assert fast == det_exact(submatrix(ring, k, k))
+        assert fast == det_exact(n, exponent_matrix(k, k))
 
 
 def test_is_singular_fixtures():
@@ -130,7 +129,6 @@ def test_is_singular_prefilter_agrees(rng):
     # the scan's engine entry runs the same exact engine in both modes: its
     # flags equal is_singular's, and its hits (reported under --prefilter)
     # are the sets the one-prime screen certified
-    import numpy as np
     from fourier_minors.powerdet import index_zero_flags
     for _ in range(40):
         n = rng.randrange(2, 20)
@@ -167,11 +165,11 @@ def test_formulas_match_det_exact_small_moduli():
         ring = ring_new(n)
         for a in range(1, n):
             k = IndexSet.of(n, [0, a])
-            assert det_2x2_formula(ring, a) == det_exact(submatrix(ring, k, k)), (n, a)
+            assert det_2x2_formula(ring, a) == det_exact(n, exponent_matrix(k, k)), (n, a)
         for a in range(1, n):
             for b in range(a + 1, n):
                 k = IndexSet.of(n, [0, a, b])
-                expected = det_exact(submatrix(ring, k, k))
+                expected = det_exact(n, exponent_matrix(k, k))
                 assert det_3x3_formula(ring, a, b) == expected, (n, a, b)
 
 
@@ -217,7 +215,7 @@ def test_complement_examples():
 def test_shift_identity_fixture_n4():
     ring = ring_new(4)
     # prefactor for K = {1, 3}: w^(1 * (-2 + 8)) = w^6 = -1
-    assert ring.root_power(1 * (-2 * 1 + 2 * 4)) == ring.from_int(-1)
+    assert ring.element([0] * (1 * (-2 * 1 + 2 * 4)) + [1]) == ring.element([-1])
     assert shift_identity_check(ring, IndexSet.of(4, [1, 3]))
 
 

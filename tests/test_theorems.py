@@ -7,7 +7,7 @@ import pytest
 
 from fourier_minors import (IndexSet, PreconditionError, WorkerError, build_witness,
                             complement, det_exact, is_singular, is_square_free,
-                            ring_new, scan_all, smallest_square_factor, submatrix,
+                            ring_new, scan_all, smallest_square_factor,
                             verify_theorem1, witness_sweep)
 from fourier_minors import powerdet, theorems
 from fourier_minors.cli import main
@@ -238,12 +238,11 @@ def test_witness_block_invariants():
 
 
 def test_witnesses_agree_with_det_exact():
-    # the Laplace oracle shares no code with the engine
+    # the count expansion shares no code with the engine
     for n in (4, 8, 9, 12):
-        ring = ring_new(n)
         for r in range(2, min(6, n - 2) + 1):
             k = build_witness(n, r).index_set
-            assert det_exact(submatrix(ring, k, k)).is_zero(), (n, r)
+            assert det_exact(n, [[x * y for y in k] for x in k]).is_zero(), (n, r)
 
 
 def test_witness_preconditions():
