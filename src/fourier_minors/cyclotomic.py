@@ -117,24 +117,18 @@ class CycRing:
         """The canonical element sum_j coeffs[j] * w^j.
 
         A list longer than phi is folded to length N by x^N = 1 (Phi_N
-        divides x^N - 1), then long-divided by the monic Phi_N: from the top,
-        a lead c at degree k >= phi is cleared by subtracting
-        c * x^(k-phi) * Phi_N.  Lemma: with the degrees >= k cleared, x^j
-        stands as x^(k-phi) * (x^(j-k+phi) mod Phi_N), so with S = sum|c_j|
-        every entry stays within S * h and every c * Phi_N within S * h^2
-        (Phi_N below its lead is -(x^phi mod Phi_N)).  The division runs in
-        int64 when S * h^2 < 2^63, in Python ints otherwise.
+        divides x^N - 1), then long-divided by the monic Phi_N in Python
+        ints: from the top, a lead c at degree k >= phi is cleared by
+        subtracting c * x^(k-phi) * Phi_N.
         """
         n, phi = self.modulus, self.totient
         coeffs = list(map(int, coeffs))
         if len(coeffs) <= phi:
             return CycElem(self, tuple(coeffs + [0] * (phi - len(coeffs))))
-        fits = sum(map(abs, coeffs)) * self.power_bound ** 2 < 2 ** 63
-        dtype = np.int64 if fits else object
-        rem = np.zeros(-(-len(coeffs) // n) * n, dtype=dtype)
+        rem = np.zeros(-(-len(coeffs) // n) * n, dtype=object)
         rem[:len(coeffs)] = coeffs
         rem = rem.reshape(-1, n).sum(axis=0)
-        head = np.array(self.phi_poly[:-1], dtype=dtype)
+        head = np.array(self.phi_poly[:-1], dtype=object)
         for k in range(n - 1, phi - 1, -1):
             if rem[k]:
                 rem[k - phi:k] -= rem[k] * head
