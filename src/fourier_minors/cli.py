@@ -23,9 +23,9 @@ encoded fields.  The `scan` and `perm-search` config echoes are their
 encoded configurations, the latter without `modulus`.
 
 Exit codes: 0 success, 1 usage error, 2 precondition violation (among them
-a `--budget` that is not finite and positive, a `theorem1 --range` or
-`perm-search` modulus past the precomputation bound, and an `--out` or
-`--resume` path in no writable directory, each refused before the run starts),
+a `--budget` that is not finite and positive, a modulus below 1 or past the
+precomputation bound, and an `--out` or `--resume` path in no writable
+directory, each refused before the run starts),
 3 inconclusive (time budget expired before the search space was covered),
 4 a theorem1 counterexample (a vanishing 2x2 or 3x3 minor for a square-free
 modulus), 5 a `--jobs` worker process died (no record is written).
@@ -182,6 +182,7 @@ def _parse_index_list(text: str) -> list[int]:
 
 def cmd_det(args) -> int:
     start = time.perf_counter()
+    check_modulus(args.n)
     try:
         indices = _parse_index_list(args.set)
         k = IndexSet.of(args.n, indices)

@@ -49,7 +49,7 @@ The evaluation primitive `_evaluate` has three uses:
 - zero flags: the screen's survivors, or with `screen=False` every minor,
   are decided by flags-mode elimination at w -> zeta^u for every unit u,
   one prime at a time, until the primes' product M has M^2 > r^r
-  (`_conjugate_sweep`; u = 1 at the first prime only without the screen);
+  (`zero_flags`; u = 1 at the first prime only without the screen);
   no coefficient is computed;
 - coefficients: the values at the phi units, turned into coefficients
   mod p by the Lagrange matrix and combined by CRT over primes whose
@@ -304,54 +304,43 @@ def det_power_batch(ring: CycRing, exps) -> np.ndarray:
     return coeffs.astype(np.int64 if weight < 2 ** 62 else object, copy=False)
 
 
-def _conjugate_sweep(exps: np.ndarray, n: int, idx: np.ndarray, skip_one: bool) -> np.ndarray:
-    """The members of `idx` whose determinants in the batch `exps` vanish at
-    every unit at each prime up to M^2 > r^r, that is, in Z[w] (module
-    docstring).  `skip_one` leaves out u = 1 at the first prime, which a
-    caller's screen has already taken."""
-    r = exps.shape[1]
-    ks = np.array(units(n), dtype=np.int64)
-    for index in range(_primes_for(n, isqrt(r ** r))):
-        todo = ks[1:] if skip_one and index == 0 else ks
-        if len(idx) and len(todo):
-            idx = idx[_evaluate(exps[idx], n, index, False, todo).all(axis=1)]
-    return idx
-
-
 def zero_flags(n: int, exps, screen: bool = True) -> tuple[np.ndarray, int]:
     """(flags, screened): exact vanishing flags of a batch of w-power
     determinants at modulus n, and how many the one-prime screen certified
-    nonzero.  The rest are decided by their Galois conjugates mod p (see
-    the module docstring), never by coefficients.  `screen=False`, for
-    candidates a caller already found 0 mod the first prime, sends every
-    minor to the sweep, u = 1 included: a candidate from a table 0
-    everywhere may be nonzero there.  `screened` is then 0."""
+    nonzero.  The screen's survivors are swept by their Galois conjugates:
+    those that vanish at every unit at each prime until M^2 > r^r vanish
+    in Z[w] (module docstring), and no coefficient is computed.  The sweep
+    skips u = 1 at the first prime, which the screen has taken.
+    `screen=False`, for candidates a caller already found 0 mod the first
+    prime, sends every minor to the sweep, u = 1 included: a candidate
+    from a table 0 everywhere may be nonzero there.  `screened` is then 0."""
     exps = _as_batch(exps)
+    r = exps.shape[1]
     idx = np.arange(len(exps))
     if screen:
         idx = idx[_evaluate(exps, n, 0, False)]
+    screened = len(exps) - len(idx)
+    ks = np.array(units(n), dtype=np.int64)
+    for index in range(_primes_for(n, isqrt(r ** r))):
+        todo = ks[1:] if screen and index == 0 else ks
+        if len(idx) and len(todo):
+            idx = idx[_evaluate(exps[idx], n, index, False, todo).all(axis=1)]
     flags = np.zeros(len(exps), dtype=bool)
-    flags[_conjugate_sweep(exps, n, idx, screen)] = True
-    return flags, len(exps) - len(idx)
-
-
-def _index_slices(rows, cols):
-    """The exponent products (w^(rows[b, i] * cols[b, j]))_ij of index arrays
-    of shape (B, r), one slice of at most _SLICE_BYTES at a time (an empty
-    batch is one slice)."""
-    if rows.ndim != 2 or rows.shape != cols.shape:
-        raise ValueError("expected row and column index arrays of one shape (B, r)")
-    step = max(1, _SLICE_BYTES // (8 * max(rows.shape[1], 1) ** 2))
-    for s in range(0, max(len(rows), 1), step):
-        yield np.multiply(rows[s:s + step, :, None], cols[s:s + step, None, :], dtype=np.int64)
+    flags[idx] = True
+    return flags, screened
 
 
 def index_zero_flags(n: int, rows, cols, screen: bool = True) -> tuple[np.ndarray, int]:
     """`zero_flags` of the minors (w^(rows[b, i] * cols[b, j]))_ij given by
     integer index arrays of shape (B, r), one call per slice of at most
-    _SLICE_BYTES of int64 products, so neither the products nor the
-    engine's working set grow with B."""
-    parts = [zero_flags(n, exps, screen) for exps in _index_slices(rows, cols)]
+    _SLICE_BYTES of int64 products (an empty batch is one slice), so
+    neither the products nor the engine's working set grow with B."""
+    if rows.ndim != 2 or rows.shape != cols.shape:
+        raise ValueError("expected row and column index arrays of one shape (B, r)")
+    step = max(1, _SLICE_BYTES // (8 * max(rows.shape[1], 1) ** 2))
+    parts = [zero_flags(n, np.multiply(rows[s:s + step, :, None], cols[s:s + step, None, :],
+                                       dtype=np.int64), screen)
+             for s in range(0, max(len(rows), 1), step)]
     return np.concatenate([flags for flags, _ in parts]), sum(hits for _, hits in parts)
 
 

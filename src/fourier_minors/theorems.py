@@ -61,6 +61,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import chain, islice
 from math import comb, isqrt
 
 import numpy as np
@@ -129,9 +130,9 @@ def verify_theorem1(modulus: int) -> Theorem1Report:
     start = time.perf_counter()
     if modulus < 4:
         raise PreconditionError("need modulus >= 4")
+    check_modulus(modulus)  # before the trial division of `is_square_free`
     if not is_square_free(modulus):
         raise PreconditionError(f"{modulus} is not square-free")
-    check_modulus(modulus)
     proper = np.array(divisors(modulus)[:-1], dtype=np.int64)
     g = np.repeat(proper, modulus - 1)
     b = np.tile(np.arange(1, modulus, dtype=np.int64), len(proper))
@@ -168,11 +169,11 @@ class WitnessPlan:
 def _anchor_set(n: int, r: int) -> IndexSet:
     """The first r of: the anchors k*pm for k < p, then the other members
     of the residue classes 0, 1, .., p-2 mod p, class by class, each class
-    ascending (N = p^2 m, p the least prime with p^2 | N).  The list holds
-    (p-1) N / p >= N/2 members."""
+    ascending (N = p^2 m, p the least prime with p^2 | N).  The order holds
+    (p-1) N / p >= N/2 members, and only the first r are generated."""
     p, m = smallest_square_factor(n)
-    rest = [x for c in range(p - 1) for x in range(c, n, p) if x % (p * m)]
-    return IndexSet.of(n, ([*range(0, n, p * m)] + rest)[:r])
+    rest = (x for c in range(p - 1) for x in range(c, n, p) if x % (p * m))
+    return IndexSet.of(n, islice(chain(range(0, n, p * m), rest), r))
 
 
 def build_witness(modulus: int, size: int) -> WitnessPlan:
@@ -187,6 +188,7 @@ def build_witness(modulus: int, size: int) -> WitnessPlan:
     returned set is checked once by the exact engine.
     """
     n, r = modulus, size
+    check_modulus(n)
     if n < 4:
         raise PreconditionError("need modulus >= 4")
     if is_square_free(n):
@@ -217,6 +219,7 @@ def build_witness(modulus: int, size: int) -> WitnessPlan:
 
 def witness_sweep(modulus: int) -> list[WitnessPlan]:
     """Verified witnesses for every size 2 .. N-2."""
+    check_modulus(modulus)
     if modulus < 4 or is_square_free(modulus):
         raise PreconditionError("need a non-square-free modulus >= 4")
     return [build_witness(modulus, r) for r in range(2, modulus - 1)]

@@ -302,11 +302,40 @@ def test_theorem1_non_square_free_precondition(capsys):
     ["det", "--n", "10010", "--set", "0,1"],
 ])
 def test_moduli_past_the_bound_are_refused(argv, tmp_path, capsys):
-    # no command builds a ring for its zero decisions; the prime field
-    # refuses the same moduli a ring does, and no record is written
+    # just past the bound, so each command is refused with no record
+    # written, whether or not it checks the modulus before any work; the
+    # next test checks that witness, theorem1 and det refuse first
     out = tmp_path / "r.jsonl"
     assert run([*argv, "--out", str(out)]) == 2
     assert "exceeds the precomputation bound 10000" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["witness", "--n", "100000000", "--r", "2"], "exceeds the precomputation bound 10000"),
+    (["witness", "--n", "100000000000000", "--all"], "exceeds the precomputation bound 10000"),
+    (["theorem1", "--n", "1000000000000000003"], "exceeds the precomputation bound 10000"),
+    (["det", "--n", "0", "--set", "0"], "modulus must be >= 1"),
+    (["det", "--n", "-3", "--set", "0"], "modulus must be >= 1"),
+], ids=["witness-r", "witness-all", "theorem1", "det-zero", "det-negative"])
+def test_out_of_range_moduli_are_refused_before_any_work(argv, message, tmp_path, capsys,
+                                                        monkeypatch):
+    # a witness anchor order of (p-1) N / p members, or trial division up to
+    # sqrt(N), takes gigabytes or minutes at these moduli; det refuses N < 1
+    # as a precondition (exit 2), not as a malformed --set (exit 1)
+    import fourier_minors.cli as cli
+    import fourier_minors.theorems as theorems
+
+    def ran(*args):
+        raise AssertionError(f"{argv} reached the work")
+
+    for module, name in ((theorems, "_anchor_set"), (theorems, "is_square_free"),
+                         (cli, "minor_record")):
+        monkeypatch.setattr(module, name, ran)
+    out = tmp_path / "r.jsonl"
+    assert run([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
     assert not out.exists()
 
 
