@@ -61,12 +61,12 @@ their entries take the modulus; only coefficients take a `CycRing`.
 An int64 batch is used as given, each chunk reduced mod N before any
 product; `index_zero_flags` builds batches from index sets in slices.
 
-Determinants mod p come from batched, division-free Gaussian elimination
-in numpy int64, the batch on the last axis: with p < 2^31 every product of
-two residues stays below 2^62.  References: Chebotarev's theorem by
-reduction mod p (Tao, "An uncertainty principle for cyclic groups of prime
-order", 2005) and multimodular determinants (Abbott-Bronstein-Mulders,
-ISSAC 1999).
+Determinants mod p come from batched, division-free Gaussian elimination in
+numpy int64 (batch on the last axis; p < 2^31 keeps products of two residues
+below 2^62), which adds a lower row to a zero pivot and reads a zero off the
+last pivot.  References: Chebotarev's theorem by reduction mod p (Tao, "An
+uncertainty principle for cyclic groups of prime order", 2005) and
+multimodular determinants (Abbott-Bronstein-Mulders, ISSAC 1999).
 """
 
 from __future__ import annotations
@@ -174,29 +174,24 @@ def _eliminate(a: np.ndarray, p: int, values: bool) -> np.ndarray:
     """Determinants mod p (values) or zero flags of the batch `a` of shape
     (r, r, M), entries in [0, p); `a` is overwritten.
 
-    Division-free elimination: step k swaps a row with a nonzero entry into
-    the pivot position, then replaces each row i below it by
-    pivot * row_i - a_ik * row_k, which multiplies the determinant by
-    pivot^(r-1-k).  The pivots end on the diagonal, so a determinant is
-    zero exactly when a pivot is; its value is a[r-1, r-1] / den with
-    den = (-1)^swaps * prod_k pivot_k^(r-2-k), the product over steps
-    0 .. r-3 of the running pivot products `run` (for r <= 2 the sign
-    alone, its own inverse).
+    Division-free elimination: step k repairs a zero pivot by adding the
+    first lower row with a nonzero entry in column k (the determinant is
+    unchanged), then replaces each row i below by pivot * row_i - a_ik *
+    row_k, multiplying the determinant by pivot^(r-1-k).  A pivot still 0
+    has only zeros below it and zeroes every later entry, so a determinant
+    is zero exactly when the last pivot a[r-1, r-1] is; its value is
+    a[r-1, r-1] / den, den = prod_k pivot_k^(r-2-k) (the running pivot
+    products `run` over steps 0 .. r-3; 1 for r <= 2).
     """
-    r, _, m = a.shape
-    run = np.ones(m, dtype=np.int64)
-    den = np.ones(m, dtype=np.int64)
+    r = len(a)
+    run = den = 1
     for k in range(r - 1):
         pivot = a[k, k]
         if not pivot.all():
             shift = np.argmax(a[k:, k] != 0, axis=0)
             i = np.nonzero(shift)[0]
             if len(i):
-                j = k + shift[i]
-                row = a[k, :, i].copy()
-                a[k, :, i] = a[j, :, i]
-                a[j, :, i] = row
-                den[i] = p - den[i]
+                a[k, :, i] = (a[k, :, i] + a[k + shift[i], :, i]) % p
         tail = a[k + 1:, k + 1:]
         tail *= pivot
         tail -= a[k + 1:, k, None] * a[k, None, k + 1:]
@@ -204,11 +199,10 @@ def _eliminate(a: np.ndarray, p: int, values: bool) -> np.ndarray:
         if values and k < r - 2:
             run = run * pivot % p
             den = den * run % p
+    last = a[r - 1, r - 1]
     if not values:
-        return (np.diagonal(a) == 0).any(axis=1)
-    if r <= 2:
-        return a[r - 1, r - 1] * den % p
-    return a[r - 1, r - 1] * _inverse(den, p) % p
+        return last == 0
+    return last if r <= 2 else last * _inverse(den, p) % p
 
 
 def _evaluate(exps: np.ndarray, n: int, index: int, values: bool,

@@ -184,8 +184,8 @@ def build_witness(modulus: int, size: int) -> WitnessPlan:
     is r anchors, all in class 0; for r > p it holds all p anchors and
     meets at most p-1 classes.  Either way the anchor-row lemma (module
     docstring) applies.  A size r > N/2 takes the complement of
-    `_anchor_set(N, N - r)` (case COMPLEMENTED; complement lemma).  Every
-    returned set is checked once by the exact engine.
+    `_anchor_set(N, N - r)` (case COMPLEMENTED).  The engine decides the
+    anchor-row set once; its complement is singular with it (complement lemma).
     """
     n, r = modulus, size
     check_modulus(n)
@@ -197,6 +197,8 @@ def build_witness(modulus: int, size: int) -> WitnessPlan:
         raise PreconditionError(f"size must lie in [2, {n - 2}]")
     p, m = smallest_square_factor(n)
     base = _anchor_set(n, min(r, n - r))
+    if not is_singular(base):
+        raise AssertionError(f"witness verification failed: N={n}, set={base.members}")
     if 2 * r <= n:
         members, case = base, CASE_ANCHOR_ROWS
         anchors = [k for k in base if k % (p * m) == 0]
@@ -211,8 +213,6 @@ def build_witness(modulus: int, size: int) -> WitnessPlan:
             f"complement of the size-{n - r} anchor-row set {list(base.members)}; "
             f"complementary sizes are singular together"
         )
-    if not is_singular(members):
-        raise AssertionError(f"witness verification failed: N={n}, set={members.members}")
     return WitnessPlan(modulus=n, size=r, prime=p, cofactor=m, case=case,
                        index_set=members, certificate=certificate)
 

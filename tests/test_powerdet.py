@@ -1,4 +1,5 @@
 import hashlib
+from itertools import combinations, permutations
 from math import factorial, isqrt, prod
 
 import numpy as np
@@ -349,6 +350,41 @@ def test_conjugate_primes_pass_hadamard_bound(monkeypatch):
                 assert zero_flags(n, np.zeros((1, r, r), dtype=np.int64))[0][0]
                 assert used == [0, *range(count)]  # the screen, then the sweep
     assert [pd._primes_for(16, isqrt(r ** r)) for r in (15, 16, 26, 27)] == [1, 2, 2, 3]
+
+
+def _leibniz_mod(m, p):
+    """det(m) mod p by the permutation sum; shares no code with the engine."""
+    total = 0
+    for perm in permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(len(m)), 2))
+        total += (-1) ** inversions * prod(m[i][perm[i]] for i in range(len(m)))
+    return total % p
+
+
+def test_eliminate_matches_leibniz_mod_a_small_prime(rng):
+    # mod 13 with many zero entries, zero leading minors, and zero columns
+    # that no added row can repair: both modes against the permutation sum
+    import fourier_minors.powerdet as pd
+    p = 13
+    for r in range(1, 7):
+        batch = []
+        for _ in range(150):
+            m = [[rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(r)]
+                 for _ in range(r)]
+            k = rng.randrange(1, r + 1)
+            if rng.random() < 0.5:  # leading k x k minor zero: row k-1 a multiple of row 0
+                c = rng.randrange(p)
+                m[k - 1][:k] = [c * x % p for x in m[0][:k]] if k > 1 else [0]
+            if rng.random() < 0.15:
+                for row in m:
+                    row[k - 1] = 0
+            batch.append(m)
+        a = np.array(batch, dtype=np.int64).transpose(1, 2, 0)
+        values = pd._eliminate(a.copy(), p, True)
+        flags = pd._eliminate(a.copy(), p, False)
+        assert values.tolist() == [_leibniz_mod(m, p) for m in batch], r
+        assert flags.tolist() == (values == 0).tolist(), r
+        assert 0 < flags.sum() < len(batch), r
 
 
 def _small_field(n, index):

@@ -268,8 +268,27 @@ def test_witness_sweep_all_exactly_singular():
             assert is_singular(plan.index_set), (n, plan.size)
 
 
+def test_witness_engine_decides_only_anchor_sets(monkeypatch):
+    # a complemented plan is singular with its anchor-row set by the
+    # complement lemma, so the engine only ever gets anchor-row sets
+    seen = []
+
+    def recording(index_set):
+        seen.append(index_set)
+        return is_singular(index_set)
+
+    monkeypatch.setattr(theorems, "is_singular", recording)
+    for n in (16, 18, 27, 48):
+        seen.clear()
+        plans = witness_sweep(n)
+        anchors = {theorems._anchor_set(n, s) for s in range(2, n // 2 + 1)}
+        assert seen and set(seen) <= anchors, n
+        assert len(seen) == len(plans)
+
+
 def test_large_complemented_witness_verifies_directly():
-    # every plan is verified by exact determinant, large complements too
+    # build_witness decides only the anchor-row set; this decides the large
+    # complements themselves, which the complement lemma says are singular
     for r in (15, 25):
         plan = build_witness(27, r)
         assert plan.case == CASE_COMPLEMENTED
